@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
 from .experience import (ExperienceTuple, ExperienceVector, clamp01,
                          generate_experience)
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
@@ -88,7 +89,7 @@ class AcquisitionConfig:
         if not self.items:
             raise ValueError("need at least one item")
         if len({it.id for it in self.items}) != len(self.items):
-            raise ValueError("item ids must be unique")
+            raise ValidationError("items", "ids must be unique")
         if self.jol_noise_sigma < 0:
             raise ValueError("jol_noise_sigma must be nonnegative")
 

@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import RunConfig, RunMode, validate_config, validate_params
-from .errors import MgvError, MissingFile, ParseError, ValidationError
+from .config import RunConfig, RunMode, read_document, validate_config
+from .errors import MgvError, ValidationError
 from .runner import report, run_repeated
 
 log = logging.getLogger("mgv")
@@ -32,41 +32,26 @@ def _configure_logging() -> None:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _load_document(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise MissingFile(str(p))
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("document", "must be a JSON object")
-    return doc
-
-
 def _config_from_args(args, mode: RunMode, config_path: str,
                       extra_params: dict | None = None) -> RunConfig:
-    """Build a validated run config from a file plus command-line overrides."""
-    doc = _load_document(config_path)
-    if "mode" in doc:
-        if doc["mode"] != mode.value:
-            raise ValidationError("config.mode",
-                                  f"file says {doc['mode']!r}, subcommand wants {mode.value!r}")
-        if extra_params:
-            doc = {**doc, "params": {**doc.get("params", {}), **extra_params}}
-        if getattr(args, "seed", None) is not None:
-            doc = {**doc, "seed": args.seed}
-        if getattr(args, "out", None) is not None:
-            doc = {**doc, "out": args.out}
-        return validate_config(doc)
-    # Bare params block: mode/seed/out all come from the command line.
-    params = {**doc, **(extra_params or {})}
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        raise ValidationError("config.seed", "required (flag --seed or config file field)")
-    return RunConfig(mode=mode, seed=seed, params=validate_params(mode, params),
-                     out=getattr(args, "out", None))
+    """Build a validated run config from a file plus command-line overrides.
+
+    A file without a ``mode`` field is a bare params block for the
+    subcommand's mode; flags fill in or override the document's fields.
+    """
+    doc = read_document(config_path)
+    if not isinstance(doc, dict) or "mode" not in doc:
+        doc = {"mode": mode.value, "params": doc}
+    elif doc["mode"] != mode.value:
+        raise ValidationError("config.mode",
+                              f"file says {doc['mode']!r}, subcommand wants {mode.value!r}")
+    params = doc.get("params", {})
+    if extra_params and isinstance(params, dict):
+        doc["params"] = {**params, **extra_params}
+    for name in ("seed", "out"):
+        if getattr(args, name) is not None:
+            doc[name] = getattr(args, name)
+    return validate_config(doc)
 
 
 def _run_mode(args, mode: RunMode, config_path: str,

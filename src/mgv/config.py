@@ -1,19 +1,40 @@
-"""Run configuration: loading, validation, canonical save.
+"""Run configuration: loading, validation, object construction, canonical save.
 
 A run document is ``{"mode": ..., "seed": ..., "params": {...}, "out": ...}``.
-Validation fills documented defaults, rejects unknown fields, and reports the
-offending field by name.  Saving always emits canonical JSON (sorted keys) so
-a load/save round trip is byte-stable.
+Each mode declares its params once, as a table of fields: a name, a JSON type
+carrying the field's own range, and a default or "required".  One walker
+applies a table: it rejects unknown fields, keeps JSON booleans out of number
+fields, stores every number as a float, fills defaults and names the
+offending field (``params.priors[3].probs``) in every error.  Rules that
+relate several fields live in the library constructors; ``build`` makes a
+mode's objects from its validated params and reports those rules by field
+too.  Saving always emits canonical JSON (sorted keys) so a load/save round
+trip is byte-stable.
 """
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
+from math import inf
 from pathlib import Path
+from typing import Any, NamedTuple
 
+from .acquisition import AcquisitionConfig, LearnItem
+from .bandit import BanditState
+from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
+                   StationaryBanditEnvironment, SyntheticTaskEnvironment)
 from .errors import MissingFile, ParseError, ValidationError
+from .flavell import FlavellConfig, GoalSpec
+from .knowledge import KnowledgeCategory, KnowledgeItem, KnowledgeStore
+from .planning import DiscretePrior, make_initial_state
+from .recall import RecallMdpConfig
+from .retrieval import RetrievalConfig
 
 
 class RunMode(Enum):
@@ -37,378 +58,421 @@ class RunConfig:
                 "params": self.params, "out": self.out}
 
 
-def _require(params: dict, name: str, kinds, where: str):
-    if name not in params:
-        raise ValidationError(f"{where}.{name}", "required field missing")
-    return _typed(params[name], name, kinds, where)
+# -- field types ---------------------------------------------------------------
+# ``check(value, path, root)`` returns the cleaned value or raises
+# ValidationError naming ``path``.  ``root`` is the enclosing params block as
+# cleaned so far, for defaults that copy an earlier field.  A rule is a
+# (predicate, message) pair applied to the cleaned value.
 
-
-def _optional(params: dict, name: str, kinds, where: str, default):
-    if name not in params or params[name] is None:
-        return default
-    return _typed(params[name], name, kinds, where)
-
-
-def _typed(value, name: str, kinds, where: str):
-    # JSON booleans parse as Python bools, which are ints; keep them out of
-    # numeric fields.
-    if kinds is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        label = "number"
-    elif kinds is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        label = "integer"
-    else:
-        ok = isinstance(value, kinds)
-        label = getattr(kinds, "__name__", str(kinds))
-    if not ok:
-        raise ValidationError(f"{where}.{name}", f"expected {label}, got {type(value).__name__}")
+def _apply(rules, value, path: str):
+    for ok, message in rules:
+        if not ok(value):
+            raise ValidationError(path, message)
     return value
 
 
-def _check(ok: bool, name: str, where: str, message: str):
-    if not ok:
-        raise ValidationError(f"{where}.{name}", message)
+class _Scalar:
+    """One JSON kind: number (stored as float), integer, string, bool, object."""
+
+    def __init__(self, label: str, kinds: tuple, *rules):
+        self.label, self.kinds, self.rules = label, kinds, rules
+
+    def check(self, value, path: str, root):
+        # JSON booleans parse as Python bools, which are ints; keep them out
+        # of numeric fields.
+        if not isinstance(value, self.kinds) or (
+                isinstance(value, bool) and bool not in self.kinds):
+            raise ValidationError(path, f"expected {self.label}, got {type(value).__name__}")
+        if self.label == "number":
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValidationError(path, "number out of range") from None
+        return _apply(self.rules, value, path)
 
 
-def _no_unknown(params: dict, allowed: set[str], where: str):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValidationError(f"{where}.{sorted(unknown)[0]}", "unknown field")
+_number = partial(_Scalar, "number", (int, float))
+_integer = partial(_Scalar, "integer", (int,))
+_string = partial(_Scalar, "string", (str,))
+_BOOLEAN = _Scalar("boolean", (bool,))
+_OBJECT = _Scalar("object", (dict,))
 
 
-def _unit(value, name, where, lo=0.0, hi=1.0, lo_open=False, hi_open=False):
-    above = value > lo if lo_open else value >= lo
-    below = value < hi if hi_open else value <= hi
-    _check(above and below, name, where,
-           f"must lie in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
-    return float(value)
+class _OneOf:
+    def __init__(self, *choices: str):
+        self.choices = choices
+
+    def check(self, value, path: str, root):
+        if not (isinstance(value, str) and value in self.choices):
+            raise ValidationError(path, "must be one of " + ", ".join(map(repr, self.choices)))
+        return value
 
 
-def _validate_flavell(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"task_tags", "success_threshold", "max_cycles",
-                         "failure_streak_limit", "resource_budget", "feel_prob",
-                         "resources_per_cycle", "prune_margin", "access_prob",
-                         "encoding_rate", "strategies", "completeness", "noise"}, where)
-    tags = _require(params, "task_tags", list, where)
-    _check(bool(tags) and all(isinstance(t, str) for t in tags),
-           "task_tags", where, "must be a non-empty list of strings")
-    out = {
-        "task_tags": sorted(set(tags)),
-        "success_threshold": _unit(_require(params, "success_threshold", float, where),
-                                   "success_threshold", where, lo=-1.0),
-        "max_cycles": _require(params, "max_cycles", int, where),
-        "failure_streak_limit": _optional(params, "failure_streak_limit", int, where, 3),
-        "resource_budget": _optional(params, "resource_budget", float, where, None),
-        "feel_prob": _unit(_optional(params, "feel_prob", float, where, 0.5),
-                           "feel_prob", where),
-        "resources_per_cycle": _optional(params, "resources_per_cycle", float, where, 1.0),
-        "prune_margin": _optional(params, "prune_margin", int, where, 5),
-        "access_prob": _unit(_optional(params, "access_prob", float, where, 1.0),
-                             "access_prob", where),
-        "encoding_rate": _unit(_optional(params, "encoding_rate", float, where, 1.0),
-                               "encoding_rate", where),
-        "completeness": _unit(_optional(params, "completeness", float, where, 1.0),
-                              "completeness", where),
-        "noise": _optional(params, "noise", float, where, 0.0),
-    }
-    _check(out["max_cycles"] >= 1, "max_cycles", where, "must be at least 1")
-    _check(out["failure_streak_limit"] >= 1, "failure_streak_limit", where, "must be at least 1")
-    _check(out["resource_budget"] is None or out["resource_budget"] > 0,
-           "resource_budget", where, "must be positive or null")
-    _check(out["resources_per_cycle"] > 0, "resources_per_cycle", where, "must be positive")
-    _check(out["prune_margin"] >= 0, "prune_margin", where, "must be nonnegative")
-    _check(out["noise"] >= 0, "noise", where, "must be nonnegative")
+class _NullOr:
+    def __init__(self, inner):
+        self.inner = inner
 
-    strategies = _require(params, "strategies", list, where)
-    _check(bool(strategies), "strategies", where, "must be non-empty")
-    cleaned = []
-    for i, entry in enumerate(strategies):
-        sw = f"{where}.strategies[{i}]"
-        _typed(entry, f"strategies[{i}]", dict, where)
-        _no_unknown(entry, {"id", "tags", "quality", "successes", "failures"}, sw)
-        sid = _require(entry, "id", str, sw)
-        _check(bool(sid), "id", sw, "must be non-empty")
-        stags = _optional(entry, "tags", list, sw, list(out["task_tags"]))
-        cleaned.append({
-            "id": sid,
-            "tags": sorted(set(stags)),
-            "quality": _unit(_require(entry, "quality", float, sw), "quality", sw, lo=-1.0),
-            "successes": _optional(entry, "successes", int, sw, 0),
-            "failures": _optional(entry, "failures", int, sw, 0),
-        })
-    ids = [s["id"] for s in cleaned]
-    _check(len(ids) == len(set(ids)), "strategies", where, "ids must be unique")
-    out["strategies"] = cleaned
-    return out
+    def check(self, value, path: str, root):
+        return None if value is None else self.inner.check(value, path, root)
 
 
-def _validate_acquire(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"target_performance", "retention_discount",
-                         "total_resources_per_cycle", "max_cycles", "items",
-                         "feel_prob", "jol_noise_sigma", "signal_floor",
-                         "mastery_gain", "access_prob", "encoding_rate"}, where)
-    out = {
-        "target_performance": _unit(_require(params, "target_performance", float, where),
-                                    "target_performance", where),
-        "retention_discount": _require(params, "retention_discount", float, where),
-        "total_resources_per_cycle": _require(params, "total_resources_per_cycle", float, where),
-        "max_cycles": _require(params, "max_cycles", int, where),
-        "feel_prob": _unit(_optional(params, "feel_prob", float, where, 0.5),
-                           "feel_prob", where),
-        "jol_noise_sigma": _optional(params, "jol_noise_sigma", float, where, 0.05),
-        "signal_floor": _optional(params, "signal_floor", float, where, 1e-6),
-        "mastery_gain": _optional(params, "mastery_gain", float, where, 0.2),
-        "access_prob": _unit(_optional(params, "access_prob", float, where, 1.0),
-                             "access_prob", where),
-        "encoding_rate": _unit(_optional(params, "encoding_rate", float, where, 1.0),
-                               "encoding_rate", where),
-    }
-    _check(out["retention_discount"] >= 0, "retention_discount", where, "must be nonnegative")
-    _check(out["total_resources_per_cycle"] > 0, "total_resources_per_cycle", where,
-           "must be positive")
-    _check(out["max_cycles"] >= 1, "max_cycles", where, "must be at least 1")
-    _check(out["jol_noise_sigma"] >= 0, "jol_noise_sigma", where, "must be nonnegative")
-    _check(out["signal_floor"] > 0, "signal_floor", where, "must be positive")
-    _check(out["mastery_gain"] > 0, "mastery_gain", where, "must be positive")
+class _List:
+    """A JSON list: ``item`` checks each entry, ``rules`` the whole list."""
 
-    items = _require(params, "items", list, where)
-    _check(bool(items), "items", where, "must be non-empty")
-    cleaned = []
-    for i, entry in enumerate(items):
-        iw = f"{where}.items[{i}]"
-        _typed(entry, f"items[{i}]", dict, where)
-        _no_unknown(entry, {"id", "latent_difficulty", "mastery"}, iw)
-        cleaned.append({
-            "id": _require(entry, "id", int, iw),
-            "latent_difficulty": _unit(_require(entry, "latent_difficulty", float, iw),
-                                       "latent_difficulty", iw, lo_open=True),
-            "mastery": _unit(_optional(entry, "mastery", float, iw, 0.0), "mastery", iw),
-        })
-    ids = [e["id"] for e in cleaned]
-    _check(len(ids) == len(set(ids)), "items", where, "ids must be unique")
-    out["items"] = cleaned
-    return out
+    def __init__(self, item, *rules):
+        self.item, self.rules = item, rules
+
+    def check(self, value, path: str, root):
+        if not isinstance(value, list):
+            raise ValidationError(path, f"expected list, got {type(value).__name__}")
+        out = [self.item.check(v, f"{path}[{i}]", root) for i, v in enumerate(value)]
+        return _apply(self.rules, out, path)
 
 
-def _validate_retrieve(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"query", "satisficing_rate", "default_lambda_fok",
-                         "default_lambda_confidence", "max_cycles", "compound_decay",
-                         "target", "match_prob", "cue_samples", "evidence_scale",
-                         "min_matches", "confidence_gain", "access_prob",
-                         "encoding_rate", "seed_items"}, where)
-    query = _require(params, "query", list, where)
-    _check(bool(query) and all(isinstance(t, str) for t in query),
-           "query", where, "must be a non-empty list of strings")
-    out = {
-        "query": sorted(set(query)),
-        "satisficing_rate": _optional(params, "satisficing_rate", float, where, 0.1),
-        "default_lambda_fok": _optional(params, "default_lambda_fok", float, where, 0.5),
-        "default_lambda_confidence": _unit(
-            _optional(params, "default_lambda_confidence", float, where, 0.5),
-            "default_lambda_confidence", where, lo_open=True),
-        "max_cycles": _optional(params, "max_cycles", int, where, 25),
-        "compound_decay": _optional(params, "compound_decay", bool, where, False),
-        "target": params.get("target"),
-        "match_prob": _unit(_require(params, "match_prob", float, where),
-                            "match_prob", where),
-        "cue_samples": _optional(params, "cue_samples", int, where, 4),
-        "evidence_scale": _optional(params, "evidence_scale", float, where, 0.25),
-        "min_matches": _optional(params, "min_matches", int, where, 6),
-        "confidence_gain": _optional(params, "confidence_gain", float, where, 1.0),
-        "access_prob": _unit(_optional(params, "access_prob", float, where, 1.0),
-                             "access_prob", where),
-        "encoding_rate": _unit(_optional(params, "encoding_rate", float, where, 1.0),
-                               "encoding_rate", where),
-        "seed_items": _optional(params, "seed_items", list, where, []),
-    }
-    _check(out["satisficing_rate"] >= 0, "satisficing_rate", where, "must be nonnegative")
-    _check(out["default_lambda_fok"] > 0, "default_lambda_fok", where, "must be positive")
-    _check(out["max_cycles"] >= 1, "max_cycles", where, "must be at least 1")
-    if out["target"] is not None:
-        _typed(out["target"], "target", str, where)
-    _check(out["cue_samples"] >= 1, "cue_samples", where, "must be at least 1")
-    _check(out["evidence_scale"] > 0, "evidence_scale", where, "must be positive")
-    _check(out["min_matches"] >= 0, "min_matches", where, "must be nonnegative")
-    _check(out["confidence_gain"] > 0, "confidence_gain", where, "must be positive")
-    for i, entry in enumerate(out["seed_items"]):
-        _typed(entry, f"seed_items[{i}]", dict, where)
-        if "id" not in entry or "category" not in entry:
-            raise ValidationError(f"{where}.seed_items[{i}]", "needs id and category")
-    return out
+class _Tags(_List):
+    """A list of strings, stored sorted and without repeats."""
+
+    def __init__(self, *rules):
+        super().__init__(_string(), *rules)
+
+    def check(self, value, path: str, root):
+        return sorted(set(super().check(value, path, root)))
 
 
-def _validate_bandit(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"env", "utilities", "times", "reward_noise", "time_noise",
-                         "utility_weights", "time_weights", "episodes",
-                         "prior_variance", "noise_variance", "gamma_prior"}, where)
-    kind = _optional(params, "env", str, where, "stationary")
-    _check(kind in ("stationary", "feature"), "env", where,
-           "must be 'stationary' or 'feature'")
-    out = {
-        "env": kind,
-        "episodes": _require(params, "episodes", int, where),
-        "reward_noise": _optional(params, "reward_noise", float, where, 0.1),
-        "prior_variance": _optional(params, "prior_variance", float, where, 1.0),
-        "noise_variance": _optional(params, "noise_variance", float, where, 1.0),
-        "gamma_prior": _optional(params, "gamma_prior", list, where, [0.0, 1.0]),
-    }
-    _check(out["episodes"] >= 1, "episodes", where, "must be at least 1")
-    _check(out["reward_noise"] >= 0, "reward_noise", where, "must be nonnegative")
-    _check(out["prior_variance"] > 0, "prior_variance", where, "must be positive")
-    _check(out["noise_variance"] > 0, "noise_variance", where, "must be positive")
-    gp = out["gamma_prior"]
-    _check(len(gp) == 2 and all(isinstance(x, (int, float)) for x in gp) and gp[1] > 0,
-           "gamma_prior", where, "must be [pseudo_reward, pseudo_time > 0]")
-    out["gamma_prior"] = [float(gp[0]), float(gp[1])]
-
-    if kind == "stationary":
-        utilities = _require(params, "utilities", list, where)
-        times = _require(params, "times", list, where)
-        _check(bool(utilities) and len(utilities) == len(times), "utilities", where,
-               "utilities and times must be non-empty and align")
-        _check(all(isinstance(u, (int, float)) for u in utilities), "utilities", where,
-               "must be numbers")
-        _check(all(isinstance(t, (int, float)) and t > 0 for t in times), "times", where,
-               "must be positive numbers")
-        out["utilities"] = [float(u) for u in utilities]
-        out["times"] = [float(t) for t in times]
-        out["time_noise"] = _optional(params, "time_noise", float, where, 0.0)
-        _check(out["time_noise"] >= 0, "time_noise", where, "must be nonnegative")
-    else:
-        uw = _require(params, "utility_weights", list, where)
-        tw = _require(params, "time_weights", list, where)
-        _check(bool(uw) and all(isinstance(r, list) and r for r in uw),
-               "utility_weights", where, "must be a non-empty matrix")
-        _check(len(tw) == len(uw) and all(
-            isinstance(r, list) and len(r) == len(uw[0]) for r in tw),
-            "time_weights", where, "must match utility_weights' shape")
-        widths = {len(r) for r in uw}
-        _check(len(widths) == 1, "utility_weights", where, "rows must share a length")
-        out["utility_weights"] = [[float(x) for x in row] for row in uw]
-        out["time_weights"] = [[float(x) for x in row] for row in tw]
-    return out
+REQUIRED = object()
 
 
-def _validate_plan(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"parents", "priors", "expansion_cost"}, where)
-    parents = _require(params, "parents", list, where)
-    priors = _require(params, "priors", list, where)
-    _check(bool(parents) and parents[0] is None, "parents", where,
-           "first entry must be null (the root)")
-    for i, p in enumerate(parents[1:], start=1):
-        _check(isinstance(p, int) and 0 <= p < len(parents) and p != i,
-               f"parents[{i}]", where, "must index another node")
-    _check(len(priors) == len(parents), "priors", where, "must align with parents")
-    cleaned = []
-    for i, entry in enumerate(priors):
-        pw = f"{where}.priors[{i}]"
-        _typed(entry, f"priors[{i}]", dict, where)
-        _no_unknown(entry, {"support", "probs"}, pw)
-        support = _require(entry, "support", list, pw)
-        probs = _require(entry, "probs", list, pw)
-        _check(bool(support) and len(support) == len(probs), "support", pw,
-               "support and probs must be non-empty and align")
-        _check(all(isinstance(x, (int, float)) for x in support), "support", pw,
-               "must be numbers")
-        _check(all(isinstance(p, (int, float)) and p >= 0 for p in probs), "probs", pw,
-               "must be nonnegative numbers")
-        _check(abs(sum(probs) - 1.0) <= 1e-9, "probs", pw, "must sum to 1")
-        cleaned.append({"support": [float(x) for x in support],
-                        "probs": [float(p) for p in probs]})
-    cost = _require(params, "expansion_cost", float, where)
-    _check(cost >= 0, "expansion_cost", where, "must be nonnegative")
-    return {"parents": list(parents), "priors": cleaned, "expansion_cost": float(cost)}
+class _Field(NamedTuple):
+    name: str
+    type: Any
+    # A value, REQUIRED, or a function of the params cleaned so far.
+    default: Any = REQUIRED
 
 
-def _validate_recall(params: dict) -> dict:
-    where = "params"
-    _no_unknown(params, {"drift_prior_mean", "drift_prior_variance", "evidence_variance",
-                         "recall_threshold", "recall_utility", "search_cost", "horizon",
-                         "z_min", "z_step", "simulate"}, where)
-    out = {
-        "drift_prior_mean": float(_require(params, "drift_prior_mean", float, where)),
-        "drift_prior_variance": float(_require(params, "drift_prior_variance", float, where)),
-        "evidence_variance": float(_require(params, "evidence_variance", float, where)),
-        "recall_threshold": float(_require(params, "recall_threshold", float, where)),
-        "recall_utility": float(_require(params, "recall_utility", float, where)),
-        "search_cost": float(_require(params, "search_cost", float, where)),
-        "horizon": _require(params, "horizon", int, where),
-        "z_min": _optional(params, "z_min", float, where, None),
-        "z_step": _optional(params, "z_step", float, where, None),
-        "simulate": None,
-    }
-    _check(out["drift_prior_variance"] > 0, "drift_prior_variance", where, "must be positive")
-    _check(out["evidence_variance"] > 0, "evidence_variance", where, "must be positive")
-    _check(out["recall_threshold"] > 0, "recall_threshold", where, "must be positive")
-    _check(out["search_cost"] >= 0, "search_cost", where, "must be nonnegative")
-    _check(out["horizon"] >= 1, "horizon", where, "must be at least 1")
-    sim = params.get("simulate")
-    if sim is not None:
-        sw = f"{where}.simulate"
-        _typed(sim, "simulate", dict, where)
-        _no_unknown(sim, {"drifts", "episodes", "start"}, sw)
-        drifts = _require(sim, "drifts", list, sw)
-        _check(bool(drifts) and all(isinstance(d, (int, float)) for d in drifts),
-               "drifts", sw, "must be a non-empty list of numbers")
-        episodes = _require(sim, "episodes", int, sw)
-        _check(episodes >= 1, "episodes", sw, "must be at least 1")
-        out["simulate"] = {"drifts": [float(d) for d in drifts],
-                           "episodes": episodes,
-                           "start": float(_optional(sim, "start", float, sw, 0.0))}
-    return out
+class _Table:
+    """A JSON object with declared fields; null stands for the default."""
+
+    def __init__(self, fields: list[_Field]):
+        self.fields = fields
+        self.names = {f.name for f in fields}
+
+    def check(self, value, path: str, root=None):
+        if not isinstance(value, dict):
+            raise ValidationError(path, f"expected object, got {type(value).__name__}")
+        unknown = set(value) - self.names
+        if unknown:
+            raise ValidationError(f"{path}.{sorted(unknown)[0]}", "unknown field")
+        out: dict = {}
+        root = out if root is None else root
+        for f in self.fields:
+            given = value.get(f.name)
+            if given is None and f.default is not REQUIRED:
+                out[f.name] = f.default(root) if callable(f.default) else copy.copy(f.default)
+            elif f.name not in value:
+                raise ValidationError(f"{path}.{f.name}", "required field missing")
+            else:
+                out[f.name] = f.type.check(given, f"{path}.{f.name}", root)
+        return out
 
 
-_VALIDATORS = {
-    RunMode.FLAVELL: _validate_flavell,
-    RunMode.ACQUIRE: _validate_acquire,
-    RunMode.RETRIEVE: _validate_retrieve,
-    RunMode.BANDIT: _validate_bandit,
-    RunMode.PLAN: _validate_plan,
-    RunMode.RECALL_MDP: _validate_recall,
+class _Switch:
+    """An object whose table is chosen by the value of one of its fields."""
+
+    def __init__(self, key: str, default: str, tables: dict[str, _Table]):
+        self.key, self.default, self.tables = key, default, tables
+
+    def check(self, value, path: str, root=None):
+        choice = value.get(self.key) if isinstance(value, dict) else None
+        choice = self.default if choice is None else choice
+        if not (isinstance(choice, str) and choice in self.tables):
+            raise ValidationError(f"{path}.{self.key}",
+                                  "must be one of " + ", ".join(map(repr, self.tables)))
+        return self.tables[choice].check(value, path, root)
+
+
+# -- per-mode tables -------------------------------------------------------------
+# Per-field rules only.  Rules relating several fields are the constructors':
+# unique item ids (AcquisitionConfig), aligned utilities and times
+# (StationaryBanditEnvironment), weight shapes (FeatureBanditEnvironment),
+# tree shape (PlanningState), probabilities summing to 1 (DiscretePrior) and
+# the progress grid (RecallMdpConfig).
+
+_NONNEG = (lambda x: x >= 0, "must be nonnegative")
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_OPEN_UNIT = (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
+_SIGNED_UNIT = (lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]")
+_NONEMPTY = (bool, "must be non-empty")
+_UNIQUE = (lambda xs: len(set(xs)) == len(xs), "must be unique")
+_UNIQUE_IDS = (lambda xs: len({x["id"] for x in xs}) == len(xs), "ids must be unique")
+
+_STORE = [
+    _Field("access_prob", _number(_UNIT), 1.0),
+    _Field("encoding_rate", _number(_UNIT), 1.0),
+]
+
+_STRATEGY = _Table([
+    _Field("id", _string(_NONEMPTY)),
+    _Field("quality", _number(_SIGNED_UNIT)),
+    _Field("tags", _Tags(), lambda params: list(params["task_tags"])),
+    _Field("successes", _integer(_NONNEG), 0),
+    _Field("failures", _integer(_NONNEG), 0),
+])
+
+_FLAVELL = _Table([
+    _Field("task_tags", _Tags(_NONEMPTY)),
+    _Field("success_threshold", _number(_SIGNED_UNIT)),
+    _Field("max_cycles", _integer(_AT_LEAST_1)),
+    _Field("strategies", _List(_STRATEGY, _NONEMPTY, _UNIQUE_IDS)),
+    _Field("failure_streak_limit", _integer(_AT_LEAST_1), 3),
+    _Field("resource_budget", _number(_POSITIVE), None),
+    _Field("feel_prob", _number(_UNIT), 0.5),
+    _Field("resources_per_cycle", _number(_POSITIVE), 1.0),
+    _Field("prune_margin", _integer(_NONNEG), 5),
+    *_STORE,
+    _Field("completeness", _number(_UNIT), 1.0),
+    _Field("noise", _number(_NONNEG), 0.0),
+])
+
+_ITEM = _Table([
+    _Field("id", _integer()),
+    _Field("latent_difficulty", _number(_OPEN_UNIT)),
+    _Field("mastery", _number(_UNIT), 0.0),
+])
+
+_ACQUIRE = _Table([
+    _Field("target_performance", _number(_UNIT)),
+    _Field("retention_discount", _number(_NONNEG)),
+    _Field("total_resources_per_cycle", _number(_POSITIVE)),
+    _Field("max_cycles", _integer(_AT_LEAST_1)),
+    _Field("items", _List(_ITEM, _NONEMPTY)),
+    _Field("feel_prob", _number(_UNIT), 0.5),
+    _Field("jol_noise_sigma", _number(_NONNEG), 0.05),
+    _Field("signal_floor", _number(_POSITIVE), 1e-6),
+    _Field("mastery_gain", _number(_POSITIVE), 0.2),
+    *_STORE,
+])
+
+_CALIBRATION_RECORD = _Table([
+    _Field("fok_magnitude", _number(_NONNEG)),
+    _Field("confidence", _number(_UNIT)),
+    _Field("was_correct", _BOOLEAN),
+])
+
+_STORE_ITEM = _Table([
+    _Field("id", _string(_NONEMPTY)),
+    _Field("category", _OneOf(*(c.value for c in KnowledgeCategory))),
+    _Field("tags", _List(_string()), []),
+    _Field("features", _List(_number()), []),
+    _Field("successes", _integer(_NONNEG), 0),
+    _Field("failures", _integer(_NONNEG), 0),
+    _Field("calibration_records", _List(_CALIBRATION_RECORD), []),
+    _Field("in_stm", _BOOLEAN, False),
+])
+
+_RETRIEVE = _Table([
+    _Field("query", _Tags(_NONEMPTY)),
+    _Field("match_prob", _number(_UNIT)),
+    _Field("target", _string(), None),
+    _Field("satisficing_rate", _number(_NONNEG), 0.1),
+    _Field("default_lambda_fok", _number(_POSITIVE), 0.5),
+    _Field("default_lambda_confidence", _number(_OPEN_UNIT), 0.5),
+    _Field("max_cycles", _integer(_AT_LEAST_1), 25),
+    _Field("compound_decay", _BOOLEAN, False),
+    _Field("cue_samples", _integer(_AT_LEAST_1), 4),
+    _Field("evidence_scale", _number(_POSITIVE), 0.25),
+    _Field("min_matches", _integer(_NONNEG), 6),
+    _Field("confidence_gain", _number(_POSITIVE), 1.0),
+    *_STORE,
+    _Field("seed_items", _List(_STORE_ITEM), []),
+])
+
+_BANDIT_SHARED = [
+    _Field("env", _OneOf("stationary", "feature"), "stationary"),
+    _Field("episodes", _integer(_AT_LEAST_1)),
+    _Field("reward_noise", _number(_NONNEG), 0.1),
+    _Field("prior_variance", _number(_POSITIVE), 1.0),
+    _Field("noise_variance", _number(_POSITIVE), 1.0),
+    _Field("gamma_prior", _List(_number(), (lambda g: len(g) == 2 and g[1] > 0,
+                                            "must be [pseudo_reward, pseudo_time > 0]")),
+           [0.0, 1.0]),
+]
+
+_MATRIX = _List(_List(_number(), _NONEMPTY), _NONEMPTY,
+                (lambda rows: len({len(r) for r in rows}) == 1, "rows must share a length"))
+
+_BANDIT = _Switch("env", "stationary", {
+    "stationary": _Table(_BANDIT_SHARED + [
+        _Field("utilities", _List(_number(), _NONEMPTY)),
+        _Field("times", _List(_number(_POSITIVE), _NONEMPTY)),
+        _Field("time_noise", _number(_NONNEG), 0.0),
+    ]),
+    "feature": _Table(_BANDIT_SHARED + [
+        _Field("utility_weights", _MATRIX),
+        _Field("time_weights", _MATRIX),
+    ]),
+})
+
+_PRIOR = _Table([
+    _Field("support", _List(_number(), _NONEMPTY)),
+    _Field("probs", _List(_number(_NONNEG), _NONEMPTY)),
+])
+
+_PLAN = _Table([
+    _Field("parents", _List(_NullOr(_integer(_NONNEG)), _NONEMPTY)),
+    _Field("priors", _List(_PRIOR, _NONEMPTY)),
+    _Field("expansion_cost", _number(_NONNEG)),
+])
+
+_SIMULATE = _Table([
+    _Field("drifts", _List(_number(), _NONEMPTY, _UNIQUE)),
+    _Field("episodes", _integer(_AT_LEAST_1)),
+    _Field("start", _number(), 0.0),
+])
+
+_RECALL = _Table([
+    _Field("drift_prior_mean", _number()),
+    _Field("drift_prior_variance", _number(_POSITIVE)),
+    _Field("evidence_variance", _number(_POSITIVE)),
+    _Field("recall_threshold", _number(_POSITIVE)),
+    _Field("recall_utility", _number()),
+    _Field("search_cost", _number(_NONNEG)),
+    _Field("horizon", _integer(_AT_LEAST_1)),
+    _Field("z_min", _number(), None),
+    _Field("z_step", _number(_POSITIVE), None),
+    _Field("simulate", _SIMULATE, None),
+])
+
+_DOCUMENT = _Table([
+    _Field("mode", _OneOf(*(m.value for m in RunMode))),
+    _Field("seed", _integer(_NONNEG)),
+    _Field("params", _OBJECT),
+    _Field("out", _string(), None),
+])
+
+
+# -- object construction ---------------------------------------------------------
+# Document field names match the constructors' argument names, so each object
+# takes the params named like its arguments.
+
+@cache
+def _arg_names(factory) -> frozenset[str]:
+    return frozenset(inspect.signature(factory).parameters)
+
+
+def _make(factory, params: dict, **given):
+    names = _arg_names(factory)
+    picked = {k: v for k, v in params.items() if k in names and k not in given}
+    return factory(**picked, **given)
+
+
+@contextmanager
+def _within(path: str):
+    """Report a ValidationError raised inside as a field under ``path``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc.field}", exc.message) from exc
+
+
+def _build_flavell(p: dict) -> tuple:
+    store = _make(KnowledgeStore, p)
+    for s in p["strategies"]:
+        store.add(_make(KnowledgeItem, s, category=KnowledgeCategory.STRATEGY,
+                        tags=set(s["tags"])))
+    env = _make(SyntheticTaskEnvironment, p,
+                strategy_quality={s["id"]: s["quality"] for s in p["strategies"]})
+    budget = inf if p["resource_budget"] is None else p["resource_budget"]
+    goal = _make(GoalSpec, p, resource_budget=budget)
+    return set(p["task_tags"]), goal, env, store, _make(FlavellConfig, p)
+
+
+def _build_acquire(p: dict) -> tuple:
+    items = [_make(LearnItem, e) for e in p["items"]]
+    return _make(AcquisitionConfig, p, items=items), _make(KnowledgeStore, p)
+
+
+def _build_retrieve(p: dict) -> tuple:
+    store = _make(KnowledgeStore, p)
+    for d in p["seed_items"]:
+        store.add(KnowledgeItem.from_dict(d), activate=d["in_stm"])
+    return (set(p["query"]), store, _make(CueRetrievalEnvironment, p),
+            _make(RetrievalConfig, p))
+
+
+def _build_bandit(p: dict) -> tuple:
+    env = _make(StationaryBanditEnvironment if p["env"] == "stationary"
+                else FeatureBanditEnvironment, p)
+    state = _make(BanditState.create, p, num_strategies=env.num_arms,
+                  feature_dim=env.feature_dim, gamma_prior=tuple(p["gamma_prior"]))
+    return env, state, p["episodes"]
+
+
+def _build_plan(p: dict) -> tuple:
+    priors = []
+    for i, d in enumerate(p["priors"]):
+        with _within(f"priors[{i}]"):
+            priors.append(DiscretePrior.from_dict(d))
+    return make_initial_state(p["parents"], priors), p["expansion_cost"]
+
+
+def _build_recall(p: dict) -> tuple:
+    return (_make(RecallMdpConfig, p),)
+
+
+_MODES = {
+    RunMode.FLAVELL: (_FLAVELL, _build_flavell),
+    RunMode.ACQUIRE: (_ACQUIRE, _build_acquire),
+    RunMode.RETRIEVE: (_RETRIEVE, _build_retrieve),
+    RunMode.BANDIT: (_BANDIT, _build_bandit),
+    RunMode.PLAN: (_PLAN, _build_plan),
+    RunMode.RECALL_MDP: (_RECALL, _build_recall),
 }
 
 
-def validate_config(doc: dict) -> RunConfig:
+def build(mode: RunMode, params: dict) -> tuple:
+    """Fresh library objects for one run: the arguments of the mode's solver
+    that precede its ``rng``, made from validated params.
+
+    A constructor's cross-field check fails as ``params.<field>``.
+    """
+    with _within("params"):
+        return _MODES[mode][1](params)
+
+
+def validate_params(mode: RunMode, params) -> dict:
+    """Check a mode's params block and return it with defaults filled in.
+
+    The mode's objects are built once, so the rules that relate several
+    fields fail here rather than mid-run.
+    """
+    clean = _MODES[mode][0].check(params, "params")
+    build(mode, clean)
+    return clean
+
+
+def validate_config(doc) -> RunConfig:
     """Check a run document and return it with defaults filled in."""
-    if not isinstance(doc, dict):
-        raise ValidationError("document", "must be a JSON object")
-    _no_unknown(doc, {"mode", "seed", "params", "out"}, "config")
-    mode_raw = _require(doc, "mode", str, "config")
-    try:
-        mode = RunMode(mode_raw)
-    except ValueError:
-        raise ValidationError("config.mode", f"unknown mode {mode_raw!r}") from None
-    seed = _require(doc, "seed", int, "config")
-    _check(seed >= 0, "seed", "config", "must be nonnegative")
-    params = _require(doc, "params", dict, "config")
-    out = doc.get("out")
-    if out is not None:
-        _typed(out, "out", str, "config")
-    return RunConfig(mode=mode, seed=seed, params=_VALIDATORS[mode](params), out=out)
+    top = _DOCUMENT.check(doc, "config")
+    mode = RunMode(top["mode"])
+    return RunConfig(mode=mode, seed=top["seed"],
+                     params=validate_params(mode, top["params"]), out=top["out"])
 
 
-def validate_params(mode: RunMode, params: dict) -> dict:
-    """Validate a bare mode-specific params block."""
-    if not isinstance(params, dict):
-        raise ValidationError("params", "must be a JSON object")
-    return _VALIDATORS[mode](params)
-
-
-def load_config(path: str | Path) -> RunConfig:
+def read_document(path: str | Path):
+    """Parse a JSON file, raising MissingFile or ParseError."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return validate_config(doc)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return validate_config(read_document(path))
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .experience import clamp01
 
 
@@ -105,7 +106,7 @@ class StationaryBanditEnvironment:
 
     def __post_init__(self):
         if len(self.utilities) != len(self.times):
-            raise ValueError("utilities and times must align")
+            raise ValidationError("utilities", "utilities and times must align")
         if any(t <= 0 for t in self.times):
             raise ValueError("arm times must be positive")
 
@@ -146,7 +147,7 @@ class FeatureBanditEnvironment:
         self.utility_weights = np.asarray(self.utility_weights, dtype=float)
         self.time_weights = np.asarray(self.time_weights, dtype=float)
         if self.utility_weights.shape != self.time_weights.shape:
-            raise ValueError("weight matrices must share a shape")
+            raise ValidationError("time_weights", "must match utility_weights' shape")
 
     @property
     def num_arms(self) -> int:

@@ -31,7 +31,7 @@ class ParseError(MgvError):
     """A configuration or input file could not be parsed."""
 
 
-class ValidationError(MgvError):
+class ValidationError(MgvError, ValueError):
     """A configuration value failed validation.
 
     Carries the offending field name so callers (and the CLI) can report it.
@@ -39,6 +39,7 @@ class ValidationError(MgvError):
 
     def __init__(self, field: str, message: str = ""):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}" if message else field)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeNotOnFrontier
+from .errors import NodeNotOnFrontier, ValidationError
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class DiscretePrior:
 
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
-            raise ValueError("support and probs must be non-empty and align")
+            raise ValidationError("support", "support and probs must be non-empty and align")
         if any(p < 0 for p in self.probs):
             raise ValueError("probs must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError(f"probs sum to {sum(self.probs)}, not 1")
+            raise ValidationError("probs", f"sum to {sum(self.probs)}, not 1")
 
     def mean(self) -> float:
         return float(sum(s * p for s, p in zip(self.support, self.probs)))
@@ -57,19 +57,21 @@ class PlanningState:
 
     def __post_init__(self):
         n = len(self.parents)
-        if len(self.priors) != n or len(self.values) != n:
-            raise ValueError("parents, priors, values must align")
+        if len(self.priors) != n:
+            raise ValidationError("priors", "must align with parents")
+        if len(self.values) != n:
+            raise ValueError("values must align with parents")
         if n == 0 or self.parents[0] is not None:
-            raise ValueError("node 0 must be the root (parent None)")
+            raise ValidationError("parents", "node 0 must be the root (parent None)")
         for i, p in enumerate(self.parents[1:], start=1):
             if p is None or not 0 <= p < n or p == i:
-                raise ValueError(f"node {i} has invalid parent {p}")
+                raise ValidationError("parents", f"node {i} has invalid parent {p}")
         # Reject cycles by walking each node up to the root.
         for i in range(1, n):
             seen, j = set(), i
             while j != 0:
                 if j in seen:
-                    raise ValueError(f"cycle through node {j}")
+                    raise ValidationError("parents", f"cycle through node {j}")
                 seen.add(j)
                 j = self.parents[j]
         if self.values[0] is None:

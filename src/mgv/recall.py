@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonMonotonePolicy
+from .errors import NonMonotonePolicy, ValidationError
 
 
 class RecallAction(Enum):
@@ -50,16 +50,17 @@ class RecallMdpConfig:
             raise ValueError("horizon must be at least 1")
         if self.z_min is None:
             self.z_min = -2.0 * self.recall_threshold
+        # The default step derives from z_min, so z_min is checked first.
+        if self.z_min >= self.recall_threshold:
+            raise ValidationError("z_min", "must sit below the recall threshold")
         if self.z_step is None:
             self.z_step = (self.recall_threshold - self.z_min) / 40.0
         if self.z_step <= 0:
             raise ValueError("z_step must be positive")
-        if self.z_min >= self.recall_threshold:
-            raise ValueError("z_min must sit below the recall threshold")
         span = self.recall_threshold - self.z_min
         cells = span / self.z_step
         if abs(cells - round(cells)) > 1e-9:
-            raise ValueError("grid step must divide the span up to the threshold")
+            raise ValidationError("z_step", "grid step must divide the span up to the threshold")
 
     def grid(self) -> np.ndarray:
         """Progress grid from z_min up to the threshold; the last point is the

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import RunConfig, RunMode
-from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
-                   StationaryBanditEnvironment, SyntheticTaskEnvironment)
-from .errors import MissingFile, ParseError
-from .knowledge import KnowledgeItem, KnowledgeStore
+from .config import RunConfig, RunMode, build
+from .errors import MissingFile, ParseError, ValidationError
 
 
 def canonical_json(obj) -> str:
@@ -64,28 +61,8 @@ def summary_path_for(trace_path: str | Path) -> Path:
     return p.with_name(p.stem + ".summary.json")
 
 
-def _build_store(params: dict) -> KnowledgeStore:
-    return KnowledgeStore(access_prob=params["access_prob"],
-                          encoding_rate=params["encoding_rate"])
-
-
-def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    store = _build_store(p)
-    for s in p["strategies"]:
-        store.add(KnowledgeItem(
-            id=s["id"], category=flavell.KnowledgeCategory.STRATEGY,
-            tags=set(s["tags"]), successes=s["successes"], failures=s["failures"]))
-    env = SyntheticTaskEnvironment({s["id"]: s["quality"] for s in p["strategies"]},
-                                   completeness=p["completeness"], noise=p["noise"])
-    goal = flavell.GoalSpec(
-        success_threshold=p["success_threshold"], max_cycles=p["max_cycles"],
-        failure_streak_limit=p["failure_streak_limit"],
-        resource_budget=p["resource_budget"] if p["resource_budget"] is not None else math.inf)
-    fc = flavell.FlavellConfig(feel_prob=p["feel_prob"],
-                               resources_per_cycle=p["resources_per_cycle"],
-                               prune_margin=p["prune_margin"])
-    state, trace = flavell.run_cycle(set(p["task_tags"]), goal, env, store, fc, rng)
+def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    state, trace = flavell.run_cycle(*build(config.mode, config.params), rng)
     payloads = [t.to_dict() for t in trace]
     summary = {
         "status": state.status.value,
@@ -94,25 +71,11 @@ def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict]:
         "resources_spent": state.resources_spent(),
         "final_outcome": trace[-1].outcome_quality if trace else None,
     }
-    return payloads, summary
+    return payloads, summary, {}
 
 
-def _run_acquire(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    store = _build_store(p)
-    acq = acquisition.AcquisitionConfig(
-        target_performance=p["target_performance"],
-        retention_discount=p["retention_discount"],
-        total_resources_per_cycle=p["total_resources_per_cycle"],
-        items=[acquisition.LearnItem(e["id"], e["latent_difficulty"], e["mastery"])
-               for e in p["items"]],
-        max_cycles=p["max_cycles"],
-        feel_prob=p["feel_prob"],
-        jol_noise_sigma=p["jol_noise_sigma"],
-        signal_floor=p["signal_floor"],
-        mastery_gain=p["mastery_gain"],
-    )
-    state, trace = acquisition.run_acquisition(acq, store, rng)
+def _run_acquire(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    state, trace = acquisition.run_acquisition(*build(config.mode, config.params), rng)
     payloads = [t.to_dict() for t in trace]
     summary = {
         "status": "finished" if state.finished else "unfinished",
@@ -122,46 +85,20 @@ def _run_acquire(config: RunConfig, rng) -> tuple[list[dict], dict]:
         "jols": {str(k): v for k, v in sorted(state.jols.items())},
         "resources_spent": sum(t.resources for t in trace),
     }
-    return payloads, summary
+    return payloads, summary, {}
 
 
-def _run_retrieve(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    store = _build_store(p)
-    for d in p["seed_items"]:
-        store.add(KnowledgeItem.from_dict(d), activate=d.get("in_stm", False))
-    env = CueRetrievalEnvironment(
-        target=p["target"], match_prob=p["match_prob"], cue_samples=p["cue_samples"],
-        evidence_scale=p["evidence_scale"], min_matches=p["min_matches"],
-        confidence_gain=p["confidence_gain"])
-    rc = retrieval.RetrievalConfig(
-        satisficing_rate=p["satisficing_rate"],
-        default_lambda_fok=p["default_lambda_fok"],
-        default_lambda_confidence=p["default_lambda_confidence"],
-        max_cycles=p["max_cycles"], compound_decay=p["compound_decay"])
-    result, trace = retrieval.run_retrieval(set(p["query"]), store, env, rc, rng)
+def _run_retrieve(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    result, trace = retrieval.run_retrieval(*build(config.mode, config.params), rng)
     payloads = [t.to_dict() for t in trace]
     summary = {"status": result.decision, **result.to_dict()}
     summary["resources_spent"] = sum(t.resources for t in trace)
-    return payloads, summary
+    return payloads, summary, {}
 
 
-def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    if p["env"] == "stationary":
-        env = StationaryBanditEnvironment(
-            utilities=p["utilities"], times=p["times"],
-            reward_noise=p["reward_noise"], time_noise=p["time_noise"])
-    else:
-        env = FeatureBanditEnvironment(
-            utility_weights=np.array(p["utility_weights"]),
-            time_weights=np.array(p["time_weights"]),
-            reward_noise=p["reward_noise"])
-    state = bandit.BanditState.create(
-        num_strategies=env.num_arms, feature_dim=env.feature_dim,
-        prior_variance=p["prior_variance"], noise_variance=p["noise_variance"],
-        gamma_prior=tuple(p["gamma_prior"]))
-    records = bandit.run_bandit_episodes(env, state, p["episodes"], rng)
+def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    env, state, episodes = build(config.mode, config.params)
+    records = bandit.run_bandit_episodes(env, state, episodes, rng)
     pulls = [0] * env.num_arms
     regret = 0.0
     for r in records:
@@ -176,14 +113,12 @@ def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict]:
         "cumulative_reward": state.cumulative_reward,
         "cumulative_time": state.cumulative_time,
     }
-    return records, summary
+    return records, summary, {}
 
 
-def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    priors = tuple(planning.DiscretePrior.from_dict(d) for d in p["priors"])
-    state = planning.make_initial_state(p["parents"], priors)
-    result = planning.run_myopic_planner(state, p["expansion_cost"], rng)
+def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    state, expansion_cost = build(config.mode, config.params)
+    result = planning.run_myopic_planner(state, expansion_cost, rng)
     payloads = [{"step": i, "node": node, "revealed_value": value}
                 for i, (node, value) in enumerate(result.expansions)]
     summary = {
@@ -191,28 +126,19 @@ def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict]:
         "expansions": result.num_expansions,
         "plan_value": planning.plan_value(result.state),
         "net_reward": result.net_reward,
-        "expansion_cost": p["expansion_cost"],
+        "expansion_cost": expansion_cost,
     }
-    return payloads, summary
+    return payloads, summary, {}
 
 
-def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict]:
-    p = config.params
-    mdp = recall.RecallMdpConfig(
-        drift_prior_mean=p["drift_prior_mean"],
-        drift_prior_variance=p["drift_prior_variance"],
-        evidence_variance=p["evidence_variance"],
-        recall_threshold=p["recall_threshold"],
-        recall_utility=p["recall_utility"],
-        search_cost=p["search_cost"],
-        horizon=p["horizon"],
-        z_min=p["z_min"], z_step=p["z_step"])
+def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+    (mdp,) = build(config.mode, config.params)
     policy = recall.solve_recall_mdp(mdp)
     thresholds = recall.stopping_threshold(policy)
     payloads: list[dict] = []
     by_drift = {}
-    if p["simulate"] is not None:
-        sim = p["simulate"]
+    sim = config.params["simulate"]
+    if sim is not None:
         for drift in sim["drifts"]:
             result = recall.simulate_recall(policy, mdp, drift, sim["episodes"],
                                             rng, start=sim["start"])
@@ -235,7 +161,19 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict]:
         "stopping_threshold": {str(t): thresholds[t] for t in sorted(thresholds)},
         "simulated": by_drift or None,
     }
-    return payloads, summary, policy, thresholds
+
+    # Serialised only when asked for, so a plain run never pays for them.
+    def threshold_csv() -> str:
+        lines = ["t,threshold"]
+        lines += [f"{t},{'' if thresholds[t] is None else repr(thresholds[t])}"
+                  for t in sorted(thresholds)]
+        return "\n".join(lines) + "\n"
+
+    artifacts = {
+        "policy": lambda: json.dumps(policy.to_dict(), sort_keys=True, indent=2) + "\n",
+        "threshold": threshold_csv,
+    }
+    return payloads, summary, artifacts
 
 
 _RUNNERS = {
@@ -244,6 +182,7 @@ _RUNNERS = {
     RunMode.RETRIEVE: _run_retrieve,
     RunMode.BANDIT: _run_bandit,
     RunMode.PLAN: _run_plan,
+    RunMode.RECALL_MDP: _run_recall,
 }
 
 
@@ -258,18 +197,10 @@ def run(config: RunConfig, emit_policy: str | None = None,
     """
     rng = substream(config.seed, stream_name or config.mode.value)
     run_id = run_id_for(config)
-    if config.mode is RunMode.RECALL_MDP:
-        payloads, summary, policy, thresholds = _run_recall(config, rng)
-        if emit_policy:
-            Path(emit_policy).write_text(
-                json.dumps(policy.to_dict(), sort_keys=True, indent=2) + "\n")
-        if emit_threshold:
-            lines = ["t,threshold"]
-            lines += [f"{t},{'' if thresholds[t] is None else repr(thresholds[t])}"
-                      for t in sorted(thresholds)]
-            Path(emit_threshold).write_text("\n".join(lines) + "\n")
-    else:
-        payloads, summary = _RUNNERS[config.mode](config, rng)
+    payloads, summary, artifacts = _RUNNERS[config.mode](config, rng)
+    for name, path in (("policy", emit_policy), ("threshold", emit_threshold)):
+        if path and name in artifacts:
+            Path(path).write_text(artifacts[name]())
     summary = {"run_id": run_id, "mode": config.mode.value, "seed": config.seed,
                **summary}
     if config.out:
@@ -295,12 +226,13 @@ def run_repeated(config: RunConfig, repeat: int,
     suffixed ``.<i>``; a single repeat runs the plain stream with paths
     unchanged.
     """
-    if repeat <= 1:
+    if repeat < 1:
+        raise ValidationError("repeat", "must be at least 1")
+    if repeat == 1:
         return [run(config, emit_policy, emit_threshold)]
     summaries = []
     for i in range(repeat):
-        sub = RunConfig(mode=config.mode, seed=config.seed,
-                        params=config.params, out=_suffixed(config.out, i))
+        sub = replace(config, out=_suffixed(config.out, i))
         summary = run(sub, _suffixed(emit_policy, i), _suffixed(emit_threshold, i),
                       stream_name=f"{config.mode.value}/{i}")
         summary["repeat_index"] = i

@@ -190,3 +190,62 @@ def test_log_level_env_var(tmp_path, capsys, caplog, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert any("running flavell" in r.message for r in caplog.records)
+
+
+# --- malformed input --------------------------------------------------------
+
+TREE = {"parents": [None, 0, 0],
+        "priors": [{"support": [0.0], "probs": [1.0]}] * 3,
+        "expansion_cost": 0.1}
+RECALL = {"drift_prior_mean": 0.2, "drift_prior_variance": 0.5,
+          "evidence_variance": 1.0, "recall_threshold": 1.0,
+          "recall_utility": 5.0, "search_cost": 0.02, "horizon": 6}
+FLAVELL = {"task_tags": ["t"], "success_threshold": 0.5, "max_cycles": 6,
+           "strategies": [{"id": "good", "quality": 0.9}]}
+RETRIEVE = {"query": ["cue"], "match_prob": 0.9}
+STATIONARY = {"episodes": 5, "utilities": [0.5, 0.2], "times": [1.0, 1.0]}
+FEATURE = {"env": "feature", "episodes": 5,
+           "utility_weights": [[1.0]], "time_weights": [[1.0]]}
+
+MALFORMED = [
+    ("plan", "--tree", {**TREE, "parents": [None, 2, 1]}, [], "params.parents"),
+    ("solve-recall", "--config", {**RECALL, "z_min": 2.0}, [], "params.z_min"),
+    ("solve-recall", "--config", {**RECALL, "z_min": -1.0, "z_step": 0.3}, [],
+     "params.z_step"),
+    ("plan", "--tree", TREE, ["--seed", "-3"], "config.seed"),
+    ("flavell", "--config",
+     {**FLAVELL, "strategies": [{"id": "good", "quality": 0.9, "successes": -1}]}, [],
+     "params.strategies[0].successes"),
+    ("retrieve", "--config",
+     {**RETRIEVE, "seed_items": [{"id": "x", "category": "bogus"}]}, [],
+     "params.seed_items[0].category"),
+    ("retrieve", "--config",
+     {**RETRIEVE, "seed_items": [{"id": "x", "category": "task", "calibration_records": [
+         {"fok_magnitude": 0.5, "was_correct": True}]}]}, [],
+     "params.seed_items[0].calibration_records[0].confidence"),
+    ("bandit", "--arms", {**FEATURE, "utility_weights": [["a"]]}, [],
+     "params.utility_weights"),
+    ("bandit", "--arms", {**STATIONARY, "utilities": [True, 1]}, [], "params.utilities"),
+    ("bandit", "--arms", {**STATIONARY, "gamma_prior": [True, 1]}, [],
+     "params.gamma_prior"),
+    ("solve-recall", "--config",
+     {**RECALL, "simulate": {"drifts": [0.2, 0.2], "episodes": 5}}, [],
+     "params.simulate.drifts"),
+    ("flavell", "--config", FLAVELL, ["--repeat", "0"], "repeat"),
+]
+
+
+@pytest.mark.parametrize("command,flag,params,argv,field", MALFORMED,
+                         ids=[f"{m[0]}:{m[4]}" for m in MALFORMED])
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, flag,
+                                                  params, argv, field):
+    path = write_json(tmp_path / "params.json", params)
+    if "--seed" not in argv:
+        argv = [*argv, "--seed", "1"]
+    code, out, err = run_cli(capsys, command, flag, path, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValidationError"
+    named = error["message"].split(":")[0]
+    assert named == field or named.startswith(field + "["), error["message"]

@@ -163,6 +163,68 @@ def test_integer_accepted_where_number_expected():
         validate_params(RunMode.RETRIEVE, {"query": ["q"], "match_prob": True})
 
 
+def test_number_fields_store_integers_as_floats():
+    checks = [
+        (RunMode.FLAVELL, flavell_params(resource_budget=5, resources_per_cycle=1, noise=0),
+         ["resource_budget", "resources_per_cycle", "noise"]),
+        (RunMode.ACQUIRE, {"target_performance": 1, "retention_discount": 0,
+                           "total_resources_per_cycle": 2, "max_cycles": 5,
+                           "items": [{"id": 1, "latent_difficulty": 1}],
+                           "jol_noise_sigma": 0, "signal_floor": 1, "mastery_gain": 1},
+         ["retention_discount", "total_resources_per_cycle", "jol_noise_sigma",
+          "signal_floor", "mastery_gain"]),
+        (RunMode.RETRIEVE, {"query": ["q"], "match_prob": 1, "satisficing_rate": 0,
+                            "default_lambda_fok": 1, "evidence_scale": 1,
+                            "confidence_gain": 2},
+         ["satisficing_rate", "default_lambda_fok", "evidence_scale", "confidence_gain"]),
+        (RunMode.BANDIT, {"episodes": 3, "utilities": [1], "times": [1],
+                          "reward_noise": 0, "prior_variance": 1, "noise_variance": 1,
+                          "time_noise": 0},
+         ["reward_noise", "prior_variance", "noise_variance", "time_noise"]),
+        (RunMode.RECALL_MDP, {"drift_prior_mean": 0, "drift_prior_variance": 1,
+                              "evidence_variance": 1, "recall_threshold": 2,
+                              "recall_utility": 1, "search_cost": 0, "horizon": 3,
+                              "z_min": -2, "z_step": 1},
+         ["z_min", "z_step"]),
+    ]
+    for mode, params, fields in checks:
+        clean = validate_params(mode, params)
+        for name in fields:
+            assert type(clean[name]) is float, (mode, name)
+    item = validate_params(RunMode.RETRIEVE, {
+        "query": ["q"], "match_prob": 0.5,
+        "seed_items": [{"id": "a", "category": "task", "features": [1],
+                        "calibration_records": [{"fok_magnitude": 1, "confidence": 1,
+                                                 "was_correct": True}]}]})["seed_items"][0]
+    assert type(item["features"][0]) is float
+    assert item["successes"] == 0 and item["in_stm"] is False
+    record = item["calibration_records"][0]
+    assert type(record["fok_magnitude"]) is float and type(record["confidence"]) is float
+
+
+@pytest.mark.parametrize("mode,params,field", [
+    (RunMode.ACQUIRE, {"target_performance": 0.5, "retention_discount": 0.1,
+                       "total_resources_per_cycle": 1.0, "max_cycles": 3,
+                       "items": [{"id": 1, "latent_difficulty": 0.5},
+                                 {"id": 1, "latent_difficulty": 0.2}]}, "params.items"),
+    (RunMode.BANDIT, {"episodes": 3, "utilities": [0.5, 0.2], "times": [1.0]},
+     "params.utilities"),
+    (RunMode.BANDIT, {"env": "feature", "episodes": 3, "utility_weights": [[1.0, 0.0]],
+                      "time_weights": [[1.0]]}, "params.time_weights"),
+    (RunMode.PLAN, {"parents": [None, 0], "priors": [{"support": [0.0], "probs": [1.0]},
+                                                      {"support": [1.0], "probs": [0.5]}],
+                    "expansion_cost": 0.1}, "params.priors[1].probs"),
+    (RunMode.PLAN, {"parents": [None, 0], "priors": [{"support": [0.0], "probs": [1.0]}],
+                    "expansion_cost": 0.1}, "params.priors"),
+    (RunMode.PLAN, {"parents": [None, 3], "priors": [{"support": [0.0], "probs": [1.0]}] * 2,
+                    "expansion_cost": 0.1}, "params.parents"),
+])
+def test_cross_field_rules_name_the_field(mode, params, field):
+    with pytest.raises(ValidationError) as err:
+        validate_params(mode, params)
+    assert err.value.field == field
+
+
 # --- file round trip --------------------------------------------------------
 
 def test_save_and_load_round_trip(tmp_path):

@@ -74,17 +74,21 @@ GOLDEN = {
 }
 GOLDEN_POLICY = "e97cee062046a22ca2dd7ef0143304bc81f5d9e70b9dc4d18b26a1c1700fa4aa"
 GOLDEN_THRESHOLD = "74e460172c2f9e71701ee6dbd76d65428c006e745cd15253137b46ac5abefe99"
+# Validation stores these integers as floats and fills in the seed item's
+# defaults, so the run ids hash that form, and flavell's per-cycle resources
+# print as 1.0.  Every digest but plan's differs from the one taken before
+# that rule (see CHANGES.md); plan's params were stored as floats already.
 GOLDEN_INT = {
-    "flavell": ("56fc5b49ec86c6797e9249807f05cfa3a044ceeebb75c80f4dc59731112b98f6",
-        "1824554af7c09d5c649b8e9c1401e16cfe4630f6e2e75a7df84e484a31bf9e89"),
-    "acquire": ("2868a8d5133a09eb0446b65edb6f548cd46d75b22ab6b0061b4f43929ba20599",
-        "fe7a5ad743212df1ad393707c25dfdf5432a927ea3fdca0c4b4037bead714701"),
-    "retrieve": ("da02cb7ad7e7e6469c76fb25a2799718811d02e0dd8fe7df88c2551950bb1996",
-        "94924dc6107371c0263e221582a3d61c1a5a13b6f4f945232b441bdf9b635539"),
-    "bandit": ("45103e95a4b4fac4c03f02a740f709cb1be973f27085cecbf086f16115f3482f",
-        "3600ac164d88b8d2dbbf91c28335998ccfce07ecfb4a316d0a47b1e8f3d41859"),
-    "recall_mdp": ("c1c4a776c16f6ee5f7472a46050da7f301c65f7e6f5f72c2497d4d8bc2994149",
-        "ec84cde81d6601408c7dc5f661ecac6b24986f2099688c1afd0cdcd386c2d87a"),
+    "flavell": ("e08e399779ea03954aa1e5a587c9d2fdbe7957f985009798481e03e81eb26827",
+        "d4fdf4ad619504cbdfa3c46615339834e217d16ff259f3e407d1ac9bcba34c6d"),
+    "acquire": ("1f0bcbb6f5d2deb698e281c621ef9a4de2bf64c2a3942bab48bd0c35081ae7aa",
+        "8bb528a5901e776cbca1f705f3d9cca71ccf7bb6d069711916e516056f89d0fa"),
+    "retrieve": ("d30a9a59add7c1e55c57376617f90a30d46a6a681f855453079da48f20e20512",
+        "1cde83dd2ace870aae98479e6862f3c6c909c545996cfacd5dcb2df7b95340a3"),
+    "bandit": ("e539ef6399a296c2c9d42df6f64a488979672ab97d6c8219399f7c30acc0eeac",
+        "b4642d5ab7fcfcd1ee31ba7fc5dd8d7d64fcfd469498efcbda2a7ec6281a6155"),
+    "recall_mdp": ("a909bc8f11edaaf2db46b6a281e2619453402cafc5c9e43b30ba65dddba60f01",
+        "2675d65fccbae977a94fb0a17869a5cc1fcd3223e1a6069fa5b94d5470a9154a"),
     "plan": ("f7e80d9d5ddb497acf051eb3d68fdf6d7c5178110ef8049c4c30498ce0dbb710",
         "bc7da99e982e311d72b5072050093d9e306881abfeb8d691aa4a8bcf8bb79ddd"),
 }
