@@ -22,6 +22,18 @@ def all_tree_shapes(n):
         yield (None,) + tail
 
 
+def both_labellings(n):
+    """Each shape of ``all_tree_shapes(n)``, then the same shape with its
+    non-root labels reversed, so parents carry higher indices than children."""
+    relabel = [0] + list(range(n - 1, 0, -1))
+    for parents in all_tree_shapes(n):
+        yield parents
+        reversed_parents = [None] * n
+        for i in range(1, n):
+            reversed_parents[relabel[i]] = relabel[parents[i]]
+        yield tuple(reversed_parents)
+
+
 def oracle_plan_value(parents, priors, values):
     """Best root-to-leaf sum, unexpanded nodes at their prior mean."""
     kids = {i: [] for i in range(len(parents))}
@@ -108,7 +120,7 @@ def test_plan_value_uses_prior_means_for_unexpanded():
 def test_plan_value_matches_oracle_on_all_small_trees():
     rng = np.random.default_rng(7)
     for n in range(1, 6):
-        for parents in all_tree_shapes(n):
+        for parents in both_labellings(n):
             priors = [coin(float(rng.uniform(-1, 0)), float(rng.uniform(0, 2)),
                            float(rng.uniform(0.1, 0.9))) for _ in range(n)]
             state = make_initial_state(list(parents), priors)
@@ -132,7 +144,7 @@ def test_voc_hand_example():
 def test_voc_matches_oracle_on_all_trees_up_to_five_nodes():
     rng = np.random.default_rng(21)
     for n in range(2, 6):
-        for parents in all_tree_shapes(n):
+        for parents in both_labellings(n):
             priors = [coin(float(rng.uniform(-1, 0)), float(rng.uniform(0, 2)),
                            float(rng.uniform(0.1, 0.9))) for _ in range(n)]
             state = make_initial_state(list(parents), priors)
