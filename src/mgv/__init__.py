@@ -2,8 +2,7 @@
 
 from .acquisition import (AcquisitionConfig, AcquisitionState, LearnItem,
                           allocate_resources, compute_norm_of_study, run_acquisition)
-from .bandit import (BanditState, LvocWeights, WeightPosterior, control_grid,
-                     lvoc_select, lvoc_value, observe, posterior_update,
+from .bandit import (BanditState, WeightPosterior, observe, posterior_update,
                      run_bandit_episodes, sample_vocs, thompson_select,
                      update_gamma, voc_estimate)
 from .config import RunConfig, RunMode, load_config, save_config, validate_config
@@ -25,7 +24,7 @@ from .knowledge import (CalibrationRecord, KnowledgeCategory, KnowledgeItem,
 from .planning import (DiscretePrior, MyopicPlanResult, PlanningState, frontier,
                        make_initial_state, myopic_voc, plan_value,
                        run_myopic_planner)
-from .recall import (PolicyTable, RecallAction, RecallMdpConfig, RecallSimResult,
+from .recall import (PolicyTable, RecallMdpConfig, RecallSimResult,
                      recall_posterior, recall_transition, simulate_recall,
                      solve_recall_mdp, stopping_threshold)
 from .retrieval import (OutputDecision, RetrievalConfig, RetrievalResult,

@@ -4,13 +4,11 @@ Each strategy carries Gaussian posteriors over the weights mapping task
 features to payoff and to time cost.  The value of computation nets payoff
 against time charged at the opportunity cost -- average reward per unit time
 so far.  Selection is posterior sampling: draw weights, score every strategy,
-play the argmax.  A learned value-of-control model with feature-control
-interactions is included for the control-selection variant.
+play the argmax.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,57 +188,3 @@ def run_bandit_episodes(env, state: BanditState, episodes: int, rng) -> list[dic
         })
     return records
 
-
-@dataclass
-class LvocWeights:
-    """Learned value-of-control model: linear in state features and control
-    signals with a bilinear interaction, less effort and time costs."""
-
-    bias: float
-    state_weights: np.ndarray
-    control_weights: np.ndarray
-    interaction_weights: np.ndarray
-    time_weight: float = 0.0
-
-    def __post_init__(self):
-        self.state_weights = np.asarray(self.state_weights, dtype=float)
-        self.control_weights = np.asarray(self.control_weights, dtype=float)
-        self.interaction_weights = np.asarray(self.interaction_weights, dtype=float)
-        expected = (self.state_weights.size, self.control_weights.size)
-        if self.interaction_weights.shape != expected:
-            raise DimensionMismatch(
-                f"interaction weights {self.interaction_weights.shape}, expected {expected}")
-
-
-def lvoc_value(weights: LvocWeights, state_features: np.ndarray, control: np.ndarray,
-               effort_cost: float = 0.0, elapsed: float = 0.0) -> float:
-    f = np.asarray(state_features, dtype=float)
-    c = np.asarray(control, dtype=float)
-    if f.shape != weights.state_weights.shape:
-        raise DimensionMismatch(f"state features shape {f.shape}")
-    if c.shape != weights.control_weights.shape:
-        raise DimensionMismatch(f"control shape {c.shape}")
-    return float(weights.bias + weights.state_weights @ f + weights.control_weights @ c
-                 + f @ weights.interaction_weights @ c
-                 - effort_cost - weights.time_weight * elapsed)
-
-
-def control_grid(dim: int, resolution: int) -> np.ndarray:
-    """All control vectors on a uniform [0, 1] lattice, row per candidate."""
-    if dim < 1 or resolution < 2:
-        raise ValueError("need dim >= 1 and resolution >= 2")
-    axis = np.linspace(0.0, 1.0, resolution)
-    return np.array(list(itertools.product(axis, repeat=dim)))
-
-
-def lvoc_select(weights: LvocWeights, state_features: np.ndarray,
-                candidates: np.ndarray, effort_cost_fn=None,
-                elapsed: float = 0.0) -> tuple[int, float]:
-    """Best control among candidates by learned value; first-row tie break."""
-    best_idx, best_val = 0, -np.inf
-    for idx, control in enumerate(candidates):
-        effort = effort_cost_fn(control) if effort_cost_fn is not None else 0.0
-        val = lvoc_value(weights, state_features, control, effort, elapsed)
-        if val > best_val:
-            best_idx, best_val = idx, val
-    return best_idx, best_val

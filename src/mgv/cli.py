@@ -3,7 +3,7 @@
 Subcommands cover each run mode plus trace reporting.  Config files are
 either full run documents ({"mode", "seed", "params", "out"}) or bare
 mode-specific parameter blocks; flags fill in or override the rest.  Module
-errors exit nonzero with a one-line JSON error on stderr.  Log level comes
+and file errors exit 2 with a one-line JSON error on stderr.  Log level comes
 from the MGV_LOG_LEVEL environment variable.
 """
 
@@ -32,65 +32,39 @@ def _configure_logging() -> None:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _config_from_args(args, mode: RunMode, config_path: str,
-                      extra_params: dict | None = None) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     """Build a validated run config from a file plus command-line overrides.
 
     A file without a ``mode`` field is a bare params block for the
     subcommand's mode; flags fill in or override the document's fields.
     """
-    doc = read_document(config_path)
+    mode = args.mode
+    doc = read_document(args.input)
     if not isinstance(doc, dict) or "mode" not in doc:
         doc = {"mode": mode.value, "params": doc}
     elif doc["mode"] != mode.value:
         raise ValidationError("config.mode",
                               f"file says {doc['mode']!r}, subcommand wants {mode.value!r}")
     params = doc.get("params", {})
-    if extra_params and isinstance(params, dict):
-        doc["params"] = {**params, **extra_params}
+    extra = {name: getattr(args, name) for name in args.overrides
+             if getattr(args, name) is not None}
+    if extra and isinstance(params, dict):
+        doc["params"] = {**params, **extra}
     for name in ("seed", "out"):
         if getattr(args, name) is not None:
             doc[name] = getattr(args, name)
     return validate_config(doc)
 
 
-def _run_mode(args, mode: RunMode, config_path: str,
-              extra_params: dict | None = None) -> int:
-    config = _config_from_args(args, mode, config_path, extra_params)
-    log.info("running %s (seed %d)", mode.value, config.seed)
-    summaries = run_repeated(config, getattr(args, "repeat", 1),
+def _run_mode(args) -> int:
+    config = _config_from_args(args)
+    log.info("running %s (seed %d)", config.mode.value, config.seed)
+    summaries = run_repeated(config, args.repeat,
                              emit_policy=getattr(args, "emit_policy", None),
                              emit_threshold=getattr(args, "emit_threshold", None))
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return 0
-
-
-def _cmd_flavell(args) -> int:
-    return _run_mode(args, RunMode.FLAVELL, args.config)
-
-
-def _cmd_acquire(args) -> int:
-    return _run_mode(args, RunMode.ACQUIRE, args.config)
-
-
-def _cmd_retrieve(args) -> int:
-    return _run_mode(args, RunMode.RETRIEVE, args.config)
-
-
-def _cmd_bandit(args) -> int:
-    extra = {"episodes": args.episodes} if args.episodes is not None else None
-    return _run_mode(args, RunMode.BANDIT, args.arms, extra)
-
-
-def _cmd_plan(args) -> int:
-    extra = ({"expansion_cost": args.expansion_cost}
-             if args.expansion_cost is not None else None)
-    return _run_mode(args, RunMode.PLAN, args.tree, extra)
-
-
-def _cmd_solve_recall(args) -> int:
-    return _run_mode(args, RunMode.RECALL_MDP, args.config)
 
 
 def _cmd_report(args) -> int:
@@ -103,13 +77,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser, repeat: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run seed (overrides the config file)")
-    parser.add_argument("--out", default=None, help="trace output path (JSONL)")
-    if repeat:
-        parser.add_argument("--repeat", type=int, default=1,
-                            help="fan out over N independent substreams")
+# One row per run subcommand: name, mode, help, the input file's flag and
+# help, and the flags that override one params field: (flag, field, type, help).
+_RUN_COMMANDS = (
+    ("flavell", RunMode.FLAVELL, "run the full monitor-generate-verify loop",
+     "--config", None, ()),
+    ("acquire", RunMode.ACQUIRE, "run the study-scheduling loop", "--config", None, ()),
+    ("retrieve", RunMode.RETRIEVE, "run the memory-search loop", "--config", None, ()),
+    ("bandit", RunMode.BANDIT, "run value-of-computation strategy selection",
+     "--arms", "arm spec or full run config (JSON)",
+     (("--episodes", "episodes", int, "episode count (overrides the file)"),)),
+    ("plan", RunMode.PLAN, "run the myopic planning loop on a tree",
+     "--tree", "tree spec or full run config (JSON)",
+     (("--lambda", "expansion_cost", float, "per-expansion cost (overrides the file)"),)),
+    ("solve-recall", RunMode.RECALL_MDP,
+     "solve (and optionally simulate) the recall stopping problem", "--config", None, ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,44 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "rational-metareasoning solvers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("flavell", help="run the full monitor-generate-verify loop")
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_flavell)
-
-    p = sub.add_parser("acquire", help="run the study-scheduling loop")
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_acquire)
-
-    p = sub.add_parser("retrieve", help="run the memory-search loop")
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_retrieve)
-
-    p = sub.add_parser("bandit", help="run value-of-computation strategy selection")
-    p.add_argument("--arms", required=True, help="arm spec or full run config (JSON)")
-    p.add_argument("--episodes", type=int, default=None,
-                   help="episode count (overrides the file)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bandit)
-
-    p = sub.add_parser("plan", help="run the myopic planning loop on a tree")
-    p.add_argument("--tree", required=True, help="tree spec or full run config (JSON)")
-    p.add_argument("--lambda", dest="expansion_cost", type=float, default=None,
-                   help="per-expansion cost (overrides the file)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("solve-recall", help="solve (and optionally simulate) "
-                                            "the recall stopping problem")
-    p.add_argument("--config", required=True)
-    p.add_argument("--emit-policy", default=None,
-                   help="write the solved policy table as JSON")
-    p.add_argument("--emit-threshold", default=None,
-                   help="write the per-step stopping threshold as CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve_recall)
+    for name, mode, help_text, flag, flag_help, overrides in _RUN_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(flag, dest="input", metavar=flag[2:].upper(), required=True,
+                       help=flag_help)
+        for option, field, kind, option_help in overrides:
+            p.add_argument(option, dest=field, type=kind, default=None, help=option_help)
+        if mode is RunMode.RECALL_MDP:
+            p.add_argument("--emit-policy", default=None,
+                           help="write the solved policy table as JSON")
+            p.add_argument("--emit-threshold", default=None,
+                           help="write the per-step stopping threshold as CSV")
+        p.add_argument("--seed", type=int, default=None,
+                       help="run seed (overrides the config file)")
+        p.add_argument("--out", default=None, help="trace output path (JSONL)")
+        p.add_argument("--repeat", type=int, default=1,
+                       help="fan out over N independent substreams")
+        p.set_defaults(func=_run_mode, mode=mode,
+                       overrides=[field for _, field, _, _ in overrides])
 
     p = sub.add_parser("report", help="summarize one or more trace files")
     p.add_argument("traces", nargs="+", help="trace files (JSONL)")
@@ -172,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MgvError as exc:
+    except (MgvError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)
         return 2

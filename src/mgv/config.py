@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -88,6 +88,8 @@ class _Scalar:
                 value = float(value)
             except OverflowError:
                 raise ValidationError(path, "number out of range") from None
+            if not isfinite(value):
+                raise ValidationError(path, "must be finite")
         return _apply(self.rules, value, path)
 
 
@@ -460,13 +462,21 @@ def validate_config(doc) -> RunConfig:
                      params=validate_params(mode, top["params"]), out=top["out"])
 
 
-def read_document(path: str | Path):
-    """Parse a JSON file, raising MissingFile or ParseError."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, raising MissingFile or ParseError."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     try:
-        return json.loads(path.read_text())
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_document(path: str | Path):
+    """Parse a JSON file, raising MissingFile or ParseError."""
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

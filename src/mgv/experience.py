@@ -41,10 +41,6 @@ class ExperienceVector:
     def to_dict(self) -> dict:
         return {"primary": self.primary, "secondary": self.secondary, "mode": self.mode.value}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperienceVector":
-        return cls(d["primary"], d.get("secondary"), ExperienceMode(d["mode"]))
-
 
 @dataclass
 class FokCounters:
@@ -67,10 +63,6 @@ class FokCounters:
 
     def to_dict(self) -> dict:
         return {"plus": self.plus, "minus": self.minus}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FokCounters":
-        return cls(d["plus"], d["minus"])
 
 
 def fok_dual(match_evidence: float, mismatch_evidence: float,
@@ -133,16 +125,3 @@ class ExperienceTuple:
         if self.confidence is not None:
             d["confidence"] = self.confidence
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperienceTuple":
-        fok = FokCounters.from_dict(d["fok"]) if "fok" in d else None
-        return cls(
-            cycle=d["cycle"],
-            experience=ExperienceVector.from_dict(d["experience"]),
-            strategy_id=d["strategy_id"],
-            resources=d["resources"],
-            outcome_quality=d["outcome_quality"],
-            fok=fok,
-            confidence=d.get("confidence"),
-        )

@@ -10,7 +10,7 @@ is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,14 @@ class PlanningState:
     """Tree topology, per-node priors, and observed values (None = unrevealed).
 
     ``parents[0]`` must be None (the root); the root is always expanded, by
-    convention with value 0.
+    convention with value 0.  ``paths`` holds every root-to-leaf path, in leaf
+    index order; the topology never changes, so it is found once here.
     """
 
     parents: tuple[int | None, ...]
     priors: tuple[DiscretePrior, ...]
     values: list[float | None]
+    paths: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.parents)
@@ -66,23 +68,26 @@ class PlanningState:
         for i, p in enumerate(self.parents[1:], start=1):
             if p is None or not 0 <= p < n or p == i:
                 raise ValidationError("parents", f"node {i} has invalid parent {p}")
-        # Reject cycles by walking each node up to the root.
-        for i in range(1, n):
-            seen, j = set(), i
+        # Reject cycles by walking each node up to the root; the walks that
+        # start at a leaf are the paths.
+        inner = set(self.parents)
+        paths = []
+        for i in range(n):
+            seen, j = {}, i  # a dict keeps the walk's order
             while j != 0:
                 if j in seen:
                     raise ValidationError("parents", f"cycle through node {j}")
-                seen.add(j)
+                seen[j] = None
                 j = self.parents[j]
+            if i not in inner:
+                paths.append((0, *reversed(seen)))
+        self.paths = tuple(paths)
         if self.values[0] is None:
             raise ValueError("root must be expanded")
 
     @property
     def num_nodes(self) -> int:
         return len(self.parents)
-
-    def children(self, node: int) -> list[int]:
-        return [i for i, p in enumerate(self.parents) if p == node]
 
     def copy(self) -> "PlanningState":
         return PlanningState(self.parents, self.priors, list(self.values))
@@ -99,18 +104,6 @@ def frontier(state: PlanningState) -> list[int]:
             if state.values[i] is None and state.values[state.parents[i]] is not None]
 
 
-def _paths(state: PlanningState) -> list[tuple[int, ...]]:
-    leaves = [i for i in range(state.num_nodes) if not state.children(i)]
-    paths = []
-    for leaf in leaves:
-        path, j = [], leaf
-        while j is not None:
-            path.append(j)
-            j = state.parents[j]
-        paths.append(tuple(reversed(path)))
-    return paths
-
-
 def _node_contribution(state: PlanningState, node: int) -> float:
     v = state.values[node]
     return v if v is not None else state.priors[node].mean()
@@ -120,7 +113,7 @@ def plan_value(state: PlanningState) -> float:
     """Worth of the best root-to-leaf path, prior means filling in the
     unrevealed nodes."""
     return max(sum(_node_contribution(state, n) for n in path)
-               for path in _paths(state))
+               for path in state.paths)
 
 
 def myopic_voc(state: PlanningState, node: int, expansion_cost: float) -> float:

@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import NonMonotonePolicy, ValidationError
-
-
-class RecallAction(Enum):
-    STOP = "stop"
-    SEARCH = "search"
 
 
 @dataclass
@@ -136,9 +130,6 @@ class PolicyTable:
     actions: np.ndarray  # (horizon + 1, cells - 1), 1 = search, 0 = stop
     recall_utility: float
     horizon: int
-
-    def action(self, t: int, cell: int) -> RecallAction:
-        return RecallAction.SEARCH if self.actions[t, cell] else RecallAction.STOP
 
     def to_dict(self) -> dict:
         return {

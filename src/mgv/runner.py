@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import RunConfig, RunMode, build
-from .errors import MissingFile, ParseError, ValidationError
+from .config import RunConfig, RunMode, build, read_text
+from .errors import ParseError, ValidationError
 
 
 def canonical_json(obj) -> str:
@@ -241,17 +241,17 @@ def run_repeated(config: RunConfig, repeat: int,
 
 
 def _read_trace(path: str | Path) -> list[dict]:
-    p = Path(path)
-    if not p.exists():
-        raise MissingFile(str(p))
     records = []
-    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}:{line_no}: {exc}") from exc
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        if not (isinstance(record, dict) and {"run_id", "module"} <= record.keys()):
+            raise ParseError(f"{path}:{line_no}: not a record with run_id and module")
+        records.append(record)
     return records
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgv.bandit import (BanditState, LvocWeights, WeightPosterior, control_grid,
-                        lvoc_select, lvoc_value, observe, posterior_update,
+from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
                         run_bandit_episodes, sample_vocs, thompson_select,
                         update_gamma, voc_estimate)
 from mgv.envs import StationaryBanditEnvironment
@@ -170,58 +169,6 @@ def test_episode_records_expose_regret_terms():
     assert rec["true_voc_best"] >= rec["true_voc_chosen"]
     assert set(rec) >= {"episode", "chosen", "reward", "elapsed", "gamma",
                         "sampled_vocs", "true_voc_chosen", "true_voc_best"}
-
-
-# --- learned value of control ----------------------------------------------
-
-def weights_for_test():
-    return LvocWeights(bias=0.5,
-                       state_weights=np.array([1.0, -1.0]),
-                       control_weights=np.array([2.0]),
-                       interaction_weights=np.array([[0.5], [0.25]]),
-                       time_weight=0.1)
-
-
-def test_lvoc_value_matches_manual_expansion():
-    w = weights_for_test()
-    f = np.array([0.2, 0.4])
-    c = np.array([0.8])
-    manual = (0.5 + (1.0 * 0.2 - 1.0 * 0.4) + 2.0 * 0.8
-              + (0.2 * 0.5 + 0.4 * 0.25) * 0.8 - 0.3 - 0.1 * 2.0)
-    assert lvoc_value(w, f, c, effort_cost=0.3, elapsed=2.0) == pytest.approx(manual)
-
-
-def test_lvoc_value_dimension_checks():
-    w = weights_for_test()
-    with pytest.raises(DimensionMismatch):
-        lvoc_value(w, [0.1], [0.5])
-    with pytest.raises(DimensionMismatch):
-        lvoc_value(w, [0.1, 0.2], [0.5, 0.6])
-    with pytest.raises(DimensionMismatch):
-        LvocWeights(0.0, np.ones(2), np.ones(2), np.ones((2, 3)))
-
-
-def test_control_grid_shape_and_range():
-    grid = control_grid(2, 3)
-    assert grid.shape == (9, 2)
-    assert grid.min() == 0.0 and grid.max() == 1.0
-
-
-def test_lvoc_select_picks_the_best_candidate():
-    w = LvocWeights(0.0, np.zeros(1), np.array([1.0]), np.zeros((1, 1)))
-    grid = control_grid(1, 5)
-    idx, val = lvoc_select(w, np.zeros(1), grid)
-    assert np.array_equal(grid[idx], [1.0])
-    assert val == pytest.approx(1.0)
-
-
-def test_lvoc_select_effort_cost_moderates_control():
-    w = LvocWeights(0.0, np.zeros(1), np.array([1.0]), np.zeros((1, 1)))
-    grid = control_grid(1, 11)
-    idx, _ = lvoc_select(w, np.zeros(1), grid,
-                         effort_cost_fn=lambda c: 2.0 * float(c @ c))
-    # d/dc (c - 2 c^2) = 0 at c = 0.25
-    assert grid[idx][0] == pytest.approx(0.3, abs=0.1001)
 
 
 @given(st.integers(0, 10_000))

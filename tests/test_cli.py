@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import pytest
 
@@ -203,6 +204,9 @@ RECALL = {"drift_prior_mean": 0.2, "drift_prior_variance": 0.5,
 FLAVELL = {"task_tags": ["t"], "success_threshold": 0.5, "max_cycles": 6,
            "strategies": [{"id": "good", "quality": 0.9}]}
 RETRIEVE = {"query": ["cue"], "match_prob": 0.9}
+ACQUIRE = {"target_performance": 0.5, "retention_discount": 0.1,
+           "total_resources_per_cycle": 2.0, "max_cycles": 30,
+           "items": [{"id": 1, "latent_difficulty": 0.5}]}
 STATIONARY = {"episodes": 5, "utilities": [0.5, 0.2], "times": [1.0, 1.0]}
 FEATURE = {"env": "feature", "episodes": 5,
            "utility_weights": [[1.0]], "time_weights": [[1.0]]}
@@ -232,6 +236,14 @@ MALFORMED = [
      {**RECALL, "simulate": {"drifts": [0.2, 0.2], "episodes": 5}}, [],
      "params.simulate.drifts"),
     ("flavell", "--config", FLAVELL, ["--repeat", "0"], "repeat"),
+    ("solve-recall", "--config", {**RECALL, "recall_threshold": math.inf}, [],
+     "params.recall_threshold"),
+    ("plan", "--tree",
+     {**TREE, "priors": [*TREE["priors"][:2], {"support": [math.nan, 1.0],
+                                               "probs": [0.5, 0.5]}]}, [],
+     "params.priors[2].support"),
+    ("bandit", "--arms", {**STATIONARY, "utilities": [math.inf, 1.0]}, [],
+     "params.utilities[0]"),
 ]
 
 
@@ -249,3 +261,72 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, fla
     assert error["type"] == "ValidationError"
     named = error["message"].split(":")[0]
     assert named == field or named.startswith(field + "["), error["message"]
+
+
+# --- file errors ------------------------------------------------------------
+
+def _directory_config(tmp_path):
+    return ["flavell", "--config", str(tmp_path)], "IsADirectoryError"
+
+
+def _undecodable_config(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"mode": "flavell", "seed": 1, "params": {"t\u00e9": 1}}'
+                    .encode("latin-1"))
+    return ["flavell", "--config", str(bad)], "ParseError"
+
+
+def _directory_report(tmp_path):
+    return ["report", str(tmp_path)], "IsADirectoryError"
+
+
+def _non_record_report(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("[1,2]\n")
+    return ["report", str(trace)], "ParseError"
+
+
+def _out_in_missing_directory(tmp_path):
+    config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
+    return (["flavell", "--config", config, "--out",
+             str(tmp_path / "absent" / "x.jsonl")], "FileNotFoundError")
+
+
+@pytest.mark.parametrize("case", [_directory_config, _undecodable_config,
+                                  _directory_report, _non_record_report,
+                                  _out_in_missing_directory],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
+    argv, error_type = case(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == error_type
+
+
+# --- every run subcommand ---------------------------------------------------
+
+RUN_SUBCOMMANDS = [("flavell", "--config", FLAVELL), ("acquire", "--config", ACQUIRE),
+                   ("retrieve", "--config", RETRIEVE), ("bandit", "--arms", STATIONARY),
+                   ("plan", "--tree", TREE), ("solve-recall", "--config", RECALL)]
+
+
+@pytest.mark.parametrize("command,flag,params", RUN_SUBCOMMANDS,
+                         ids=[c[0] for c in RUN_SUBCOMMANDS])
+def test_run_subcommands_take_seed_repeat_and_out(tmp_path, capsys, command, flag,
+                                                  params):
+    path = write_json(tmp_path / "params.json", params)
+    code, out, err = run_cli(capsys, command, flag, path, "--seed", "1",
+                             "--repeat", "2", "--out", str(tmp_path / "run.jsonl"))
+    assert code == 0 and err == ""
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line["repeat_index"] for line in lines] == [0, 1]
+    assert (tmp_path / "run.0.jsonl").exists() and (tmp_path / "run.1.jsonl").exists()
+
+
+def test_emit_flags_belong_to_solve_recall_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flavell", "--config", "x.json", "--emit-policy", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mgv") and "unrecognized arguments: --emit-policy" in err

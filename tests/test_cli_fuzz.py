@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -59,7 +60,8 @@ COMMANDS = {"flavell": ("flavell", "--config"), "acquire": ("acquire", "--config
             "retrieve": ("retrieve", "--config"), "bandit": ("bandit", "--arms"),
             "plan": ("plan", "--tree"), "recall_mdp": ("solve-recall", "--config")}
 
-HOSTILE = ["x", True, False, None, -1, -1.5, 0, 0.0, 1.5, [], {}]
+HOSTILE = ["x", True, False, None, -1, -1.5, 0, 0.0, 1.5, [], {},
+           math.nan, math.inf, -math.inf]
 
 UNKNOWN = object()
 

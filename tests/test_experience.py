@@ -15,13 +15,6 @@ def test_vector_validates_ranges():
         ExperienceVector(0.5, -0.1)
 
 
-def test_vector_round_trip():
-    v = ExperienceVector(0.25, 0.75, ExperienceMode.ASSESS)
-    assert ExperienceVector.from_dict(v.to_dict()) == v
-    bare = ExperienceVector(0.5)
-    assert ExperienceVector.from_dict(bare.to_dict()) == bare
-
-
 def test_fok_magnitude_is_l1():
     assert FokCounters(0.3, 0.2).magnitude == pytest.approx(0.5)
     assert FokCounters().magnitude == 0.0
@@ -98,16 +91,6 @@ def test_clamp01_bounds(x):
 def test_generate_experience_rejects_bad_feel_prob():
     with pytest.raises(ValueError):
         generate_experience(0.5, None, 1.5, np.random.default_rng(0))
-
-
-def test_tuple_round_trip_with_and_without_optionals():
-    full = ExperienceTuple(cycle=3, experience=ExperienceVector(0.4, 0.6),
-                           strategy_id="s1", resources=2.0, outcome_quality=-0.25,
-                           fok=FokCounters(0.7, 0.1), confidence=0.9)
-    assert ExperienceTuple.from_dict(full.to_dict()) == full
-    bare = ExperienceTuple(cycle=0, experience=ExperienceVector(0.5),
-                           strategy_id="s2", resources=0.0, outcome_quality=1.0)
-    assert ExperienceTuple.from_dict(bare.to_dict()) == bare
 
 
 def test_tuple_validation():

@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate, stats
 
 from mgv.errors import NonMonotonePolicy
-from mgv.recall import (PolicyTable, RecallAction, RecallMdpConfig,
-                        recall_posterior, recall_transition, simulate_recall,
-                        solve_recall_mdp, stopping_threshold)
+from mgv.recall import (PolicyTable, RecallMdpConfig, recall_posterior,
+                        recall_transition, simulate_recall, solve_recall_mdp,
+                        stopping_threshold)
 
 
 def small_config(**overrides):
