@@ -252,3 +252,75 @@ def test_summary_statistics():
     assert result.mean_giveup_time() == pytest.approx(6.0)
     empty = RecallSimResult(0.1, np.zeros(2, bool), np.array([1, 1]))
     assert empty.mean_recall_time() is None
+
+
+# --- bit-exact fence ----------------------------------------------------------
+
+def reference_solve(config):
+    """Backward induction one cell at a time, each cell's transition row built
+    edge by edge with a scalar erf and taken in its own dot product."""
+    grid = config.grid()
+    k = grid.size
+    edges = [(grid[j] + grid[j + 1]) / 2.0 for j in range(k - 1)]
+    edges[-1] = config.recall_threshold
+    values = np.zeros((config.horizon + 1, k))
+    actions = np.zeros((config.horizon + 1, k - 1), dtype=np.int8)
+    values[:, -1] = config.recall_utility
+    for t in range(config.horizon - 1, -1, -1):
+        for cell in range(k - 1):
+            z = float(grid[cell])
+            mu, var = recall_posterior(t, z, config.drift_prior_mean,
+                                       config.drift_prior_variance,
+                                       config.evidence_variance)
+            sigma = math.sqrt(config.evidence_variance + var)
+            probs = np.zeros(k)
+            prev = 0.0
+            for j, edge in enumerate(edges):
+                cdf = 0.5 * (1.0 + math.erf((edge - (z + mu)) / sigma / math.sqrt(2.0)))
+                probs[j] = cdf - prev
+                prev = cdf
+            probs[-1] = 1.0 - prev
+            q_search = -config.search_cost + float(probs @ values[t + 1])
+            if q_search > 0.0:
+                values[t, cell] = q_search
+                actions[t, cell] = 1
+    return values, actions
+
+
+def fence_configs():
+    """Seeded configs: default grids, a given z_min, and 2 to 61 given cells."""
+    rng = np.random.default_rng(404)
+    cells = [None, None, None, None, None, None, 2, 3, 4, 6, 9, 13, 17, 24, 31,
+             38, 45, 52, 57, 61]
+    for i, k in enumerate(cells):
+        theta = float(rng.uniform(0.5, 3.0))
+        params = dict(drift_prior_mean=float(rng.uniform(-0.5, 0.8)),
+                      drift_prior_variance=float(rng.uniform(0.05, 2.0)),
+                      evidence_variance=float(rng.uniform(0.2, 2.0)),
+                      recall_threshold=theta,
+                      recall_utility=float(rng.uniform(0.5, 10.0)),
+                      search_cost=float(rng.uniform(0.0, 0.3)),
+                      horizon=int(rng.integers(1, 31)))
+        span = float(rng.uniform(0.5, 4.0))
+        if k is not None:
+            params.update(z_min=theta - span, z_step=span / (k - 1))
+        elif i % 2:
+            params.update(z_min=theta - span)
+        yield RecallMdpConfig(**params)
+
+
+FENCE_CONFIGS = list(fence_configs())
+
+
+@pytest.mark.parametrize("config", FENCE_CONFIGS,
+                         ids=[f"{i}:{c.grid().size}cells-h{c.horizon}"
+                              for i, c in enumerate(FENCE_CONFIGS)])
+def test_solver_matches_per_cell_reference_bit_for_bit(config):
+    values, actions = reference_solve(config)
+    table = solve_recall_mdp(config)
+    assert np.array_equal(table.values, values)
+    assert np.array_equal(table.actions, actions)
+    grid = config.grid()
+    expected = {t: float(grid[row.argmax()]) if row.any() else None
+                for t, row in enumerate(actions)}
+    assert stopping_threshold(table) == expected
