@@ -28,9 +28,8 @@ from .recall import (PolicyTable, RecallMdpConfig, RecallSimResult,
                      recall_posterior, recall_transition, simulate_recall,
                      solve_recall_mdp, stopping_threshold)
 from .retrieval import (OutputDecision, RetrievalConfig, RetrievalResult,
-                        RetrievalState, SearchIntensity, decide_output,
-                        run_retrieval, satisficing_factor, search_intensity,
-                        update_thresholds)
+                        SearchIntensity, decide_output, run_retrieval,
+                        satisficing_factor, search_intensity, update_thresholds)
 from .rewards import ram_reward
 from .runner import report, run, run_repeated, substream
 

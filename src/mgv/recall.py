@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import NonMonotonePolicy, ValidationError
 
+MAX_GRID_CELLS = 1001  # each solver step holds a (cells - 1) x cells array
+
 
 @dataclass
 class RecallMdpConfig:
@@ -51,9 +53,10 @@ class RecallMdpConfig:
             self.z_step = (self.recall_threshold - self.z_min) / 40.0
         if self.z_step <= 0:
             raise ValueError("z_step must be positive")
-        span = self.recall_threshold - self.z_min
-        cells = span / self.z_step
-        if abs(cells - round(cells)) > 1e-9:
+        steps = (self.recall_threshold - self.z_min) / self.z_step
+        if steps + 1 >= MAX_GRID_CELLS + 0.5:  # the grid has steps + 1 cells; inf fails too
+            raise ValidationError("z_step", f"grid must have at most {MAX_GRID_CELLS} cells")
+        if abs(steps - round(steps)) > 1e-9:
             raise ValidationError("z_step", "grid step must divide the span up to the threshold")
 
     def grid(self) -> np.ndarray:
@@ -80,41 +83,30 @@ def recall_posterior(t: int, z: float, prior_mean: float, prior_variance: float,
     return mean, variance
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def recall_transition(t: int, z: float, config: RecallMdpConfig) -> np.ndarray:
+def recall_transition(t: int, z: float | np.ndarray, config: RecallMdpConfig) -> np.ndarray:
     """Distribution of next-step progress over grid cells after one search.
 
     The increment marginalizes the drift belief: next progress is Gaussian
     with mean z + posterior mean and variance ``evidence + posterior``.  Cell
     masses integrate that Gaussian between cell midpoints, with the bottom
     cell catching the left tail and the absorbing top cell catching all mass
-    at or above the threshold.  Masses sum to one.
+    at or above the threshold.  Masses sum to one.  An array of progress
+    values gives one row per value.
     """
-    if z >= config.recall_threshold:
+    z = np.asarray(z, dtype=float)
+    if np.any(z >= config.recall_threshold):
         raise ValueError("transition undefined from the absorbed state")
     mu, var = recall_posterior(t, z, config.drift_prior_mean,
                                config.drift_prior_variance, config.evidence_variance)
     sigma = math.sqrt(config.evidence_variance + var)
     grid = config.grid()
-    k = grid.size
-    center = z + mu
-
-    edges = np.empty(k)  # right edge of each non-absorbing cell
-    for j in range(k - 1):
-        edges[j] = (grid[j] + grid[j + 1]) / 2.0
-    edges[k - 2] = config.recall_threshold  # top non-absorbing cell ends at the threshold
-
-    probs = np.zeros(k)
-    prev_cdf = 0.0
-    for j in range(k - 1):
-        cdf = _norm_cdf((edges[j] - center) / sigma)
-        probs[j] = cdf - prev_cdf
-        prev_cdf = cdf
-    probs[k - 1] = 1.0 - prev_cdf  # mass at or above the threshold: recalled
-    return probs
+    edges = (grid[:-1] + grid[1:]) / 2.0  # right edge of each non-absorbing cell
+    edges[-1] = config.recall_threshold  # top non-absorbing cell ends at the threshold
+    x = (edges - (z + mu)[..., None]) / sigma / math.sqrt(2.0)
+    # numpy has no erf and scipy is only a test dependency, so math.erf runs per element.
+    erf = np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
+    # The last mass is everything at or above the threshold: recalled.
+    return np.diff(0.5 * (1.0 + erf), prepend=0.0, append=1.0)
 
 
 @dataclass
@@ -156,12 +148,13 @@ def solve_recall_mdp(config: RecallMdpConfig) -> PolicyTable:
     values[:, -1] = config.recall_utility
 
     for t in range(horizon - 1, -1, -1):
-        for cell in range(k - 1):
-            probs = recall_transition(t, float(grid[cell]), config)
-            q_search = -config.search_cost + float(probs @ values[t + 1])
-            if q_search > 0.0:
-                values[t, cell] = q_search
-                actions[t, cell] = 1
+        rows = recall_transition(t, grid[:-1], config)
+        # One dot product per row: a matrix product sums in another order and
+        # moves the last bit of the values.
+        q_search = -config.search_cost + np.array([row @ values[t + 1] for row in rows])
+        search = q_search > 0.0
+        values[t, :-1][search] = q_search[search]
+        actions[t] = search
     return PolicyTable(grid, values, actions, config.recall_utility, horizon)
 
 
@@ -223,7 +216,7 @@ def simulate_recall(policy: PolicyTable, config: RecallMdpConfig, drift: float,
     recalled = np.zeros(episodes, dtype=bool)
     active = np.ones(episodes, dtype=bool)
     sigma = math.sqrt(config.evidence_variance)
-    cells = config.grid().size
+    cells = policy.z_values.size
 
     for t in range(config.horizon + 1):
         crossed = active & (z >= config.recall_threshold)

@@ -55,18 +55,6 @@ class RetrievalConfig:
 
 
 @dataclass
-class RetrievalState:
-    lambda_fok: float
-    lambda_confidence: float
-    cycle: int = 0
-    failed_attempts: int = 0
-    fok: FokCounters = field(default_factory=FokCounters)
-    answer: str | None = None
-    trace: list[ExperienceTuple] = field(default_factory=list)
-    threshold_history: list[tuple[float, float]] = field(default_factory=list)
-
-
-@dataclass
 class RetrievalResult:
     decision: str  # "output" | "output_null" | "terminate" | "exhausted"
     answer: str | None
@@ -151,17 +139,20 @@ def run_retrieval(query: set[str], store: KnowledgeStore, env,
     except NoCalibrationHistory:
         base_fok, base_conf = config.default_lambda_fok, config.default_lambda_confidence
 
-    state = RetrievalState(lambda_fok=base_fok, lambda_confidence=base_conf)
+    lambda_fok, lambda_confidence = base_fok, base_conf
+    failed_attempts = 0
+    fok = FokCounters()
+    output = None
+    trace: list[ExperienceTuple] = []
+    threshold_history: list[tuple[float, float]] = []
     decision_kind = "exhausted"
 
     for tau in range(config.max_cycles):
-        state.cycle = tau
-
         # Monitor: a rapid cue glance feeds the feeling-of-knowing counters.
         retrieve_probabilistic(store, query, rng)
         match_ev, mismatch_ev = env.monitor_evidence(rng)
-        state.fok = fok_dual(match_ev, mismatch_ev, state.fok)
-        intensity = search_intensity(state.fok, state.lambda_fok)
+        fok = fok_dual(match_ev, mismatch_ev, fok)
+        intensity = search_intensity(fok, lambda_fok)
         if intensity is SearchIntensity.TERMINATE:
             decision_kind = "terminate"
             break
@@ -173,40 +164,34 @@ def run_retrieval(query: set[str], store: KnowledgeStore, env,
 
         # Verify: judge the candidate, record the cycle, decay thresholds.
         confidence = env.assess_confidence() if answer is not None else 0.0
-        decision = decide_output(answer, confidence, state.lambda_confidence, state.fok)
-        record = ExperienceTuple(
+        decision = decide_output(answer, confidence, lambda_confidence, fok)
+        trace.append(ExperienceTuple(
             cycle=tau,
-            experience=ExperienceVector(clamp01(state.fok.magnitude),
+            experience=ExperienceVector(clamp01(fok.magnitude),
                                         confidence if answer is not None else None),
             strategy_id=f"attend-{intensity.value}",
             resources=float(samples),
             outcome_quality=(2.0 * confidence - 1.0) if answer is not None else -1.0,
-            fok=state.fok,
+            fok=fok,
             confidence=confidence if answer is not None else None,
-        )
-        state.trace.append(record)
+        ))
 
-        if answer is None or confidence < state.lambda_confidence:
-            state.failed_attempts += 1
-        factor = satisficing_factor(tau, state.failed_attempts, config.satisficing_rate)
-        if config.compound_decay:
-            state.lambda_fok, state.lambda_confidence = update_thresholds(
-                state.lambda_fok, state.lambda_confidence, factor)
-        else:
-            state.lambda_fok, state.lambda_confidence = update_thresholds(
-                base_fok, base_conf, factor)
-        state.threshold_history.append((state.lambda_fok, state.lambda_confidence))
+        if answer is None or confidence < lambda_confidence:
+            failed_attempts += 1
+        factor = satisficing_factor(tau, failed_attempts, config.satisficing_rate)
+        base = (lambda_fok, lambda_confidence) if config.compound_decay else (base_fok, base_conf)
+        lambda_fok, lambda_confidence = update_thresholds(*base, factor)
+        threshold_history.append((lambda_fok, lambda_confidence))
 
         if decision is OutputDecision.OUTPUT:
-            state.answer = answer
+            output = answer
             decision_kind = "output"
             break
         if decision is OutputDecision.OUTPUT_NULL:
             decision_kind = "output_null"
             break
 
-    consolidate(store, state.trace, rng)
-    result = RetrievalResult(decision_kind, state.answer, len(state.trace),
-                             state.lambda_fok, state.lambda_confidence, state.fok,
-                             list(state.threshold_history))
-    return result, list(state.trace)
+    consolidate(store, trace, rng)
+    result = RetrievalResult(decision_kind, output, len(trace), lambda_fok,
+                             lambda_confidence, fok, threshold_history)
+    return result, trace

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import RunConfig, RunMode, build, read_text
+from .config import RunConfig, RunMode, build, read_document, read_text
 from .errors import ParseError, ValidationError
 
 
@@ -249,8 +249,9 @@ def _read_trace(path: str | Path) -> list[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
-        if not (isinstance(record, dict) and {"run_id", "module"} <= record.keys()):
-            raise ParseError(f"{path}:{line_no}: not a record with run_id and module")
+        if not (isinstance(record, dict)
+                and all(isinstance(record.get(key), str) for key in ("run_id", "module"))):
+            raise ParseError(f"{path}:{line_no}: not a record with string run_id and module")
         records.append(record)
     return records
 
@@ -263,43 +264,41 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
                "resources_spent": None, "extra": {}}
     sp = summary_path_for(path)
     if sp.exists():
-        try:
-            summary = json.loads(sp.read_text())
-        except json.JSONDecodeError:
-            summary = {}
+        summary = read_document(sp)
+        if not (isinstance(summary, dict) and isinstance(summary.get("status", ""), str)):
+            raise ParseError(f"{sp}: not an object with a string status")
         metrics["status"] = summary.get("status", "unknown")
-        if "resources_spent" in summary:
-            metrics["resources_spent"] = summary["resources_spent"]
-    payloads = [r.get("payload", {}) for r in records]
-    if module in ("flavell", "acquire", "retrieve"):
-        spent = sum(p.get("resources", 0.0) for p in payloads)
-        metrics["resources_spent"] = spent
-        metrics["extra"]["cycles"] = (max((p.get("cycle", 0) for p in payloads),
-                                          default=-1) + 1)
-    elif module == "bandit":
-        regret = sum(p["true_voc_best"] - p["true_voc_chosen"] for p in payloads
-                     if "true_voc_best" in p)
-        metrics["extra"]["cumulative_regret"] = regret
-        if payloads:
-            metrics["extra"]["final_gamma"] = payloads[-1].get("gamma")
-    elif module == "recall_mdp":
-        drifts: dict[float, list[dict]] = {}
-        for p_ in payloads:
-            drifts.setdefault(p_["drift"], []).append(p_)
-        per_drift = {}
-        for drift in sorted(drifts):
-            eps = drifts[drift]
-            succ = [e["steps"] for e in eps if e["recalled"]]
-            fail = [e["steps"] for e in eps if not e["recalled"]]
-            per_drift[str(drift)] = {
-                "episodes": len(eps),
-                "recall_rate": len(succ) / len(eps),
-                "mean_recall_time": float(np.mean(succ)) if succ else None,
-                "mean_giveup_time": float(np.mean(fail)) if fail else None,
-            }
-        metrics["extra"]["by_drift"] = per_drift
-    elif module == "plan":
-        metrics["extra"]["expansions"] = len(payloads)
+    try:
+        payloads = [r["payload"] for r in records]
+        if module in ("flavell", "acquire", "retrieve"):
+            metrics["resources_spent"] = sum(p["resources"] for p in payloads)
+            metrics["extra"]["cycles"] = max((p["cycle"] for p in payloads), default=-1) + 1
+        elif module == "bandit":
+            metrics["extra"]["cumulative_regret"] = sum(
+                p["true_voc_best"] - p["true_voc_chosen"] for p in payloads)
+            if payloads:
+                metrics["extra"]["final_gamma"] = payloads[-1]["gamma"]
+        elif module == "recall_mdp":
+            drifts: dict[float, list[dict]] = {}
+            for p in payloads:
+                drifts.setdefault(p["drift"], []).append(p)
+            per_drift = {}
+            for drift in sorted(drifts):
+                eps = drifts[drift]
+                succ = [e["steps"] for e in eps if e["recalled"]]
+                fail = [e["steps"] for e in eps if not e["recalled"]]
+                per_drift[str(drift)] = {
+                    "episodes": len(eps),
+                    "recall_rate": len(succ) / len(eps),
+                    "mean_recall_time": float(np.mean(succ)) if succ else None,
+                    "mean_giveup_time": float(np.mean(fail)) if fail else None,
+                }
+            metrics["extra"]["by_drift"] = per_drift
+        elif module == "plan":
+            metrics["extra"]["expansions"] = len(payloads)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {module} payloads do not fit: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return metrics
 
 

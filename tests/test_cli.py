@@ -263,6 +263,13 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, fla
     assert named == field or named.startswith(field + "["), error["message"]
 
 
+def test_oversized_recall_grid_exits_2_naming_z_step(tmp_path, capsys):
+    # Kept out of MALFORMED: its id would repeat solve-recall:params.z_step.
+    test_malformed_input_exits_2_naming_the_field(
+        tmp_path, capsys, "solve-recall", "--config",
+        {**RECALL, "z_min": -1.0, "z_step": 0.0001}, [], "params.z_step")
+
+
 # --- file errors ------------------------------------------------------------
 
 def _directory_config(tmp_path):
@@ -286,6 +293,44 @@ def _non_record_report(tmp_path):
     return ["report", str(trace)], "ParseError"
 
 
+def _report_on(tmp_path, line, summary=None):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    if summary is not None:
+        (tmp_path / "trace.summary.json").write_bytes(summary)
+    return ["report", str(trace)], "ParseError"
+
+
+PLAN_RECORD = '{"run_id": "a", "module": "plan", "payload": {}}'
+
+
+def _numeric_run_id_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id": 1, "module": "plan", "payload": {}}')
+
+
+def _record_without_payload_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id": "a", "module": "recall_mdp"}')
+
+
+def _list_payload_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id": "a", "module": "bandit", "payload": [1]}')
+
+
+def _ragged_steps_report(tmp_path):
+    lines = [json.dumps({"run_id": "a", "module": "recall_mdp",
+                         "payload": {"drift": 1, "recalled": True, "steps": steps}})
+             for steps in ([1], [1, 2])]
+    return _report_on(tmp_path, "\n".join(lines))
+
+
+def _list_summary_report(tmp_path):
+    return _report_on(tmp_path, PLAN_RECORD, b"[1]")
+
+
+def _undecodable_summary_report(tmp_path):
+    return _report_on(tmp_path, PLAN_RECORD, '{"status": "d\u00e9j\u00e0"}'.encode("latin-1"))
+
+
 def _out_in_missing_directory(tmp_path):
     config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
     return (["flavell", "--config", config, "--out",
@@ -294,6 +339,10 @@ def _out_in_missing_directory(tmp_path):
 
 @pytest.mark.parametrize("case", [_directory_config, _undecodable_config,
                                   _directory_report, _non_record_report,
+                                  _numeric_run_id_report, _record_without_payload_report,
+                                  _list_payload_report, _ragged_steps_report,
+                                  _list_summary_report,
+                                  _undecodable_summary_report,
                                   _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
@@ -302,6 +351,22 @@ def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"]["type"] == error_type
+
+
+REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
+                 (_record_without_payload_report, "trace.jsonl:"),
+                 (_list_payload_report, "trace.jsonl:"),
+                 (_ragged_steps_report, "trace.jsonl:"),
+                 (_list_summary_report, "trace.summary.json:"),
+                 (_undecodable_summary_report, "trace.summary.json:")]
+
+
+@pytest.mark.parametrize("case,named", REPORT_ERRORS,
+                         ids=[case.__name__.lstrip("_") for case, _ in REPORT_ERRORS])
+def test_report_errors_name_the_file(tmp_path, capsys, case, named):
+    argv, _ = case(tmp_path)
+    _, _, err = run_cli(capsys, *argv)
+    assert json.loads(err)["error"]["message"].startswith(str(tmp_path / named))
 
 
 # --- every run subcommand ---------------------------------------------------

@@ -218,6 +218,10 @@ def test_number_fields_store_integers_as_floats():
                     "expansion_cost": 0.1}, "params.priors"),
     (RunMode.PLAN, {"parents": [None, 3], "priors": [{"support": [0.0], "probs": [1.0]}] * 2,
                     "expansion_cost": 0.1}, "params.parents"),
+    (RunMode.RECALL_MDP, {"drift_prior_mean": 0.1, "drift_prior_variance": 0.5,
+                          "evidence_variance": 1.0, "recall_threshold": 1.0,
+                          "recall_utility": 2.0, "search_cost": 0.05, "horizon": 10,
+                          "z_min": -1.0, "z_step": 0.0001}, "params.z_step"),
 ])
 def test_cross_field_rules_name_the_field(mode, params, field):
     with pytest.raises(ValidationError) as err:

@@ -324,3 +324,27 @@ def test_solver_matches_per_cell_reference_bit_for_bit(config):
     expected = {t: float(grid[row.argmax()]) if row.any() else None
                 for t, row in enumerate(actions)}
     assert stopping_threshold(table) == expected
+
+
+@pytest.mark.parametrize("config", FENCE_CONFIGS[::4],
+                         ids=[f"{c.grid().size}cells" for c in FENCE_CONFIGS[::4]])
+def test_transition_rows_equal_the_scalar_calls(config):
+    grid = config.grid()
+    for t in (0, config.horizon - 1):
+        rows = recall_transition(t, grid[:-1], config)
+        assert rows.shape == (grid.size - 1, grid.size)
+        for cell, row in enumerate(rows):
+            assert np.array_equal(row, recall_transition(t, float(grid[cell]), config))
+
+
+def test_solver_builds_one_transition_per_step(monkeypatch):
+    import mgv.recall
+    calls = []
+
+    def counting(t, z, config):
+        calls.append(t)
+        return recall_transition(t, z, config)
+
+    monkeypatch.setattr(mgv.recall, "recall_transition", counting)
+    solve_recall_mdp(small_config(horizon=7))
+    assert calls == list(range(6, -1, -1))
