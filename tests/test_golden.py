@@ -72,6 +72,19 @@ GOLDEN = {
     "recall_mdp": ("39ba0119df3ec462f117857e95533876243c7655d06ef76fd2a48a498ca95165",
         "71505de5bd667fc6ce1d9a800baba74f1477926e4dbaf89118be6a3e5ea2bdd9"),
 }
+# A bandit whose arms differ by feature weights: several arms, several
+# features, so it pins the multi-dimensional draws a 1-feature stationary
+# bandit cannot.
+FEATURE_BANDIT_DOC = {
+    "mode": "bandit", "seed": 13,
+    "params": {"env": "feature", "episodes": 40,
+               "utility_weights": [[0.9, 0.1, 0.4], [0.2, 0.8, 0.3],
+                                   [0.5, 0.5, 0.5], [0.1, 0.2, 0.9]],
+               "time_weights": [[0.6, 0.3, 0.2], [0.4, 0.9, 0.1],
+                                [0.5, 0.2, 0.7], [0.3, 0.3, 0.3]]}}
+GOLDEN_FEATURE_BANDIT = (
+    "cb0ae2fdde2b1227cf2e9b7fbca06e8dc67e546be5d294594226445c0b999ecc",
+    "806f058464f0354201f77a8967bbdfc9a92144964f0fdc53d7f320a32783befa")
 GOLDEN_POLICY = "e97cee062046a22ca2dd7ef0143304bc81f5d9e70b9dc4d18b26a1c1700fa4aa"
 GOLDEN_THRESHOLD = "74e460172c2f9e71701ee6dbd76d65428c006e745cd15253137b46ac5abefe99"
 # Validation stores these integers as floats and fills in the seed item's
@@ -112,6 +125,10 @@ def test_mode_docs_match_golden_digests(doc, tmp_path):
 @pytest.mark.parametrize("doc", INT_DOCS, ids=[d["mode"] for d in INT_DOCS])
 def test_integer_literal_docs_match_golden_digests(doc, tmp_path):
     assert digests(doc, tmp_path) == GOLDEN_INT[doc["mode"]]
+
+
+def test_feature_bandit_doc_matches_golden_digests(tmp_path):
+    assert digests(FEATURE_BANDIT_DOC, tmp_path) == GOLDEN_FEATURE_BANDIT
 
 
 def test_recall_emitted_policy_and_threshold_match_golden_digests(tmp_path):
