@@ -177,3 +177,67 @@ def test_thompson_select_index_in_range(seed):
     state = BanditState.create(3, 2)
     idx = thompson_select(state, np.ones(2), 0.5, np.random.default_rng(seed))
     assert 0 <= idx < 3
+
+
+# --- sampler fence ----------------------------------------------------------
+
+def reference_sample_vocs(state, features, gamma, rng):
+    """The sampler as numpy defines it: one SVD-based multivariate normal
+    draw per posterior, utility before time, arm by arm."""
+    vocs = np.empty(state.num_strategies)
+    for i in range(state.num_strategies):
+        wu, wt = (rng.multivariate_normal(p.mean, p.covariance, check_valid="ignore",
+                                          method="svd")
+                  for p in (state.utility[i], state.time[i]))
+        vocs[i] = voc_estimate(wu, wt, features, gamma)
+    return vocs
+
+
+def fence_posterior(rng, d):
+    """A posterior whose covariance is full rank, rank one or zero."""
+    kind = int(rng.integers(4))
+    if kind == 0:  # a belief after some conjugate updates
+        post = WeightPosterior.standard(d, prior_variance=float(rng.uniform(0.2, 3.0)),
+                                        noise_variance=float(rng.uniform(0.2, 2.0)))
+        for _ in range(int(rng.integers(0, 12))):
+            post = posterior_update(post, rng.normal(size=d), float(rng.normal()))
+        return post
+    if kind == 1:  # full rank, symmetric only up to rounding
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+    elif kind == 2:
+        v = rng.normal(size=d)
+        cov = np.outer(v, v)
+    else:
+        cov = np.zeros((d, d))
+    return WeightPosterior(rng.normal(size=d), cov)
+
+
+def fence_cases():
+    meta = np.random.default_rng(2024)
+    for case in range(60):
+        arms, d = int(meta.integers(1, 9)), int(meta.integers(1, 7))
+        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
+                            [fence_posterior(meta, d) for _ in range(arms)])
+        yield case, state, meta.normal(size=d), float(meta.uniform(0.0, 2.0))
+
+
+def test_sample_vocs_matches_multivariate_normal_bit_for_bit():
+    for case, state, feats, gamma in fence_cases():
+        for draw in range(3):
+            ours, ref = (np.random.default_rng([case, draw]) for _ in range(2))
+            got = sample_vocs(state, feats, gamma, ours)
+            want = reference_sample_vocs(state, feats, gamma, ref)
+            assert np.array_equal(got, want), (case, draw)
+            assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
+
+
+def test_posterior_sample_matches_multivariate_normal_bit_for_bit():
+    for case, state, _, _ in fence_cases():
+        for post in state.utility + state.time:
+            ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(2):
+                want = ref.multivariate_normal(post.mean, post.covariance,
+                                               check_valid="ignore", method="svd")
+                assert np.array_equal(post.sample(ours), want), case
+            assert ours.bit_generator.state == ref.bit_generator.state, case
