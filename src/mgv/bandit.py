@@ -10,29 +10,39 @@ play the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightPosterior:
-    """Gaussian belief over a linear weight vector under known noise."""
+    """Gaussian belief over a linear weight vector under known noise.
+
+    Frozen, and its arrays must not be written in place: ``factor`` is
+    computed from ``covariance`` once and cached.  ``posterior_update``
+    returns a new posterior.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.mean.ndim != 1:
+        mean = np.asarray(self.mean, dtype=float)
+        c = np.asarray(self.covariance, dtype=float)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", c)
+        if mean.ndim != 1:
             raise ValueError("mean must be a vector")
-        if self.covariance.shape != (self.mean.size, self.mean.size):
+        if c.shape != (mean.size, mean.size):
             raise DimensionMismatch(
-                f"covariance {self.covariance.shape} does not fit mean of size {self.mean.size}")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-9):
+                f"covariance {c.shape} does not fit mean of size {mean.size}")
+        # The exact test spares the tolerance check for the exactly
+        # symmetric matrices posterior_update makes; a NaN fails both.
+        if not (np.array_equal(c, c.T) or np.allclose(c, c.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
@@ -46,11 +56,23 @@ class WeightPosterior:
                  noise_variance: float = 1.0) -> "WeightPosterior":
         return cls(np.zeros(dim), np.eye(dim) * prior_variance, noise_variance)
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """``u * sqrt(s)`` from the SVD of the covariance: the factor
+        ``Generator.multivariate_normal(method="svd")`` builds on every call.
+        It handles a rank-deficient covariance; a collapsed posterior samples
+        its mean exactly."""
+        u, s, _ = np.linalg.svd(self.covariance)
+        return u * np.sqrt(s)
+
+    def draw(self, z: np.ndarray) -> np.ndarray:
+        """The weights for a standard normal vector ``z``."""
+        return self.mean + z @ self.factor.T
+
     def sample(self, rng) -> np.ndarray:
-        # svd handles rank-deficient covariance; a collapsed posterior
-        # returns its mean exactly.
-        return rng.multivariate_normal(self.mean, self.covariance,
-                                       check_valid="ignore", method="svd")
+        """One draw, bit for bit ``rng.multivariate_normal(mean, covariance,
+        check_valid="ignore", method="svd")``."""
+        return self.draw(rng.standard_normal(self.dim))
 
 
 def posterior_update(posterior: WeightPosterior, features: np.ndarray,
@@ -142,12 +164,19 @@ def observe(state: BanditState, strategy: int, features: np.ndarray,
 
 def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
                 rng) -> np.ndarray:
-    """One posterior sample of the value of computation for every strategy."""
+    """One posterior sample of the value of computation for every strategy.
+
+    All the normals come from one call, in the order per-posterior draws
+    would take them: arm by arm, utility before time.
+    """
+    f = np.asarray(features, dtype=float)
+    if any(p.dim != f.size for p in (*state.utility, *state.time)):
+        raise DimensionMismatch("weights and features must share a shape")
+    z = rng.standard_normal((state.num_strategies, 2, f.size))
     vocs = np.empty(state.num_strategies)
     for i in range(state.num_strategies):
-        wu = state.utility[i].sample(rng)
-        wt = state.time[i].sample(rng)
-        vocs[i] = voc_estimate(wu, wt, features, gamma)
+        vocs[i] = voc_estimate(state.utility[i].draw(z[i, 0]),
+                               state.time[i].draw(z[i, 1]), f, gamma)
     return vocs
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,6 +282,10 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
         elif module == "recall_mdp":
             drifts: dict[float, list[dict]] = {}
             for p in payloads:
+                steps = p["steps"]
+                if (isinstance(steps, bool) or not isinstance(steps, (int, float))
+                        or not math.isfinite(steps)):
+                    raise TypeError(f"steps must be a finite number, not {steps!r}")
                 drifts.setdefault(p["drift"], []).append(p)
             per_drift = {}
             for drift in sorted(drifts):

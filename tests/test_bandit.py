@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
                         run_bandit_episodes, sample_vocs, thompson_select,
                         update_gamma, voc_estimate)
-from mgv.envs import StationaryBanditEnvironment
+from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
 from mgv.errors import DimensionMismatch
 
 
@@ -62,6 +62,18 @@ def test_variance_never_increases_along_any_direction():
                 assert v @ post.covariance @ v <= v @ before @ v + 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 5, 8])
+def test_covariance_stays_exactly_symmetric_psd_over_long_runs(d):
+    rng = np.random.default_rng(d)
+    post = WeightPosterior.standard(d)
+    for step in range(10_000):
+        post = posterior_update(post, rng.normal(size=d), float(rng.normal()))
+        cov = post.covariance
+        assert np.array_equal(cov, cov.T), step
+        floor = -1e-12 * max(1.0, float(np.trace(cov)))
+        assert np.linalg.eigvalsh(cov).min() >= floor, step
+
+
 def test_update_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         posterior_update(WeightPosterior.standard(2), [1.0], 0.0)
@@ -72,6 +84,12 @@ def test_posterior_validation():
         WeightPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
         WeightPosterior(np.zeros(1), np.eye(1), noise_variance=0.0)
+
+
+def test_posterior_is_frozen():
+    post = WeightPosterior.standard(2)
+    with pytest.raises(AttributeError):
+        post.covariance = np.zeros((2, 2))
 
 
 def test_collapsed_posterior_samples_its_mean():
@@ -169,6 +187,31 @@ def test_episode_records_expose_regret_terms():
     assert rec["true_voc_best"] >= rec["true_voc_chosen"]
     assert set(rec) >= {"episode", "chosen", "reward", "elapsed", "gamma",
                         "sampled_vocs", "true_voc_chosen", "true_voc_best"}
+
+
+def test_episodes_factor_each_posterior_once(monkeypatch):
+    """Only the chosen arm's two posteriors change per episode, and each
+    posterior is factored once, so a run makes 2*arms + 2*(episodes - 1)
+    SVDs: the last episode's updates are never sampled."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(3)
+    arms, d, episodes = 3, 2, 25
+    env = FeatureBanditEnvironment(rng.uniform(size=(arms, d)),
+                                   rng.uniform(0.1, 1.0, size=(arms, d)))
+    run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
+    assert len(calls) == 2 * arms + 2 * (episodes - 1)
+
+
+def test_sample_vocs_rejects_features_of_another_size():
+    with pytest.raises(DimensionMismatch):
+        sample_vocs(BanditState.create(2, 3), np.ones(2), 0.0, np.random.default_rng(0))
 
 
 @given(st.integers(0, 10_000))

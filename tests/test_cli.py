@@ -323,6 +323,12 @@ def _ragged_steps_report(tmp_path):
     return _report_on(tmp_path, "\n".join(lines))
 
 
+def _empty_steps_report(tmp_path):
+    return _report_on(tmp_path, json.dumps({"run_id": "a", "module": "recall_mdp",
+                                            "payload": {"drift": 1, "recalled": True,
+                                                        "steps": []}}))
+
+
 def _list_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, b"[1]")
 
@@ -341,7 +347,7 @@ def _out_in_missing_directory(tmp_path):
                                   _directory_report, _non_record_report,
                                   _numeric_run_id_report, _record_without_payload_report,
                                   _list_payload_report, _ragged_steps_report,
-                                  _list_summary_report,
+                                  _empty_steps_report, _list_summary_report,
                                   _undecodable_summary_report,
                                   _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
@@ -357,6 +363,7 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_record_without_payload_report, "trace.jsonl:"),
                  (_list_payload_report, "trace.jsonl:"),
                  (_ragged_steps_report, "trace.jsonl:"),
+                 (_empty_steps_report, "trace.jsonl:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:")]
 
