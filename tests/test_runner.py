@@ -3,11 +3,13 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mgv.config import RunConfig, RunMode, validate_config
+from mgv import recall
+from mgv.config import RunConfig, RunMode, build, validate_config
 from mgv.errors import MissingFile, ParseError
-from mgv.runner import (canonical_json, report, run, run_id_for, run_repeated,
-                        substream, summary_path_for)
+from mgv.runner import (_write_trace, canonical_json, report, run, run_id_for,
+                        run_repeated, substream, summary_path_for)
 
 TRACE_RECORD_SCHEMA = {
     "type": "object",
@@ -113,6 +115,73 @@ def test_run_without_out_writes_nothing(tmp_path):
     summary = run(config)
     assert summary["cycles"] >= 1
     assert list(tmp_path.iterdir()) == []
+
+
+# --- trace bytes against a per-record reference ------------------------------
+
+def reference_trace(run_id, mode, payloads) -> bytes:
+    """The trace as one ``canonical_json`` call per record would write it."""
+    return "".join(canonical_json({"run_id": run_id, "cycle": i, "module": mode,
+                                   "payload": p, "timestamp": i}) + "\n"
+                   for i, p in enumerate(payloads)).encode()
+
+
+# Keys and strings that need escapes or are not ASCII.
+TEXT = st.one_of(st.text(max_size=6),
+                 st.sampled_from(["", "\"", "\\", "\n\t\x00", "\u00e9t\u00e9",
+                                  "\u2028", "\U0001f600", "</script>"]))
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1,
+                                    1 / 3, 1.7976931348623157e308, 123456789.0]))
+INTS = st.one_of(st.integers(-10, 10), st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+                 st.integers())
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=12)
+PAYLOADS = st.lists(st.dictionaries(TEXT, JSON_VALUES, max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payloads=PAYLOADS, run_id=TEXT, mode=TEXT)
+def test_trace_writer_matches_per_record_canonical_json(tmp_path_factory, payloads,
+                                                        run_id, mode):
+    path = tmp_path_factory.getbasetemp() / "writer.jsonl"
+    _write_trace(path, run_id, mode, payloads)
+    assert path.read_bytes() == reference_trace(run_id, mode, payloads)
+
+
+DRIFTS = st.lists(st.one_of(st.floats(-3, 3),
+                            st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 0.1, 1 / 3, 2])),
+                  min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drifts=DRIFTS, episodes=st.integers(1, 40), seed=st.integers(0, 2**32),
+       horizon=st.integers(1, 12), start=st.sampled_from([0.0, -0.5, 0.75]))
+def test_recall_trace_matches_simulation_arrays(tmp_path_factory, drifts, episodes,
+                                                seed, horizon, start):
+    tmp_path = tmp_path_factory.mktemp("recall")
+    config = validate_config({
+        "mode": "recall_mdp", "seed": seed,
+        "params": {"drift_prior_mean": 0.2, "drift_prior_variance": 0.5,
+                   "evidence_variance": 1.0, "recall_threshold": 1.0,
+                   "recall_utility": 5.0, "search_cost": 0.02, "horizon": horizon,
+                   "simulate": {"drifts": drifts, "episodes": episodes,
+                                "start": start}},
+        "out": str(tmp_path / "recall.jsonl")})
+    run(config)
+    (mdp,) = build(config.mode, config.params)
+    policy = recall.solve_recall_mdp(mdp)
+    rng = substream(seed, "recall_mdp")
+    payloads = []
+    for drift in config.params["simulate"]["drifts"]:
+        result = recall.simulate_recall(policy, mdp, drift, episodes, rng, start=start)
+        payloads += [{"episode": e, "drift": drift, "recalled": bool(result.recalled[e]),
+                      "steps": int(result.steps[e])} for e in range(episodes)]
+    expected = reference_trace(run_id_for(config), "recall_mdp", payloads)
+    assert (tmp_path / "recall.jsonl").read_bytes() == expected
 
 
 # --- per-mode summaries -----------------------------------------------------
