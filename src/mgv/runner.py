@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from .config import RunConfig, RunMode, build, read_document, read_text
 from .errors import ParseError, ValidationError
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every trace line and run id; ``json.dumps`` with options
+# would build a new one per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -44,17 +46,18 @@ def run_id_for(config: RunConfig) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
-def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list[dict]) -> None:
-    lines = []
-    for i, payload in enumerate(payloads):
-        lines.append(canonical_json({
-            "run_id": run_id,
-            "cycle": i,
-            "module": mode,
-            "payload": payload,
-            "timestamp": i,
-        }))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
+                 encode=canonical_json) -> None:
+    """One line per payload: ``canonical_json`` of the record envelope.
+
+    The envelope's sorted keys are always cycle, module, payload, run_id,
+    timestamp, so only ``encode(payload)`` changes from line to line.
+    """
+    module = canonical_json(mode)
+    tail = f',"run_id":{canonical_json(run_id)},"timestamp":'
+    Path(path).write_text("".join(
+        f'{{"cycle":{i},"module":{module},"payload":{encode(payload)}{tail}{i}}}\n'
+        for i, payload in enumerate(payloads)))
 
 
 def summary_path_for(trace_path: str | Path) -> Path:
@@ -132,11 +135,11 @@ def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
     return payloads, summary, {}
 
 
-def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
     (mdp,) = build(config.mode, config.params)
     policy = recall.solve_recall_mdp(mdp)
     thresholds = recall.stopping_threshold(policy)
-    payloads: list[dict] = []
+    rows: list[tuple] = []
     by_drift = {}
     sim = config.params["simulate"]
     if sim is not None:
@@ -148,13 +151,8 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
                 "mean_recall_time": result.mean_recall_time(),
                 "mean_giveup_time": result.mean_giveup_time(),
             }
-            for episode in range(sim["episodes"]):
-                payloads.append({
-                    "episode": episode,
-                    "drift": drift,
-                    "recalled": bool(result.recalled[episode]),
-                    "steps": int(result.steps[episode]),
-                })
+            rows += zip(repeat(canonical_json(drift)), range(sim["episodes"]),
+                        result.recalled.tolist(), result.steps.tolist())
     summary = {
         "status": "finished",
         "horizon": mdp.horizon,
@@ -174,16 +172,25 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
         "policy": lambda: json.dumps(policy.to_dict(), sort_keys=True, indent=2) + "\n",
         "threshold": threshold_csv,
     }
-    return payloads, summary, artifacts
+    return rows, summary, artifacts
 
 
+def _recall_episode(row: tuple) -> str:
+    """A recall episode row (encoded drift, episode, recalled, steps) as the
+    payload ``canonical_json`` would write for it."""
+    drift, episode, recalled, steps = row
+    return (f'{{"drift":{drift},"episode":{episode},'
+            f'"recalled":{"true" if recalled else "false"},"steps":{steps}}}')
+
+
+# Each mode's runner, and the encoder of the payloads it returns.
 _RUNNERS = {
-    RunMode.FLAVELL: _run_flavell,
-    RunMode.ACQUIRE: _run_acquire,
-    RunMode.RETRIEVE: _run_retrieve,
-    RunMode.BANDIT: _run_bandit,
-    RunMode.PLAN: _run_plan,
-    RunMode.RECALL_MDP: _run_recall,
+    RunMode.FLAVELL: (_run_flavell, canonical_json),
+    RunMode.ACQUIRE: (_run_acquire, canonical_json),
+    RunMode.RETRIEVE: (_run_retrieve, canonical_json),
+    RunMode.BANDIT: (_run_bandit, canonical_json),
+    RunMode.PLAN: (_run_plan, canonical_json),
+    RunMode.RECALL_MDP: (_run_recall, _recall_episode),
 }
 
 
@@ -198,14 +205,15 @@ def run(config: RunConfig, emit_policy: str | None = None,
     """
     rng = substream(config.seed, stream_name or config.mode.value)
     run_id = run_id_for(config)
-    payloads, summary, artifacts = _RUNNERS[config.mode](config, rng)
+    runner, encode = _RUNNERS[config.mode]
+    payloads, summary, artifacts = runner(config, rng)
     for name, path in (("policy", emit_policy), ("threshold", emit_threshold)):
         if path and name in artifacts:
             Path(path).write_text(artifacts[name]())
     summary = {"run_id": run_id, "mode": config.mode.value, "seed": config.seed,
                **summary}
     if config.out:
-        _write_trace(config.out, run_id, config.mode.value, payloads)
+        _write_trace(config.out, run_id, config.mode.value, payloads, encode)
         summary_path_for(config.out).write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary

@@ -1,4 +1,7 @@
+import copy
 import json
+import types
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -182,6 +185,70 @@ def test_recall_trace_matches_simulation_arrays(tmp_path_factory, drifts, episod
                       "steps": int(result.steps[e])} for e in range(episodes)]
     expected = reference_trace(run_id_for(config), "recall_mdp", payloads)
     assert (tmp_path / "recall.jsonl").read_bytes() == expected
+
+
+# Documents whose trace grows with one count: (mode, params, field, small, large).
+GROWING = [
+    ("recall_mdp", {"drift_prior_mean": 0.2, "drift_prior_variance": 0.5,
+                    "evidence_variance": 1.0, "recall_threshold": 1.0,
+                    "recall_utility": 5.0, "search_cost": 0.02, "horizon": 8,
+                    "simulate": {"drifts": [0.1, 0.4], "episodes": None}},
+     "simulate.episodes", 10, 1000),
+    ("flavell", {"task_tags": ["t"], "success_threshold": 1.0, "max_cycles": None,
+                 "failure_streak_limit": 1000, "prune_margin": 1000,
+                 "strategies": [{"id": "good", "quality": 0.9},
+                                {"id": "bad", "quality": -0.5}]},
+     "max_cycles", 5, 200),
+    ("acquire", {"target_performance": 0.95, "retention_discount": 0.0,
+                 "total_resources_per_cycle": 3.0, "max_cycles": None,
+                 "items": [{"id": 1, "latent_difficulty": 0.3},
+                           {"id": 2, "latent_difficulty": 0.7}]},
+     "max_cycles", 5, 200),
+    ("retrieve", {"query": ["cue"], "match_prob": 0.95, "max_cycles": None},
+     "max_cycles", 5, 200),
+    ("bandit", {"episodes": None, "utilities": [0.9, 0.1], "times": [1.0, 1.0]},
+     "episodes", 10, 1000),
+]
+
+
+def json_work(monkeypatch, tmp_path, mode, params, field, count) -> tuple[int, int]:
+    """(JSON encoders built plus ``json.dumps`` calls, trace lines) for one run."""
+    import mgv.runner
+    params = copy.deepcopy(params)
+    *outer, last = field.split(".")
+    inner = params
+    for key in outer:
+        inner = inner[key]
+    inner[last] = count
+    config = validate_config({"mode": mode, "seed": 3, "params": params,
+                              "out": str(tmp_path / f"{mode}-{count}.jsonl")})
+    work = []
+
+    class CountingEncoder(json.JSONEncoder):
+        def __init__(self, *args, **kwargs):
+            work.append("encoder")
+            super().__init__(*args, **kwargs)
+
+    def dumps(*args, **kwargs):
+        work.append("dumps")
+        return json.dumps(*args, **kwargs)
+
+    counting = types.SimpleNamespace(**{**vars(json), "JSONEncoder": CountingEncoder,
+                                        "dumps": dumps})
+    with monkeypatch.context() as m:
+        m.setattr(mgv.runner, "json", counting)
+        run(config)
+    return len(work), len(Path(config.out).read_text().splitlines())
+
+
+@pytest.mark.parametrize("mode,params,field,small,large", GROWING,
+                         ids=[f"{g[0]}-{g[2]}" for g in GROWING])
+def test_json_work_per_run_does_not_grow_with_the_trace(monkeypatch, tmp_path, mode,
+                                                        params, field, small, large):
+    few_work, few_lines = json_work(monkeypatch, tmp_path, mode, params, field, small)
+    many_work, many_lines = json_work(monkeypatch, tmp_path, mode, params, field, large)
+    assert few_lines < many_lines
+    assert few_work == many_work
 
 
 # --- per-mode summaries -----------------------------------------------------
