@@ -199,9 +199,25 @@ class _Switch:
 # tree shape (PlanningState), probabilities summing to 1 (DiscretePrior) and
 # the progress grid (RecallMdpConfig).
 
+# Upper bounds on the counts that size a run's trace and arrays.  A trace line
+# is the record envelope that ``runner._write_trace`` writes (about 80 bytes
+# and two counters) around the payload; over the benchmark's documents a line
+# takes 117-558 bytes, so a loop of MAX_RECORDS records, or a recall
+# simulation of MAX_RECORDS episodes per drift, writes well under 1 GiB per
+# item, drift or arm.  A recall step of the largest grid writes about 35 KB of
+# policy JSON, so MAX_HORIZON steps stay under 400 MB.
+MAX_RECORDS = 10**6
+MAX_HORIZON = 10**4
+
+
+def _at_most(limit: int):
+    return (lambda x: x <= limit, f"must be at most {limit}")
+
+
 _NONNEG = (lambda x: x >= 0, "must be nonnegative")
 _POSITIVE = (lambda x: x > 0, "must be positive")
 _AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+_RECORD_COUNT = _integer(_AT_LEAST_1, _at_most(MAX_RECORDS))
 _UNIT = (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
 _OPEN_UNIT = (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
 _SIGNED_UNIT = (lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]")
@@ -225,7 +241,7 @@ _STRATEGY = _Table([
 _FLAVELL = _Table([
     _Field("task_tags", _Tags(_NONEMPTY)),
     _Field("success_threshold", _number(_SIGNED_UNIT)),
-    _Field("max_cycles", _integer(_AT_LEAST_1)),
+    _Field("max_cycles", _RECORD_COUNT),
     _Field("strategies", _List(_STRATEGY, _NONEMPTY, _UNIQUE_IDS)),
     _Field("failure_streak_limit", _integer(_AT_LEAST_1), 3),
     _Field("resource_budget", _number(_POSITIVE), None),
@@ -247,7 +263,7 @@ _ACQUIRE = _Table([
     _Field("target_performance", _number(_UNIT)),
     _Field("retention_discount", _number(_NONNEG)),
     _Field("total_resources_per_cycle", _number(_POSITIVE)),
-    _Field("max_cycles", _integer(_AT_LEAST_1)),
+    _Field("max_cycles", _RECORD_COUNT),
     _Field("items", _List(_ITEM, _NONEMPTY)),
     _Field("feel_prob", _number(_UNIT), 0.5),
     _Field("jol_noise_sigma", _number(_NONNEG), 0.05),
@@ -280,7 +296,7 @@ _RETRIEVE = _Table([
     _Field("satisficing_rate", _number(_NONNEG), 0.1),
     _Field("default_lambda_fok", _number(_POSITIVE), 0.5),
     _Field("default_lambda_confidence", _number(_OPEN_UNIT), 0.5),
-    _Field("max_cycles", _integer(_AT_LEAST_1), 25),
+    _Field("max_cycles", _RECORD_COUNT, 25),
     _Field("compound_decay", _BOOLEAN, False),
     _Field("cue_samples", _integer(_AT_LEAST_1), 4),
     _Field("evidence_scale", _number(_POSITIVE), 0.25),
@@ -292,7 +308,7 @@ _RETRIEVE = _Table([
 
 _BANDIT_SHARED = [
     _Field("env", _OneOf("stationary", "feature"), "stationary"),
-    _Field("episodes", _integer(_AT_LEAST_1)),
+    _Field("episodes", _RECORD_COUNT),
     _Field("reward_noise", _number(_NONNEG), 0.1),
     _Field("prior_variance", _number(_POSITIVE), 1.0),
     _Field("noise_variance", _number(_POSITIVE), 1.0),
@@ -329,7 +345,7 @@ _PLAN = _Table([
 
 _SIMULATE = _Table([
     _Field("drifts", _List(_number(), _NONEMPTY, _UNIQUE)),
-    _Field("episodes", _integer(_AT_LEAST_1)),
+    _Field("episodes", _RECORD_COUNT),
     _Field("start", _number(), 0.0),
 ])
 
@@ -340,7 +356,7 @@ _RECALL = _Table([
     _Field("recall_threshold", _number(_POSITIVE)),
     _Field("recall_utility", _number()),
     _Field("search_cost", _number(_NONNEG)),
-    _Field("horizon", _integer(_AT_LEAST_1)),
+    _Field("horizon", _integer(_AT_LEAST_1, _at_most(MAX_HORIZON))),
     _Field("z_min", _number(), None),
     _Field("z_step", _number(_POSITIVE), None),
     _Field("simulate", _SIMULATE, None),

@@ -56,7 +56,7 @@ class RecallMdpConfig:
         steps = (self.recall_threshold - self.z_min) / self.z_step
         if steps + 1 >= MAX_GRID_CELLS + 0.5:  # the grid has steps + 1 cells; inf fails too
             raise ValidationError("z_step", f"grid must have at most {MAX_GRID_CELLS} cells")
-        if abs(steps - round(steps)) > 1e-9:
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValidationError("z_step", "grid step must divide the span up to the threshold")
 
     def grid(self) -> np.ndarray:

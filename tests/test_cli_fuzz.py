@@ -61,7 +61,7 @@ COMMANDS = {"flavell": ("flavell", "--config"), "acquire": ("acquire", "--config
             "plan": ("plan", "--tree"), "recall_mdp": ("solve-recall", "--config")}
 
 HOSTILE = ["x", True, False, None, -1, -1.5, 0, 0.0, 1.5, [], {},
-           math.nan, math.inf, -math.inf]
+           math.nan, math.inf, -math.inf, 10**12, 2**63]
 
 UNKNOWN = object()
 

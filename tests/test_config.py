@@ -1,9 +1,10 @@
+import copy
 import json
 
 import pytest
 
-from mgv.config import (RunConfig, RunMode, load_config, save_config,
-                        validate_config, validate_params)
+from mgv.config import (MAX_HORIZON, MAX_RECORDS, RunConfig, RunMode, load_config,
+                        save_config, validate_config, validate_params)
 from mgv.errors import MissingFile, ParseError, ValidationError
 
 
@@ -222,11 +223,55 @@ def test_number_fields_store_integers_as_floats():
                           "evidence_variance": 1.0, "recall_threshold": 1.0,
                           "recall_utility": 2.0, "search_cost": 0.05, "horizon": 10,
                           "z_min": -1.0, "z_step": 0.0001}, "params.z_step"),
+    (RunMode.RECALL_MDP, {"drift_prior_mean": 0.1, "drift_prior_variance": 0.5,
+                          "evidence_variance": 1.0, "recall_threshold": 1.0,
+                          "recall_utility": 2.0, "search_cost": 0.05, "horizon": 10,
+                          "z_step": 1e12}, "params.z_step"),
 ])
 def test_cross_field_rules_name_the_field(mode, params, field):
     with pytest.raises(ValidationError) as err:
         validate_params(mode, params)
     assert err.value.field == field
+
+
+RECALL_PARAMS = {"drift_prior_mean": 0.1, "drift_prior_variance": 0.5,
+                 "evidence_variance": 1.0, "recall_threshold": 1.0,
+                 "recall_utility": 2.0, "search_cost": 0.05, "horizon": 10,
+                 "simulate": {"drifts": [0.1], "episodes": 10}}
+
+
+BOUNDED_COUNTS = [
+    (RunMode.FLAVELL, flavell_params(), "max_cycles", MAX_RECORDS),
+    (RunMode.ACQUIRE, {"target_performance": 0.5, "retention_discount": 0.1,
+                       "total_resources_per_cycle": 1.0, "max_cycles": 3,
+                       "items": [{"id": 1, "latent_difficulty": 0.5}]},
+     "max_cycles", MAX_RECORDS),
+    (RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5}, "max_cycles", MAX_RECORDS),
+    (RunMode.BANDIT, {"episodes": 3, "utilities": [0.5], "times": [1.0]},
+     "episodes", MAX_RECORDS),
+    (RunMode.RECALL_MDP, RECALL_PARAMS, "horizon", MAX_HORIZON),
+    (RunMode.RECALL_MDP, RECALL_PARAMS, "simulate.episodes", MAX_RECORDS),
+]
+
+
+@pytest.mark.parametrize("mode,params,path,limit", BOUNDED_COUNTS,
+                         ids=[f"{c[0].value}-{c[2]}" for c in BOUNDED_COUNTS])
+def test_counts_have_an_upper_bound_naming_the_field(mode, params, path, limit):
+    def given(count):
+        doc = copy.deepcopy(params)
+        *outer, last = path.split(".")
+        inner = doc
+        for key in outer:
+            inner = inner[key]
+        inner[last] = count
+        return doc
+
+    assert validate_params(mode, given(limit))
+    for count in (limit + 1, 10**12, 2**63):
+        with pytest.raises(ValidationError) as err:
+            validate_params(mode, given(count))
+        assert err.value.field == f"params.{path}"
+        assert err.value.message == f"must be at most {limit}"
 
 
 # --- file round trip --------------------------------------------------------
