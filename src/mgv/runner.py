@@ -249,14 +249,18 @@ def run_repeated(config: RunConfig, repeat: int,
     return summaries
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_trace(path: str | Path) -> list[dict]:
     records = []
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = json.loads(line, parse_constant=_no_constant)
+        except ValueError as exc:  # JSONDecodeError is one
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
         if not (isinstance(record, dict)
                 and all(isinstance(record.get(key), str) for key in ("run_id", "module"))):

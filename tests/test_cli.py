@@ -329,6 +329,11 @@ def _empty_steps_report(tmp_path):
                                                         "steps": []}}))
 
 
+def _non_finite_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id":"a","module":"bandit","payload":'
+                                '{"true_voc_best":NaN,"true_voc_chosen":0,"gamma":Infinity}}')
+
+
 def _list_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, b"[1]")
 
@@ -347,7 +352,8 @@ def _out_in_missing_directory(tmp_path):
                                   _directory_report, _non_record_report,
                                   _numeric_run_id_report, _record_without_payload_report,
                                   _list_payload_report, _ragged_steps_report,
-                                  _empty_steps_report, _list_summary_report,
+                                  _empty_steps_report, _non_finite_report,
+                                  _list_summary_report,
                                   _undecodable_summary_report,
                                   _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
@@ -364,6 +370,7 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_list_payload_report, "trace.jsonl:"),
                  (_ragged_steps_report, "trace.jsonl:"),
                  (_empty_steps_report, "trace.jsonl:"),
+                 (_non_finite_report, "trace.jsonl:1:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:")]
 
