@@ -9,6 +9,7 @@ play the argmax.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +45,8 @@ class WeightPosterior:
         # symmetric matrices posterior_update makes; a NaN fails both.
         if not (np.array_equal(c, c.T) or np.allclose(c, c.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < self.noise_variance < math.inf:  # NaN fails too
+            raise ValueError("noise_variance must be positive and finite")
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,8 +84,9 @@ def test_update_dimension_mismatch():
 def test_posterior_validation():
     with pytest.raises(ValueError):
         WeightPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ValueError):
-        WeightPosterior(np.zeros(1), np.eye(1), noise_variance=0.0)
+    for noise_variance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            WeightPosterior(np.zeros(1), np.eye(1), noise_variance=noise_variance)
 
 
 def test_posterior_is_frozen():
