@@ -123,9 +123,10 @@ def test_run_without_out_writes_nothing(tmp_path):
 # --- trace bytes against a per-record reference ------------------------------
 
 def reference_trace(run_id, mode, payloads) -> bytes:
-    """The trace as one ``canonical_json`` call per record would write it."""
-    return "".join(canonical_json({"run_id": run_id, "cycle": i, "module": mode,
-                                   "payload": p, "timestamp": i}) + "\n"
+    """The trace as one canonical ``json.dumps`` call per record writes it."""
+    return "".join(json.dumps({"run_id": run_id, "cycle": i, "module": mode,
+                               "payload": p, "timestamp": i},
+                              sort_keys=True, separators=(",", ":")) + "\n"
                    for i, p in enumerate(payloads)).encode()
 
 
