@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mgv.runner
 from mgv import recall
 from mgv.config import RunConfig, RunMode, build, validate_config
 from mgv.errors import MissingFile, ParseError
@@ -214,7 +215,6 @@ GROWING = [
 
 def json_work(monkeypatch, tmp_path, mode, params, field, count) -> tuple[int, int]:
     """(JSON encoders built plus ``json.dumps`` calls, trace lines) for one run."""
-    import mgv.runner
     params = copy.deepcopy(params)
     *outer, last = field.split(".")
     inner = params
