@@ -72,6 +72,23 @@ GOLDEN = {
     "recall_mdp": ("39ba0119df3ec462f117857e95533876243c7655d06ef76fd2a48a498ca95165",
         "71505de5bd667fc6ce1d9a800baba74f1477926e4dbaf89118be6a3e5ea2bdd9"),
 }
+# A 15-node binary plan tree of depth 3 with 3-value priors: every path
+# crosses three unrevealed nodes, so each plan worth sums three prior means
+# and each mean sums three products.  The 4-node trees above sum at most two.
+PLAN_TREE_DOC = {
+    "mode": "plan", "seed": 19,
+    "params": {"parents": [None, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6],
+               "priors": [{"support": [0.0], "probs": [1.0]}] + [
+                   {"support": [low, 0.3, high], "probs": [0.3, 0.6, 0.1]}
+                   for low, high in [(-1.1, 3.2), (-1.2, 3.9), (-1.3, 4.6),
+                                     (-1.4, 2.5), (-1.5, 3.2), (-1.6, 3.9),
+                                     (-1.7, 4.6), (-1.8, 2.5), (-1.9, 3.2),
+                                     (-2.0, 3.9), (-2.1, 4.6), (-2.2, 2.5),
+                                     (-2.3, 3.2), (-2.4, 3.9)]],
+               "expansion_cost": 0.02}}
+GOLDEN_PLAN_TREE = (
+    "7e7cae15ed83c7cc526b4519091323eef706bb247c0d16229aa17da60e898d31",
+    "cd572421bef4c345f622327743b400fe1256669b85862b933f44eb499d115a5c")
 # A bandit whose arms differ by feature weights: several arms, several
 # features, so it pins the multi-dimensional draws a 1-feature stationary
 # bandit cannot.
@@ -129,6 +146,10 @@ def test_integer_literal_docs_match_golden_digests(doc, tmp_path):
 
 def test_feature_bandit_doc_matches_golden_digests(tmp_path):
     assert digests(FEATURE_BANDIT_DOC, tmp_path) == GOLDEN_FEATURE_BANDIT
+
+
+def test_plan_tree_doc_matches_golden_digests(tmp_path):
+    assert digests(PLAN_TREE_DOC, tmp_path) == GOLDEN_PLAN_TREE
 
 
 def test_recall_emitted_policy_and_threshold_match_golden_digests(tmp_path):

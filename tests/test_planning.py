@@ -229,3 +229,143 @@ def test_free_computation_matches_baseline_in_expectation():
                 reveal=world.__getitem__)
             expected += weight * result.net_reward
         assert expected >= baseline - 1e-9
+
+
+# --- bit-for-bit fence ------------------------------------------------------
+# The reference below is the straightforward algorithm: every plan worth
+# re-sums every root-to-leaf path, recomputing each unrevealed node's prior
+# mean, and the value of computation re-scores the whole tree once for the
+# base and once per support value.  The library must give the same floats,
+# compared with ``==``, not within a tolerance: its results reach the trace.
+
+def reference_paths(parents):
+    """Root-to-leaf paths in leaf index order."""
+    inner = set(parents)
+    paths = []
+    for leaf in range(len(parents)):
+        if leaf in inner:
+            continue
+        walk, j = [], leaf
+        while j != 0:
+            walk.append(j)
+            j = parents[j]
+        paths.append((0, *reversed(walk)))
+    return paths
+
+
+def reference_plan_value(parents, priors, values):
+    def contribution(n):
+        if values[n] is not None:
+            return values[n]
+        pr = priors[n]
+        return float(sum(s * p for s, p in zip(pr.support, pr.probs)))
+    return max(sum(contribution(n) for n in path)
+               for path in reference_paths(parents))
+
+
+def reference_frontier(parents, values):
+    return [i for i in range(1, len(parents))
+            if values[i] is None and values[parents[i]] is not None]
+
+
+def reference_voc(parents, priors, values, node, cost):
+    base = reference_plan_value(parents, priors, values)
+    prior = priors[node]
+    expected_after = 0.0
+    for v, p in zip(prior.support, prior.probs):
+        after = list(values)
+        after[node] = v
+        expected_after += p * reference_plan_value(parents, priors, after)
+    return expected_after - base - cost
+
+
+def reference_planner(parents, priors, cost, rng):
+    values = [0.0] + [None] * (len(parents) - 1)
+    expansions = []
+    while True:
+        best_node, best_voc = None, -np.inf
+        for node in reference_frontier(parents, values):
+            voc = reference_voc(parents, priors, values, node, cost)
+            if voc > best_voc:
+                best_node, best_voc = node, voc
+        if best_node is None or best_voc <= 0:
+            break
+        prior = priors[best_node]
+        idx = rng.choice(len(prior.support), p=np.asarray(prior.probs))
+        values[best_node] = prior.support[int(idx)]
+        expansions.append((best_node, values[best_node]))
+    net = (reference_plan_value(parents, priors, values)
+           - cost * len(expansions))
+    return values, expansions, net
+
+
+def seeded_tree(rng, reverse):
+    """A tree of 7-40 nodes with at most 2-4 children per node.
+
+    A third of the trees hide rare jackpots, as the benchmark's plan
+    documents do, so that the planner keeps expanding; the rest draw 1-3
+    support values in [-3, 3], half of them on a half-unit grid so that
+    equal path sums are common.
+    """
+    n, arity = int(rng.integers(7, 41)), int(rng.integers(2, 5))
+    children = [0] * n
+    parents = [None] * n
+    for i in range(1, n):
+        open_nodes = [j for j in range(i) if children[j] < arity]
+        parents[i] = open_nodes[int(rng.integers(len(open_nodes)))]
+        children[parents[i]] += 1
+    if reverse:
+        relabel = [0] + list(range(n - 1, 0, -1))
+        flipped = [None] * n
+        for i in range(1, n):
+            flipped[relabel[i]] = relabel[parents[i]]
+        parents = flipped
+    kind = int(rng.integers(3))
+    priors = [DiscretePrior((0.0,), (1.0,))]
+    for _ in range(1, n):
+        if kind == 0:
+            p = float(rng.uniform(0.01, 0.2))
+            priors.append(DiscretePrior((0.0, float(rng.uniform(2.0, 10.0))),
+                                        (1.0 - p, p)))
+            continue
+        k = int(rng.integers(1, 4))
+        support = rng.uniform(-3.0, 3.0, size=k)
+        if kind == 1:
+            support = np.round(support * 2.0) / 2.0
+        probs = rng.dirichlet(np.ones(k))
+        priors.append(DiscretePrior(tuple(float(s) for s in support),
+                                    tuple(float(p) for p in probs)))
+    return parents, priors
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_planner_matches_full_rescoring_bit_for_bit(seed):
+    rng = np.random.default_rng(1000 + seed)
+    parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
+    cost = float(rng.choice([0.0, rng.uniform(0.0, 0.2)]))
+    planner_seed = int(rng.integers(2**32))
+
+    values, expansions, net = reference_planner(
+        parents, priors, cost, np.random.default_rng(planner_seed))
+    result = run_myopic_planner(make_initial_state(parents, priors), cost,
+                                rng=np.random.default_rng(planner_seed))
+    assert result.expansions == expansions
+    assert result.net_reward == net
+    assert result.state.values == values
+
+    # A walk that reveals random frontier nodes until none is left, so that
+    # deep nodes, which the myopic planner seldom reaches, are scored too.
+    state = make_initial_state(parents, priors)
+    while True:
+        before = list(state.values)
+        assert plan_value(state) == reference_plan_value(parents, priors, before)
+        nodes = frontier(state)
+        for node in nodes:
+            assert myopic_voc(state, node, cost) == reference_voc(
+                parents, priors, before, node, cost)
+        assert state.values == before
+        if not nodes:
+            break
+        node = nodes[int(rng.integers(len(nodes)))]
+        support = priors[node].support
+        state.values[node] = support[int(rng.integers(len(support)))]
