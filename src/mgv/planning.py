@@ -23,6 +23,7 @@ class DiscretePrior:
 
     support: tuple[float, ...]
     probs: tuple[float, ...]
+    _mean: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
@@ -31,9 +32,12 @@ class DiscretePrior:
             raise ValueError("probs must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValidationError("probs", f"sum to {sum(self.probs)}, not 1")
+        # The prior is frozen, so its mean is computed once, here.
+        object.__setattr__(self, "_mean", float(
+            sum(s * p for s, p in zip(self.support, self.probs))))
 
     def mean(self) -> float:
-        return float(sum(s * p for s, p in zip(self.support, self.probs)))
+        return self._mean
 
     def to_dict(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
@@ -49,13 +53,16 @@ class PlanningState:
 
     ``parents[0]`` must be None (the root); the root is always expanded, by
     convention with value 0.  ``paths`` holds every root-to-leaf path, in leaf
-    index order; the topology never changes, so it is found once here.
+    index order, and ``through[i]`` the indices into ``paths`` of the paths
+    that cross node ``i``; the topology never changes, so both are found once
+    here.
     """
 
     parents: tuple[int | None, ...]
     priors: tuple[DiscretePrior, ...]
     values: list[float | None]
     paths: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    through: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.parents)
@@ -71,7 +78,7 @@ class PlanningState:
         # Reject cycles by walking each node up to the root; the walks that
         # start at a leaf are the paths.
         inner = set(self.parents)
-        paths = []
+        paths, through = [], [[] for _ in range(n)]
         for i in range(n):
             seen, j = {}, i  # a dict keeps the walk's order
             while j != 0:
@@ -80,8 +87,11 @@ class PlanningState:
                 seen[j] = None
                 j = self.parents[j]
             if i not in inner:
+                for node in (0, *seen):
+                    through[node].append(len(paths))
                 paths.append((0, *reversed(seen)))
         self.paths = tuple(paths)
+        self.through = tuple(map(tuple, through))
         if self.values[0] is None:
             raise ValueError("root must be expanded")
 
@@ -104,31 +114,50 @@ def frontier(state: PlanningState) -> list[int]:
             if state.values[i] is None and state.values[state.parents[i]] is not None]
 
 
-def _node_contribution(state: PlanningState, node: int) -> float:
-    v = state.values[node]
-    return v if v is not None else state.priors[node].mean()
+def _contributions(state: PlanningState) -> list[float]:
+    """Each node's revealed value, or its prior mean while unrevealed."""
+    return [v if v is not None else prior.mean()
+            for v, prior in zip(state.values, state.priors)]
+
+
+def _path_sums(contributions: list[float], paths) -> list[float]:
+    """Each path's sum, left to right from the root.  Every plan worth comes
+    from these sums, so this order fixes the trace's bytes."""
+    return [sum([contributions[n] for n in path]) for path in paths]
 
 
 def plan_value(state: PlanningState) -> float:
     """Worth of the best root-to-leaf path, prior means filling in the
     unrevealed nodes."""
-    return max(sum(_node_contribution(state, n) for n in path)
-               for path in state.paths)
+    return max(_path_sums(_contributions(state), state.paths))
 
 
 def myopic_voc(state: PlanningState, node: int, expansion_cost: float) -> float:
     """One-step value of revealing ``node``: expected plan worth afterwards,
-    minus current worth, minus the cost."""
-    if node not in frontier(state):
+    minus current worth, minus the cost.
+
+    Each path is summed once; for each value the node may take, only the
+    paths through it are summed again.  The worth after a reveal is still the
+    ``max`` over every path sum in leaf order, so ties and NaNs resolve as a
+    full re-scoring would.
+    """
+    values, parents = state.values, state.parents
+    if not (0 < node < len(parents) and values[node] is None
+            and values[parents[node]] is not None):
         raise NodeNotOnFrontier(f"node {node} is not expandable now")
-    base = plan_value(state)
+    contributions = _contributions(state)
+    sums = _path_sums(contributions, state.paths)
+    through = state.through[node]
+    through_paths = [state.paths[i] for i in through]
     prior = state.priors[node]
     expected_after = 0.0
     for v, p in zip(prior.support, prior.probs):
-        state.values[node] = v
-        expected_after += p * plan_value(state)
-    state.values[node] = None
-    return expected_after - base - expansion_cost
+        contributions[node] = v
+        after = sums.copy()
+        for i, total in zip(through, _path_sums(contributions, through_paths)):
+            after[i] = total
+        expected_after += p * max(after)
+    return expected_after - max(sums) - expansion_cost
 
 
 @dataclass

@@ -338,6 +338,21 @@ def seeded_tree(rng, reverse):
     return parents, priors
 
 
+def reveal_walk(parents, priors, rng):
+    """Yield a fresh state, then the same state after each reveal of a random
+    frontier node, until none is left; so deep nodes, which the myopic
+    planner seldom reaches, are scored too."""
+    state = make_initial_state(parents, priors)
+    while True:
+        yield state
+        nodes = frontier(state)
+        if not nodes:
+            return
+        node = nodes[int(rng.integers(len(nodes)))]
+        support = priors[node].support
+        state.values[node] = support[int(rng.integers(len(support)))]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_planner_matches_full_rescoring_bit_for_bit(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -353,19 +368,75 @@ def test_planner_matches_full_rescoring_bit_for_bit(seed):
     assert result.net_reward == net
     assert result.state.values == values
 
-    # A walk that reveals random frontier nodes until none is left, so that
-    # deep nodes, which the myopic planner seldom reaches, are scored too.
-    state = make_initial_state(parents, priors)
-    while True:
+    for state in reveal_walk(parents, priors, rng):
         before = list(state.values)
         assert plan_value(state) == reference_plan_value(parents, priors, before)
-        nodes = frontier(state)
-        for node in nodes:
+        for node in frontier(state):
             assert myopic_voc(state, node, cost) == reference_voc(
                 parents, priors, before, node, cost)
         assert state.values == before
-        if not nodes:
-            break
-        node = nodes[int(rng.integers(len(nodes)))]
-        support = priors[node].support
-        state.values[node] = support[int(rng.integers(len(support)))]
+
+
+def test_voc_keeps_full_rescoring_choice_among_nan_path_sums():
+    """``max`` keeps the first argument that nothing compares greater than,
+    so with a NaN path sum its result depends on the order of every path:
+    the worth after a reveal must be the max over all path sums in leaf
+    order, not the max of the best path avoiding the node and the best path
+    through it."""
+    parents = [None, 0, 0, 1, 1]  # paths (0, 2), (0, 1, 3), (0, 1, 4)
+    priors = [coin(), coin(0.0, 1.0), DiscretePrior((-1.0,), (1.0,)),
+              DiscretePrior((float("nan"),), (1.0,)),
+              DiscretePrior((2.0,), (1.0,))]
+    state = make_initial_state(parents, priors)
+    assert plan_value(state) == 2.5
+    # After node 1 shows v, the sums are [-1.0, nan, v + 2.0].
+    assert myopic_voc(state, 1, 0.0) == 0.0
+    for node in frontier(state):
+        assert repr(myopic_voc(state, node, 0.0)) == repr(
+            reference_voc(parents, priors, state.values, node, 0.0))
+
+
+def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
+        monkeypatch):
+    from mgv import planning
+
+    calls = {"sum": 0, "path_sums": 0}
+    path_sums = planning._path_sums
+
+    def counting_sum(*args):
+        calls["sum"] += 1
+        return sum(*args)
+
+    def counting_path_sums(contributions, paths):
+        calls["path_sums"] += len(paths)
+        return path_sums(contributions, paths)
+
+    rng = np.random.default_rng(5)
+    states = []
+    for seed in range(6):
+        parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
+        states.append(make_initial_state(parents, priors))
+    monkeypatch.setattr(planning, "sum", counting_sum, raising=False)
+    monkeypatch.setattr(planning, "_path_sums", counting_path_sums)
+    for state in states:
+        for _ in range(3):  # the same calls again: no work is cached away
+            for node in frontier(state):
+                before = dict(calls)
+                myopic_voc(state, node, 0.0)
+                expected = (len(state.paths) + len(state.priors[node].support)
+                            * len(state.through[node]))
+                assert calls["path_sums"] - before["path_sums"] == expected
+                # Every builtin sum is a path sum: no prior mean is computed
+                # again, however many times the node is scored.
+                assert calls["sum"] - before["sum"] == expected
+        for node in frontier(state):
+            support = state.priors[node].support
+            state.values[node] = support[0]
+
+
+def test_through_table_lists_the_paths_crossing_each_node():
+    for parents in both_labellings(5):
+        state = make_initial_state(list(parents), [coin()] * 5)
+        for node in range(5):
+            assert state.through[node] == tuple(
+                i for i, path in enumerate(state.paths) if node in path)
