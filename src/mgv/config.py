@@ -208,6 +208,10 @@ class _Switch:
 # policy JSON, so MAX_HORIZON steps stay under 400 MB.
 MAX_RECORDS = 10**6
 MAX_HORIZON = 10**4
+# A retrieve glance draws cue_samples features, and attention up to twice as
+# many, in one binomial draw whose count numpy takes as an int64; twice this
+# bound fits with room to spare.
+MAX_CUE_SAMPLES = 10**9
 
 
 def _at_most(limit: int):
@@ -298,7 +302,7 @@ _RETRIEVE = _Table([
     _Field("default_lambda_confidence", _number(_OPEN_UNIT), 0.5),
     _Field("max_cycles", _RECORD_COUNT, 25),
     _Field("compound_decay", _BOOLEAN, False),
-    _Field("cue_samples", _integer(_AT_LEAST_1), 4),
+    _Field("cue_samples", _integer(_AT_LEAST_1, _at_most(MAX_CUE_SAMPLES)), 4),
     _Field("evidence_scale", _number(_POSITIVE), 0.25),
     _Field("min_matches", _integer(_NONNEG), 6),
     _Field("confidence_gain", _number(_POSITIVE), 1.0),

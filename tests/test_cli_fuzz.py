@@ -28,7 +28,7 @@ BASES = {
                   {"id": 2, "latent_difficulty": 0.8}]}},
     "retrieve": {"mode": "retrieve", "seed": 3, "params": {
         "query": ["cue"], "target": "x", "match_prob": 0.8, "max_cycles": 8,
-        "min_matches": 3,
+        "min_matches": 3, "cue_samples": 3,
         "seed_items": [{"id": "s", "category": "strategy", "tags": ["cue"],
                         "features": [0.5], "successes": 1, "in_stm": True,
                         "calibration_records": [{"fok_magnitude": 0.4,

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from mgv.config import (MAX_HORIZON, MAX_RECORDS, RunConfig, RunMode, load_config,
-                        save_config, validate_config, validate_params)
+from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
+                        RunMode, load_config, save_config, validate_config,
+                        validate_params)
 from mgv.errors import MissingFile, ParseError, ValidationError
 
 
@@ -247,6 +248,8 @@ BOUNDED_COUNTS = [
                        "items": [{"id": 1, "latent_difficulty": 0.5}]},
      "max_cycles", MAX_RECORDS),
     (RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5}, "max_cycles", MAX_RECORDS),
+    (RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5}, "cue_samples",
+     MAX_CUE_SAMPLES),
     (RunMode.BANDIT, {"episodes": 3, "utilities": [0.5], "times": [1.0]},
      "episodes", MAX_RECORDS),
     (RunMode.RECALL_MDP, RECALL_PARAMS, "horizon", MAX_HORIZON),
