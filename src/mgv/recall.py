@@ -230,8 +230,10 @@ def simulate_recall(policy: PolicyTable, config: RecallMdpConfig, drift: float,
             active[:] = False
             break
         idx = np.flatnonzero(active)
-        cell = np.clip(np.rint((z[idx] - config.z_min) / config.z_step).astype(int),
-                       0, cells - 2)
+        # Clip before the cast: a float beyond int64's range has no defined
+        # integer, and rounding commutes with clipping to whole bounds.
+        progress = np.clip((z[idx] - config.z_min) / config.z_step, 0, cells - 2)
+        cell = np.rint(progress).astype(int)
         stop = policy.actions[t, cell] == 0
         stopped = idx[stop]
         steps[stopped] = t

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ def test_start_above_threshold_recalls_instantly():
                              start=config.recall_threshold)
     assert result.recalled.all()
     assert (result.steps == 0).all()
+
+
+def test_progress_far_below_the_grid_reads_the_lowest_cell():
+    # -1e300 / z_step lies beyond int64's range; casting it to a cell index
+    # would warn and take whatever the platform's cast gives.
+    config, table = solved_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = simulate_recall(table, config, -1e300, 50, np.random.default_rng(4))
+    near = simulate_recall(table, config, -1e3, 50, np.random.default_rng(4))
+    assert np.array_equal(far.recalled, near.recalled)
+    assert np.array_equal(far.steps, near.steps)
 
 
 def test_summary_statistics():
