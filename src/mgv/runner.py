@@ -55,9 +55,12 @@ def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
     """
     module = canonical_json(mode)
     tail = f',"run_id":{canonical_json(run_id)},"timestamp":'
-    Path(path).write_text("".join(
-        f'{{"cycle":{i},"module":{module},"payload":{encode(payload)}{tail}{i}}}\n'
-        for i, payload in enumerate(payloads)))
+    # Streamed line by line, so memory stays flat however long the trace;
+    # ``open`` takes the same encoding and newline defaults as ``write_text``.
+    with Path(path).open("w") as f:
+        f.writelines(
+            f'{{"cycle":{i},"module":{module},"payload":{encode(payload)}{tail}{i}}}\n'
+            for i, payload in enumerate(payloads))
 
 
 def summary_path_for(trace_path: str | Path) -> Path:

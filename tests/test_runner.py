@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -250,6 +251,28 @@ def test_json_work_per_run_does_not_grow_with_the_trace(monkeypatch, tmp_path, m
     many_work, many_lines = json_work(monkeypatch, tmp_path, mode, params, field, large)
     assert few_lines < many_lines
     assert few_work == many_work
+
+
+def test_trace_writer_memory_stays_well_under_the_trace_size(monkeypatch, tmp_path):
+    params = {**recall_config(tmp_path, simulate=False).params,
+              "simulate": {"drifts": [0.1], "episodes": 50_000}}
+    config = validate_config({"mode": "recall_mdp", "seed": 3, "params": params,
+                              "out": str(tmp_path / "long.jsonl")})
+    peaks = []
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            _write_trace(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(mgv.runner, "_write_trace", measured)
+    run(config)
+    size = Path(config.out).stat().st_size
+    assert size > 4_000_000
+    assert peaks[0] < size / 2
 
 
 # --- per-mode summaries -----------------------------------------------------
