@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -116,3 +117,45 @@ def test_one_hostile_field_never_raises(data):
         assert code == 2 and out == ""
         (line,) = err.splitlines()
         assert set(json.loads(line)["error"]) == {"type", "message"}
+
+
+NUMERIC_HOSTILE = [v for v in HOSTILE if type(v) in (int, float)]
+CROSSED = [(base, path, value) for base in sorted(BASES)
+           for path in slots(BASES[base]["params"]) for value in NUMERIC_HOSTILE]
+
+
+def test_every_slot_takes_every_numeric_hostile_value():
+    """The Hypothesis test above reaches a given (slot, value) pair only by
+    chance; here every slot of every base meets every numeric value.
+
+    Warnings are recorded rather than raised, and the only one allowed is
+    acquisition's deliberate note that the norm of study exceeds 1 (a
+    ``retention_discount`` of 1.5 asks for that); any other, such as a
+    numpy RuntimeWarning, fails the test.
+    """
+    failures = []
+    for base, path, value in CROSSED:
+        doc = copy.deepcopy(BASES[base])
+        parent = doc["params"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, out, err = run_main(doc)
+            except Exception as exc:  # report every crash, not only the first
+                failures.append((base, path, value, repr(exc)))
+                continue
+        stray = [str(w.message) for w in caught
+                 if not (w.category is UserWarning
+                         and str(w.message).startswith("norm of study"))]
+        if stray:
+            failures.append((base, path, value, stray))
+        if code == 0:
+            ok = all(json.loads(line)["mode"] == doc["mode"] for line in out.splitlines())
+        else:
+            ok = code == 2 and out == "" and len(err.splitlines()) == 1
+        if not ok:
+            failures.append((base, path, value, code, err))
+    assert not failures

@@ -314,3 +314,79 @@ def test_to_dict_matches_document_shape():
     doc = config.to_dict()
     assert doc["mode"] == "flavell"
     assert json.loads(json.dumps(doc)) == doc
+
+
+# --- params defaults against constructor defaults -----------------------------
+
+def _tables_by_dict(table, clean: dict) -> dict[int, object]:
+    """id of each cleaned params object -> the table that cleaned it."""
+    table = table.tables[clean["env"]] if hasattr(table, "tables") else table
+    found = {id(clean): table}
+    for f in table.fields:
+        item = getattr(f.type, "item", None)
+        if hasattr(item, "fields") and clean[f.name]:
+            for entry in clean[f.name]:
+                found.update(_tables_by_dict(item, entry))
+    return found
+
+
+DEFAULT_DOCS = [
+    {"mode": "flavell", "params": flavell_params()},
+    {"mode": "acquire", "params": {"target_performance": 0.6, "retention_discount": 0.1,
+                                   "total_resources_per_cycle": 2.0, "max_cycles": 4,
+                                   "items": [{"id": 1, "latent_difficulty": 0.3}]}},
+    {"mode": "retrieve", "params": {"query": ["cue"], "match_prob": 0.7}},
+    {"mode": "bandit", "params": {"episodes": 3, "utilities": [0.5], "times": [1.0]}},
+    {"mode": "bandit", "params": {"env": "feature", "episodes": 3,
+                                  "utility_weights": [[1.0]], "time_weights": [[1.0]]}},
+    {"mode": "plan", "params": {"parents": [None], "priors": [{"support": [0.0],
+                                                               "probs": [1.0]}],
+                                "expansion_cost": 0.0}},
+    {"mode": "recall_mdp", "params": {
+        "drift_prior_mean": 0.2, "drift_prior_variance": 0.5, "evidence_variance": 1.0,
+        "recall_threshold": 1.0, "recall_utility": 5.0, "search_cost": 0.02,
+        "horizon": 4}},
+]
+
+
+def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
+    """A default written in a params table and again in the constructor
+    ``_make`` feeds must agree; ``resource_budget`` (null <-> inf) is the
+    one deliberate exception."""
+    import inspect
+
+    import mgv.config as config
+
+    calls = []
+    real_make = config._make
+
+    def spying(factory, params, **given):
+        calls.append((factory, params))
+        return real_make(factory, params, **given)
+
+    monkeypatch.setattr(config, "_make", spying)
+    compared = []
+    for doc in DEFAULT_DOCS:
+        mode = RunMode(doc["mode"])
+        clean = validate_params(mode, doc["params"])
+        tables = _tables_by_dict(config._MODES[mode][0], clean)
+        calls.clear()
+        config.build(mode, clean)
+        for factory, params in calls:
+            signature = inspect.signature(factory).parameters
+            for f in tables[id(params)].fields:
+                if (f.name not in signature or f.default is config.REQUIRED
+                        or callable(f.default) or f.name == "resource_budget"):
+                    continue
+                made = signature[f.name].default
+                if made is inspect.Parameter.empty:  # the table's default is the only one
+                    continue
+                made = list(made) if isinstance(made, tuple) else made
+                compared.append((factory.__qualname__, f.name))
+                assert made == f.default, (factory.__qualname__, f.name)
+    # Every mode with _make-built objects took part.
+    assert {name for name, _ in compared} >= {
+        "KnowledgeStore", "KnowledgeItem", "SyntheticTaskEnvironment", "GoalSpec",
+        "FlavellConfig", "LearnItem", "AcquisitionConfig", "CueRetrievalEnvironment",
+        "RetrievalConfig", "StationaryBanditEnvironment", "BanditState.create",
+        "RecallMdpConfig"}

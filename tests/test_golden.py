@@ -7,11 +7,12 @@ must say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from mgv.config import validate_config
-from mgv.runner import run, summary_path_for
+from mgv.runner import report, run, summary_path_for
 from test_acceptance import MODE_DOCS
 
 # Integer literals in number fields (and in retrieve's ``seed_items``).
@@ -102,6 +103,35 @@ FEATURE_BANDIT_DOC = {
 GOLDEN_FEATURE_BANDIT = (
     "cb0ae2fdde2b1227cf2e9b7fbca06e8dc67e546be5d294594226445c0b999ecc",
     "806f058464f0354201f77a8967bbdfc9a92144964f0fdc53d7f320a32783befa")
+# Six study items, noisy judgments of learning and partial recall of the
+# baseline strategy: items leave the active set at cycles 4, 5, 6, 6, 7
+# and 9, so the allocation splits the budget over six down to one item and
+# its weight sum adds three or more floats.
+ACQUIRE_ITEMS_DOC = {
+    "mode": "acquire", "seed": 1,
+    "params": {"target_performance": 0.7, "retention_discount": 0.1,
+               "total_resources_per_cycle": 9.0, "max_cycles": 30,
+               "items": [{"id": i, "latent_difficulty": d, "mastery": m}
+                         for i, d, m in [(1, 0.2, 0.0), (2, 0.45, 0.1), (3, 0.6, 0.0),
+                                         (4, 0.75, 0.3), (5, 0.9, 0.0), (6, 0.35, 0.5)]],
+               "jol_noise_sigma": 0.08, "access_prob": 0.8, "feel_prob": 0.4}}
+GOLDEN_ACQUIRE_ITEMS = (
+    "47858233d672afcfc49fbe7401982f690569390bc90f7e69889e08bc4ebbd961",
+    "f09d4ea5994093021a06a3c25f242841a5ce0d819a460e2cecfd0b78725aef90")
+# Partial recall into working memory, noisy outcomes, a strategy tagged off
+# the task and a pruning margin of 1: the run ends by the discrepancy rule
+# after 7 cycles.
+FLAVELL_ABANDON_DOC = {
+    "mode": "flavell", "seed": 1,
+    "params": {"task_tags": ["t", "u"], "success_threshold": 0.8, "max_cycles": 40,
+               "strategies": [{"id": "fair", "quality": 0.3},
+                              {"id": "poor", "quality": -0.2, "tags": ["u"]},
+                              {"id": "off", "quality": 0.9, "tags": ["v"]}],
+               "access_prob": 0.5, "noise": 0.3, "prune_margin": 1,
+               "failure_streak_limit": 2}}
+GOLDEN_FLAVELL_ABANDON = (
+    "9704ee23f32762a6f3b51e1a772ed83a8380f91c407afc2b5d7e5e5ff919529c",
+    "3288c3b502572b7bf55f18e23a016e1f43373e8bdaa107269bebcd3052b2280f")
 GOLDEN_POLICY = "e97cee062046a22ca2dd7ef0143304bc81f5d9e70b9dc4d18b26a1c1700fa4aa"
 GOLDEN_THRESHOLD = "74e460172c2f9e71701ee6dbd76d65428c006e745cd15253137b46ac5abefe99"
 # Validation stores these integers as floats and fills in the seed item's
@@ -150,6 +180,35 @@ def test_feature_bandit_doc_matches_golden_digests(tmp_path):
 
 def test_plan_tree_doc_matches_golden_digests(tmp_path):
     assert digests(PLAN_TREE_DOC, tmp_path) == GOLDEN_PLAN_TREE
+
+
+def test_acquire_items_doc_matches_golden_digests(tmp_path):
+    assert digests(ACQUIRE_ITEMS_DOC, tmp_path) == GOLDEN_ACQUIRE_ITEMS
+
+
+def test_flavell_abandon_doc_matches_golden_digests(tmp_path):
+    assert digests(FLAVELL_ABANDON_DOC, tmp_path) == GOLDEN_FLAVELL_ABANDON
+
+
+ALL_DOCS = (MODE_DOCS + INT_DOCS
+            + [FEATURE_BANDIT_DOC, PLAN_TREE_DOC, ACQUIRE_ITEMS_DOC, FLAVELL_ABANDON_DOC])
+# sha256 of the JSON ``mgv report --out`` writes and of the table it prints,
+# over the traces of every golden document above.
+GOLDEN_REPORT = (
+    "15a8982cf01d21e0a37847657a7b8f1d0d5232f37591d1023dfe3e910e345372",
+    "a5740fa9f6c71afc7a9260c10810572a0ee3a544e9d5846593f0db595a0cd44e")
+
+
+def test_report_over_every_golden_trace_matches_golden_digest(tmp_path, monkeypatch):
+    # Relative paths, so the report's ``trace`` fields do not depend on tmp_path.
+    monkeypatch.chdir(tmp_path)
+    traces = [f"run{i}.jsonl" for i in range(len(ALL_DOCS))]
+    for doc, trace in zip(ALL_DOCS, traces):
+        run(validate_config({**doc, "out": trace}))
+    metrics, table = report(traces)
+    written = json.dumps(metrics, sort_keys=True, indent=2) + "\n"
+    assert (hashlib.sha256(written.encode()).hexdigest(),
+            hashlib.sha256(table.encode()).hexdigest()) == GOLDEN_REPORT
 
 
 def test_recall_emitted_policy_and_threshold_match_golden_digests(tmp_path):

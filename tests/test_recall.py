@@ -361,3 +361,31 @@ def test_solver_builds_one_transition_per_step(monkeypatch):
     monkeypatch.setattr(mgv.recall, "recall_transition", counting)
     solve_recall_mdp(small_config(horizon=7))
     assert calls == list(range(6, -1, -1))
+
+
+# --- numerical guards on fine grids -------------------------------------------
+
+def fine_grid_configs():
+    """Seeded horizon-3 configs on grids of 101 up to the 1001-cell limit."""
+    rng = np.random.default_rng(505)
+    for k in (101, 251, 501, 751, 1001):
+        theta = float(rng.uniform(0.5, 3.0))
+        span = float(rng.uniform(0.5, 4.0))
+        yield RecallMdpConfig(drift_prior_mean=float(rng.uniform(-0.5, 0.8)),
+                              drift_prior_variance=float(rng.uniform(0.05, 2.0)),
+                              evidence_variance=float(rng.uniform(0.2, 2.0)),
+                              recall_threshold=theta,
+                              recall_utility=float(rng.uniform(0.5, 10.0)),
+                              search_cost=float(rng.uniform(0.0, 0.3)),
+                              horizon=3, z_min=theta - span, z_step=span / (k - 1))
+
+
+@pytest.mark.parametrize("config", list(fine_grid_configs()),
+                         ids=lambda c: f"{c.grid().size}cells")
+def test_fine_grids_keep_stochastic_rows_and_a_monotone_policy(config):
+    grid = config.grid()
+    for t in range(config.horizon):
+        rows = recall_transition(t, grid[:-1], config)
+        assert (rows >= 0).all()
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+    stopping_threshold(solve_recall_mdp(config))  # raises NonMonotonePolicy if not
