@@ -133,12 +133,9 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
     store.stm.add(BASELINE_STRATEGY_ID)
     retrieve_probabilistic(store, set(config.task_tags), rng)
 
-    items = {it.id: LearnItem(it.id, it.latent_difficulty, it.mastery)
-             for it in config.items}
-    state = AcquisitionState(norm_of_study=norm,
-                             active_items={it.id for it in config.items},
+    difficulty = {it.id: it.latent_difficulty for it in config.items}
+    state = AcquisitionState(norm_of_study=norm, active_items=set(difficulty),
                              mastery={it.id: it.mastery for it in config.items})
-    prev_jol: dict[int, float] = {}
 
     while state.active_items and state.cycle < config.max_cycles:
         cycle = state.cycle
@@ -149,12 +146,10 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         retrieve_probabilistic(store, set(config.task_tags), rng)
         vectors: dict[int, ExperienceVector] = {}
         for j in active:
-            item = items[j]
             if cycle == 0:
-                vec = generate_experience(1.0 - item.latent_difficulty, None,
-                                          config.feel_prob, rng)
+                vec = generate_experience(1.0 - difficulty[j], None, config.feel_prob, rng)
             else:
-                vec = generate_experience(item.mastery, prev_jol.get(j),
+                vec = generate_experience(state.mastery[j], state.jols.get(j),
                                           config.feel_prob, rng)
             vectors[j] = vec
         signals = {j: vectors[j].primary for j in active}
@@ -162,18 +157,16 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         # Generate: split the budget, study each item.
         allocation = allocate_resources(signals, config.total_resources_per_cycle,
                                         config.signal_floor)
-        stm_strategies = [it for it in store.stm_items()
-                          if it.category is KnowledgeCategory.STRATEGY]
+        stm_items = store.stm_items()
         for j in active:
-            strategy_id = select_cognitive_strategy(vectors[j], stm_strategies,
+            strategy_id = select_cognitive_strategy(vectors[j], stm_items,
                                                     set(config.task_tags))
-            item = items[j]
-            before = item.mastery
-            item.mastery = min(1.0, item.mastery + config.mastery_gain
-                               * allocation[j] * (1.0 - item.latent_difficulty))
+            before = state.mastery[j]
+            mastery = min(1.0, before + config.mastery_gain
+                          * allocation[j] * (1.0 - difficulty[j]))
 
             # Verify: judge learning from the updated mastery.
-            jol = item.mastery
+            jol = mastery
             if config.jol_noise_sigma > 0:
                 jol = clamp01(jol + rng.normal(0.0, config.jol_noise_sigma))
             record = ExperienceTuple(
@@ -181,12 +174,11 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
                 experience=ExperienceVector(vectors[j].primary, jol, vectors[j].mode),
                 strategy_id=strategy_id,
                 resources=allocation[j],
-                outcome_quality=min(1.0, item.mastery - before),
+                outcome_quality=min(1.0, mastery - before),
             )
             state.trace.append(record)
             state.jols[j] = jol
-            state.mastery[j] = item.mastery
-            prev_jol[j] = jol
+            state.mastery[j] = mastery
 
         # Items whose judgment clears the norm leave the active set.
         state.active_items = {j for j in active if state.jols[j] < norm}

@@ -147,25 +147,15 @@ def check_termination(state: CycleState,
     goal = state.goal
     if last_outcome >= goal.success_threshold:
         return CycleStatus.TERMINATED, None
-    outcomes = [t.outcome_quality for t in state.history]
     k = goal.failure_streak_limit
-    if len(outcomes) >= k and all(o < 0 for o in outcomes[-k:]):
+    recent = [t.outcome_quality for t in state.history[-2 * k:]]
+    if len(recent) >= k and all(o < 0 for o in recent[-k:]):
         return CycleStatus.ABANDONED, AbandonReason.STRATEGY_FAILURE
     if state.resources_spent() > goal.resource_budget or state.cycle >= goal.max_cycles:
         return CycleStatus.ABANDONED, AbandonReason.RESOURCE_EXHAUSTED
-    if len(outcomes) >= 2 * k and max(outcomes[-k:]) <= max(outcomes[-2 * k:-k]):
+    if len(recent) == 2 * k and max(recent[k:]) <= max(recent[:k]):
         return CycleStatus.ABANDONED, AbandonReason.IRREDUCIBLE_DISCREPANCY
     return CycleStatus.ACTIVE, None
-
-
-def _difficulty_assessment(store: KnowledgeStore, task_tags: set[str]) -> float | None:
-    """Knowledge-based difficulty estimate: 1 minus the mean win rate of
-    activated strategies that match the task.  None when none match."""
-    rates = [it.success_rate() for it in store.stm_items()
-             if it.category is KnowledgeCategory.STRATEGY and it.tags & task_tags]
-    if not rates:
-        return None
-    return 1.0 - float(np.mean(rates))
 
 
 def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
@@ -194,16 +184,19 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
         if prev_strategy is not None and prev_meta is not None:
             query |= {prev_strategy, f"meta-{prev_meta.value}"}
         retrieve_probabilistic(store, query, rng)
+        # The activated strategies that fit the task feed both the
+        # knowledge-based difficulty (1 minus their mean win rate) and the
+        # choice below.
+        candidates = [it for it in store.stm_items()
+                      if it.category is KnowledgeCategory.STRATEGY and it.tags & state.task_tags]
         raw = 0.5 if prev_outcome is None else (1.0 - prev_outcome) / 2.0
-        assessment = _difficulty_assessment(store, state.task_tags)
+        assessment = (1.0 - float(np.mean([it.success_rate() for it in candidates]))
+                      if candidates else None)
         difficulty = generate_experience(raw, assessment, config.feel_prob, rng)
 
         # Generate: dispatch the best activated strategy.
-        stm_strategies = [it for it in store.stm_items()
-                          if it.category is KnowledgeCategory.STRATEGY]
         try:
-            strategy_id = select_cognitive_strategy(difficulty, stm_strategies,
-                                                    state.task_tags)
+            strategy_id = select_cognitive_strategy(difficulty, candidates, state.task_tags)
         except NoApplicableStrategy:
             state.status = CycleStatus.ABANDONED
             state.abandon_reason = AbandonReason.STRATEGY_FAILURE

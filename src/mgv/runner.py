@@ -68,6 +68,22 @@ def summary_path_for(trace_path: str | Path) -> Path:
     return p.with_name(p.stem + ".summary.json")
 
 
+# One formula per run total, shared by the summaries and ``report``.
+
+def _resources_spent(payloads: list[dict]) -> float:
+    return sum(p["resources"] for p in payloads)
+
+
+def _cumulative_regret(payloads: list[dict]) -> float:
+    return sum(p["true_voc_best"] - p["true_voc_chosen"] for p in payloads)
+
+
+def _drift_stats(result: recall.RecallSimResult) -> dict:
+    return {"recall_rate": result.recall_rate,
+            "mean_recall_time": result.mean_recall_time(),
+            "mean_giveup_time": result.mean_giveup_time()}
+
+
 def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
     state, trace = flavell.run_cycle(*build(config.mode, config.params), rng)
     payloads = [t.to_dict() for t in trace]
@@ -90,7 +106,7 @@ def _run_acquire(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
         "norm_of_study": state.norm_of_study,
         "remaining_items": sorted(state.active_items),
         "jols": {str(k): v for k, v in sorted(state.jols.items())},
-        "resources_spent": sum(t.resources for t in trace),
+        "resources_spent": _resources_spent(payloads),
     }
     return payloads, summary, {}
 
@@ -99,7 +115,7 @@ def _run_retrieve(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
     result, trace = retrieval.run_retrieval(*build(config.mode, config.params), rng)
     payloads = [t.to_dict() for t in trace]
     summary = {"status": result.decision, **result.to_dict()}
-    summary["resources_spent"] = sum(t.resources for t in trace)
+    summary["resources_spent"] = _resources_spent(payloads)
     return payloads, summary, {}
 
 
@@ -107,15 +123,13 @@ def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
     env, state, episodes = build(config.mode, config.params)
     records = bandit.run_bandit_episodes(env, state, episodes, rng)
     pulls = [0] * env.num_arms
-    regret = 0.0
     for r in records:
         pulls[r["chosen"]] += 1
-        regret += r["true_voc_best"] - r["true_voc_chosen"]
     summary = {
         "status": "finished",
         "episodes": len(records),
         "pulls": pulls,
-        "cumulative_regret": regret,
+        "cumulative_regret": _cumulative_regret(records),
         "gamma": state.gamma,
         "cumulative_reward": state.cumulative_reward,
         "cumulative_time": state.cumulative_time,
@@ -149,11 +163,7 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
         for drift in sim["drifts"]:
             result = recall.simulate_recall(policy, mdp, drift, sim["episodes"],
                                             rng, start=sim["start"])
-            by_drift[str(drift)] = {
-                "recall_rate": result.recall_rate,
-                "mean_recall_time": result.mean_recall_time(),
-                "mean_giveup_time": result.mean_giveup_time(),
-            }
+            by_drift[str(drift)] = _drift_stats(result)
             rows += zip(repeat(canonical_json(drift)), range(sim["episodes"]),
                         result.recalled.tolist(), result.steps.tolist())
     summary = {
@@ -287,11 +297,10 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
     try:
         payloads = [r["payload"] for r in records]
         if module in ("flavell", "acquire", "retrieve"):
-            metrics["resources_spent"] = sum(p["resources"] for p in payloads)
+            metrics["resources_spent"] = _resources_spent(payloads)
             metrics["extra"]["cycles"] = max((p["cycle"] for p in payloads), default=-1) + 1
         elif module == "bandit":
-            metrics["extra"]["cumulative_regret"] = sum(
-                p["true_voc_best"] - p["true_voc_chosen"] for p in payloads)
+            metrics["extra"]["cumulative_regret"] = _cumulative_regret(payloads)
             if payloads:
                 metrics["extra"]["final_gamma"] = payloads[-1]["gamma"]
         elif module == "recall_mdp":
@@ -305,14 +314,10 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
             per_drift = {}
             for drift in sorted(drifts):
                 eps = drifts[drift]
-                succ = [e["steps"] for e in eps if e["recalled"]]
-                fail = [e["steps"] for e in eps if not e["recalled"]]
-                per_drift[str(drift)] = {
-                    "episodes": len(eps),
-                    "recall_rate": len(succ) / len(eps),
-                    "mean_recall_time": float(np.mean(succ)) if succ else None,
-                    "mean_giveup_time": float(np.mean(fail)) if fail else None,
-                }
+                result = recall.RecallSimResult(
+                    drift, np.array([bool(e["recalled"]) for e in eps]),
+                    np.array([e["steps"] for e in eps]))
+                per_drift[str(drift)] = {"episodes": len(eps), **_drift_stats(result)}
             metrics["extra"]["by_drift"] = per_drift
         elif module == "plan":
             metrics["extra"]["expansions"] = len(payloads)

@@ -133,6 +133,28 @@ def test_discrepancy_rule_needs_two_windows():
     assert check_termination(s, 0.1) == (CycleStatus.ACTIVE, None)
 
 
+def test_termination_reads_only_the_last_two_windows():
+    reads = []
+
+    class Record:
+        resources = 1.0
+
+        def __init__(self, quality):
+            self.quality = quality
+
+        @property
+        def outcome_quality(self):
+            reads.append(self)
+            return self.quality
+
+    for cycles in (10, 1000):
+        reads.clear()
+        s = CycleState(task_tags={"t"}, goal=goal(max_cycles=10**6))
+        s.history.extend(Record(i * 1e-4) for i in range(cycles))  # improving
+        assert check_termination(s, 0.2) == (CycleStatus.ACTIVE, None)
+        assert len(reads) <= 2 * s.goal.failure_streak_limit
+
+
 def test_goal_spec_validation():
     with pytest.raises(ValueError):
         GoalSpec(success_threshold=0.5, max_cycles=0)
