@@ -63,7 +63,7 @@ def _run_mode(args) -> int:
                              emit_policy=getattr(args, "emit_policy", None),
                              emit_threshold=getattr(args, "emit_threshold", None))
     for summary in summaries:
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 

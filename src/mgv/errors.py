@@ -43,5 +43,9 @@ class ValidationError(MgvError, ValueError):
         super().__init__(f"{field}: {message}" if message else field)
 
 
+class NonFiniteOutput(MgvError):
+    """A run computed a NaN or infinite number, which JSON output cannot hold."""
+
+
 class MissingFile(MgvError):
     """A referenced input file does not exist."""

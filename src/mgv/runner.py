@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import RunConfig, RunMode, build, read_document, read_text
-from .errors import ParseError, ValidationError
+from .config import RunConfig, RunMode, build, read_text
+from .errors import NonFiniteOutput, ParseError, ValidationError
 
 
 # One encoder for every trace line and run id; ``json.dumps`` with options
-# would build a new one per call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# would build a new one per call.  NaN and infinities raise ValueError.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -46,21 +47,49 @@ def run_id_for(config: RunConfig) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
-def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
-                 encode=canonical_json) -> None:
+_NON_FINITE = "holds a NaN or infinite number, which JSON cannot represent"
+
+
+def _trace_lines(run_id: str, mode: str, payloads: list, encode=canonical_json):
     """One line per payload: ``canonical_json`` of the record envelope.
 
     The envelope's sorted keys are always cycle, module, payload, run_id,
-    timestamp, so only ``encode(payload)`` changes from line to line.
+    timestamp, so only ``encode(payload)`` changes from line to line.  A
+    payload holding a NaN or infinity raises NonFiniteOutput naming it.
     """
     module = canonical_json(mode)
     tail = f',"run_id":{canonical_json(run_id)},"timestamp":'
+    for i, payload in enumerate(payloads):
+        try:
+            body = encode(payload)
+        except ValueError:
+            raise NonFiniteOutput(f"trace record {i}: {_NON_FINITE}") from None
+        yield f'{{"cycle":{i},"module":{module},"payload":{body}{tail}{i}}}\n'
+
+
+def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
+                 encode=canonical_json) -> None:
+    """Write ``_trace_lines`` to ``path``; on a non-finite record, remove the
+    partial file and raise."""
     # Streamed line by line, so memory stays flat however long the trace;
     # ``open`` takes the same encoding and newline defaults as ``write_text``.
-    with Path(path).open("w") as f:
-        f.writelines(
-            f'{{"cycle":{i},"module":{module},"payload":{encode(payload)}{tail}{i}}}\n'
-            for i, payload in enumerate(payloads))
+    try:
+        with Path(path).open("w") as f:
+            f.writelines(_trace_lines(run_id, mode, payloads, encode))
+    except NonFiniteOutput:
+        Path(path).unlink()
+        raise
+
+
+def _summary_json(summary: dict) -> str:
+    """The summary file's text; a NaN or infinity raises NonFiniteOutput
+    naming the summary key that holds it."""
+    for key in sorted(summary):
+        try:
+            canonical_json(summary[key])
+        except ValueError:
+            raise NonFiniteOutput(f"summary.{key}: {_NON_FINITE}") from None
+    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def summary_path_for(trace_path: str | Path) -> Path:
@@ -182,7 +211,8 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
         return "\n".join(lines) + "\n"
 
     artifacts = {
-        "policy": lambda: json.dumps(policy.to_dict(), sort_keys=True, indent=2) + "\n",
+        "policy": lambda: json.dumps(policy.to_dict(), sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n",
         "threshold": threshold_csv,
     }
     return rows, summary, artifacts
@@ -220,15 +250,21 @@ def run(config: RunConfig, emit_policy: str | None = None,
     run_id = run_id_for(config)
     runner, encode = _RUNNERS[config.mode]
     payloads, summary, artifacts = runner(config, rng)
+    summary = {"run_id": run_id, "mode": config.mode.value, "seed": config.seed,
+               **summary}
+    # A NaN or infinity fails the run before anything is written, or, in the
+    # trace, removes the partial file; without ``out`` the lines are still
+    # encoded, so the run fails the same way.
+    summary_text = _summary_json(summary)
+    if config.out:
+        _write_trace(config.out, run_id, config.mode.value, payloads, encode)
+        summary_path_for(config.out).write_text(summary_text)
+    else:
+        for _ in _trace_lines(run_id, config.mode.value, payloads, encode):
+            pass
     for name, path in (("policy", emit_policy), ("threshold", emit_threshold)):
         if path and name in artifacts:
             Path(path).write_text(artifacts[name]())
-    summary = {"run_id": run_id, "mode": config.mode.value, "seed": config.seed,
-               **summary}
-    if config.out:
-        _write_trace(config.out, run_id, config.mode.value, payloads, encode)
-        summary_path_for(config.out).write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -266,15 +302,20 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _strict_json(text: str, where: str):
+    """Parse JSON that may hold no NaN or infinity; ParseError names ``where``."""
+    try:
+        return json.loads(text, parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError is one
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _read_trace(path: str | Path) -> list[dict]:
     records = []
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line, parse_constant=_no_constant)
-        except ValueError as exc:  # JSONDecodeError is one
-            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        record = _strict_json(line, f"{path}:{line_no}")
         if not (isinstance(record, dict)
                 and all(isinstance(record.get(key), str) for key in ("run_id", "module"))):
             raise ParseError(f"{path}:{line_no}: not a record with string run_id and module")
@@ -290,7 +331,7 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
                "resources_spent": None, "extra": {}}
     sp = summary_path_for(path)
     if sp.exists():
-        summary = read_document(sp)
+        summary = _strict_json(read_text(sp), str(sp))
         if not (isinstance(summary, dict) and isinstance(summary.get("status", ""), str)):
             raise ParseError(f"{sp}: not an object with a string status")
         metrics["status"] = summary.get("status", "unknown")

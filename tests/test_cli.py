@@ -334,6 +334,10 @@ def _non_finite_report(tmp_path):
                                 '{"true_voc_best":NaN,"true_voc_chosen":0,"gamma":Infinity}}')
 
 
+def _non_finite_summary_report(tmp_path):
+    return _report_on(tmp_path, PLAN_RECORD, b'{"status": "finished", "plan_value": Infinity}')
+
+
 def _list_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, b"[1]")
 
@@ -353,7 +357,7 @@ def _out_in_missing_directory(tmp_path):
                                   _numeric_run_id_report, _record_without_payload_report,
                                   _list_payload_report, _ragged_steps_report,
                                   _empty_steps_report, _non_finite_report,
-                                  _list_summary_report,
+                                  _non_finite_summary_report, _list_summary_report,
                                   _undecodable_summary_report,
                                   _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
@@ -371,6 +375,7 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_ragged_steps_report, "trace.jsonl:"),
                  (_empty_steps_report, "trace.jsonl:"),
                  (_non_finite_report, "trace.jsonl:1:"),
+                 (_non_finite_summary_report, "trace.summary.json:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:")]
 
@@ -381,6 +386,39 @@ def test_report_errors_name_the_file(tmp_path, capsys, case, named):
     argv, _ = case(tmp_path)
     _, _, err = run_cli(capsys, *argv)
     assert json.loads(err)["error"]["message"].startswith(str(tmp_path / named))
+
+
+# --- numbers JSON cannot hold ------------------------------------------------
+
+# Valid documents whose runs overflow to infinity or NaN.
+NON_FINITE_RUNS = [
+    ("acquire", "--config",
+     {**ACQUIRE, "total_resources_per_cycle": 1e308, "signal_floor": 1e-300}),
+    ("plan", "--tree",
+     {"parents": [None, 0, 1],
+      "priors": [{"support": [0.0], "probs": [1.0]},
+                 {"support": [1e308], "probs": [1.0]},
+                 {"support": [1e308], "probs": [1.0]}],
+      "expansion_cost": 0.0}),
+    ("bandit", "--arms", {"episodes": 3, "utilities": [1e308, 1e308],
+                          "times": [1e-300, 1e-300]}),
+]
+
+
+@pytest.mark.parametrize("with_out", [True, False], ids=["out", "no-out"])
+@pytest.mark.parametrize("command,flag,params", NON_FINITE_RUNS,
+                         ids=[c[0] for c in NON_FINITE_RUNS])
+def test_non_finite_results_exit_2_and_write_nothing(tmp_path, capsys, command, flag,
+                                                      params, with_out):
+    path = write_json(tmp_path / "params.json", params)
+    out = ["--out", str(tmp_path / "run.jsonl")] if with_out else []
+    code, stdout, err = run_cli(capsys, command, flag, path, "--seed", "1", *out)
+    assert code == 2 and stdout == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "NonFiniteOutput"
+    assert error["message"].startswith(("summary.", "trace record "))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
 
 
 # --- every run subcommand ---------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import mgv.runner
 from mgv import recall
 from mgv.config import RunConfig, RunMode, build, validate_config
-from mgv.errors import MissingFile, ParseError
+from mgv.errors import MissingFile, NonFiniteOutput, ParseError
 from mgv.runner import (_write_trace, canonical_json, report, run, run_id_for,
                         run_repeated, substream, summary_path_for)
 
@@ -119,6 +119,22 @@ def test_run_without_out_writes_nothing(tmp_path):
     config = RunConfig(config.mode, config.seed, config.params, out=None)
     summary = run(config)
     assert summary["cycles"] >= 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["trace.jsonl", None], ids=["out", "no-out"])
+def test_non_finite_trace_record_fails_the_run_and_leaves_no_file(monkeypatch, tmp_path,
+                                                                  out):
+    def overflowing(config, rng):
+        payloads = [{"x": 1.0}, {"x": 2.0}, {"x": [3.0, float("inf")]}, {"x": 4.0}]
+        return payloads, {"status": "finished"}, {}
+
+    monkeypatch.setitem(mgv.runner._RUNNERS, RunMode.FLAVELL, (overflowing, canonical_json))
+    config = flavell_config(tmp_path)
+    config = RunConfig(config.mode, config.seed, config.params,
+                       out=out and str(tmp_path / out))
+    with pytest.raises(NonFiniteOutput, match="^trace record 2: "):
+        run(config)
     assert list(tmp_path.iterdir()) == []
 
 
