@@ -47,15 +47,11 @@ def run_id_for(config: RunConfig) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
-_NON_FINITE = "holds a NaN or infinite number, which JSON cannot represent"
-
-
 def _trace_lines(run_id: str, mode: str, payloads: list, encode=canonical_json):
     """One line per payload: ``canonical_json`` of the record envelope.
 
     The envelope's sorted keys are always cycle, module, payload, run_id,
-    timestamp, so only ``encode(payload)`` changes from line to line.  A
-    payload holding a NaN or infinity raises NonFiniteOutput naming it.
+    timestamp, so only ``encode(payload)`` changes from line to line.
     """
     module = canonical_json(mode)
     tail = f',"run_id":{canonical_json(run_id)},"timestamp":'
@@ -63,33 +59,20 @@ def _trace_lines(run_id: str, mode: str, payloads: list, encode=canonical_json):
         try:
             body = encode(payload)
         except ValueError:
-            raise NonFiniteOutput(f"trace record {i}: {_NON_FINITE}") from None
+            raise NonFiniteOutput(f"trace record {i}: holds NaN or Infinity") from None
         yield f'{{"cycle":{i},"module":{module},"payload":{body}{tail}{i}}}\n'
 
 
 def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
                  encode=canonical_json) -> None:
-    """Write ``_trace_lines`` to ``path``; on a non-finite record, remove the
-    partial file and raise."""
     # Streamed line by line, so memory stays flat however long the trace;
     # ``open`` takes the same encoding and newline defaults as ``write_text``.
     try:
         with Path(path).open("w") as f:
             f.writelines(_trace_lines(run_id, mode, payloads, encode))
     except NonFiniteOutput:
-        Path(path).unlink()
+        Path(path).unlink()  # leave no partial trace
         raise
-
-
-def _summary_json(summary: dict) -> str:
-    """The summary file's text; a NaN or infinity raises NonFiniteOutput
-    naming the summary key that holds it."""
-    for key in sorted(summary):
-        try:
-            canonical_json(summary[key])
-        except ValueError:
-            raise NonFiniteOutput(f"summary.{key}: {_NON_FINITE}") from None
-    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def summary_path_for(trace_path: str | Path) -> Path:
@@ -244,7 +227,9 @@ def run(config: RunConfig, emit_policy: str | None = None,
     The trace goes to ``config.out`` when set.  ``emit_policy`` and
     ``emit_threshold`` only apply to the stopping-problem mode and write the
     solved policy table (JSON) and per-step thresholds (CSV).  ``stream_name``
-    overrides the substream label (used by repeat fan-out).
+    overrides the substream label (used by repeat fan-out).  A NaN or
+    infinity in a summary key or trace record raises NonFiniteOutput naming
+    it, with or without ``out``, and leaves no trace or summary file.
     """
     rng = substream(config.seed, stream_name or config.mode.value)
     run_id = run_id_for(config)
@@ -252,13 +237,15 @@ def run(config: RunConfig, emit_policy: str | None = None,
     payloads, summary, artifacts = runner(config, rng)
     summary = {"run_id": run_id, "mode": config.mode.value, "seed": config.seed,
                **summary}
-    # A NaN or infinity fails the run before anything is written, or, in the
-    # trace, removes the partial file; without ``out`` the lines are still
-    # encoded, so the run fails the same way.
-    summary_text = _summary_json(summary)
+    for key in sorted(summary):
+        try:
+            canonical_json(summary[key])
+        except ValueError:
+            raise NonFiniteOutput(f"summary.{key}: holds NaN or Infinity") from None
     if config.out:
         _write_trace(config.out, run_id, config.mode.value, payloads, encode)
-        summary_path_for(config.out).write_text(summary_text)
+        summary_path_for(config.out).write_text(
+            json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     else:
         for _ in _trace_lines(run_id, config.mode.value, payloads, encode):
             pass
