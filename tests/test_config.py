@@ -1,8 +1,10 @@
 import copy
+import inspect
 import json
 
 import pytest
 
+import mgv.config as mgv_config
 from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
                         RunMode, load_config, save_config, validate_config,
                         validate_params)
@@ -353,29 +355,25 @@ def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
     """A default written in a params table and again in the constructor
     ``_make`` feeds must agree; ``resource_budget`` (null <-> inf) is the
     one deliberate exception."""
-    import inspect
-
-    import mgv.config as config
-
     calls = []
-    real_make = config._make
+    real_make = mgv_config._make
 
     def spying(factory, params, **given):
         calls.append((factory, params))
         return real_make(factory, params, **given)
 
-    monkeypatch.setattr(config, "_make", spying)
+    monkeypatch.setattr(mgv_config, "_make", spying)
     compared = []
     for doc in DEFAULT_DOCS:
         mode = RunMode(doc["mode"])
         clean = validate_params(mode, doc["params"])
-        tables = _tables_by_dict(config._MODES[mode][0], clean)
+        tables = _tables_by_dict(mgv_config._MODES[mode][0], clean)
         calls.clear()
-        config.build(mode, clean)
+        mgv_config.build(mode, clean)
         for factory, params in calls:
             signature = inspect.signature(factory).parameters
             for f in tables[id(params)].fields:
-                if (f.name not in signature or f.default is config.REQUIRED
+                if (f.name not in signature or f.default is mgv_config.REQUIRED
                         or callable(f.default) or f.name == "resource_budget"):
                     continue
                 made = signature[f.name].default
