@@ -212,6 +212,82 @@ def test_consolidate_rate_tracks_encoding_rate():
     assert total / 2000 == pytest.approx(0.4, abs=0.03)
 
 
+def reference_consolidate(store, records, rng):
+    """Consolidation with the original id probe: every record walks its base's
+    suffixes from ``base`` itself, so it is quadratic in records per base."""
+    encoded = 0
+    for rec in records:
+        if rng.random() >= store.encoding_rate:
+            continue
+        if rec.strategy_id:
+            base = f"{rec.strategy_id}-c{rec.cycle}"
+            category = KnowledgeCategory.STRATEGY
+            tags = {rec.strategy_id}
+        else:
+            base = f"episode-c{rec.cycle}"
+            category = KnowledgeCategory.TASK
+            tags = {"episode"}
+        item_id, n = base, 1
+        while item_id in store.ltm:
+            n += 1
+            item_id = f"{base}-{n}"
+        item = KnowledgeItem(
+            id=item_id,
+            category=category,
+            tags=tags,
+            successes=1 if rec.outcome_quality > 0 else 0,
+            failures=1 if rec.outcome_quality < 0 else 0,
+        )
+        if rec.fok is not None and rec.confidence is not None:
+            item.calibration_records.append(CalibrationRecord(
+                rec.fok.magnitude, rec.confidence, rec.outcome_quality > 0))
+        store.ltm[item_id] = item
+        encoded += 1
+    return encoded
+
+
+def seeded_consolidation_store(encoding_rate):
+    """A store that already holds ``s-c0``, ``s-c0-2`` and ``s-c0-4`` (a gap at
+    3), plus ``episode-c1`` and an item in working memory."""
+    store = KnowledgeStore(encoding_rate=encoding_rate)
+    for iid in ("s-c0", "s-c0-2", "s-c0-4", "episode-c1", "t-c2-3"):
+        store.add(make_item(iid, {"x"}), activate=iid == "s-c0")
+    return store
+
+
+def mixed_records(seed, count=80):
+    """Records over a few strategy ids (one anonymous) and cycles, so bases
+    repeat, interleave and meet the pre-seeded ids; some carry calibration."""
+    draw = np.random.default_rng(seed)
+    records = []
+    for _ in range(count):
+        strategy = ("s", "t", "", "s-c0")[draw.integers(4)]
+        quality = float(draw.choice([-0.5, 0.0, 0.5]))
+        calibrated = draw.random() < 0.3
+        records.append(record(strategy, quality, cycle=int(draw.integers(3)),
+                              fok=FokCounters(0.4, 0.1) if calibrated else None,
+                              confidence=0.7 if calibrated else None))
+    return records
+
+
+@pytest.mark.parametrize("encoding_rate", [0.5, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_consolidate_matches_the_full_probe_reference(encoding_rate, seed):
+    """Ids, categories, counters, calibration records, insertion order, the
+    encoded count and the generator's state all equal the reference's."""
+    records = mixed_records(seed)
+    got, want = (seeded_consolidation_store(encoding_rate) for _ in range(2))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert consolidate(got, records, got_rng) == reference_consolidate(want, records, want_rng)
+    assert list(got.ltm.items()) == list(want.ltm.items())
+    assert got.stm == want.stm
+    assert got_rng.random() == want_rng.random()
+    # a second call into the same store starts its probes afresh
+    more = mixed_records(seed + 100, count=20)
+    assert consolidate(got, more, got_rng) == reference_consolidate(want, more, want_rng)
+    assert list(got.ltm.items()) == list(want.ltm.items())
+
+
 # --- threshold calibration ------------------------------------------------
 
 def test_calibrate_takes_medians_over_correct_records():
