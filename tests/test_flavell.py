@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,6 +154,48 @@ def test_termination_reads_only_the_last_two_windows():
         s.history.extend(Record(i * 1e-4) for i in range(cycles))  # improving
         assert check_termination(s, 0.2) == (CycleStatus.ACTIVE, None)
         assert len(reads) <= 2 * s.goal.failure_streak_limit
+
+
+def left_to_right(values):
+    """The reference total: folded in order from int 0, like 3.11's ``sum``."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def test_resources_spent_is_a_left_to_right_fold_however_history_changes():
+    """Every answer equals a fresh fold of the current history, in value and
+    type, whether the history grew, shrank, was regrown or replaced."""
+    def spend(*amounts):
+        return [SimpleNamespace(resources=r) for r in amounts]
+
+    s = CycleState(task_tags={"t"}, goal=goal())
+
+    def check():
+        got, want = s.resources_spent(), left_to_right(t.resources for t in s.history)
+        assert (got, type(got)) == (want, type(want))
+
+    check()  # empty: int 0
+    for record in spend(1e16, 1.0, -1e16, 1.0, 0.1, 0.2):  # order-sensitive
+        s.history.append(record)
+        check()
+    s.history.extend(spend(0.3, 0.7))  # grown by more than one record
+    check()
+    del s.history[3:]  # truncated
+    check()
+    del s.history[1:]
+    s.history.extend(spend(2.5, 1e16, 3.0, 1.0))  # truncated, then regrown past
+    check()
+    s.history = spend(1.0, 1e-16, 1e-16)  # replaced by a new list
+    check()
+    s.history = list(s.history)  # an equal copy is still a new list
+    s.history.append(spend(1e-16)[0])
+    check()
+    s.history = spend(1, 2, 3)  # ints stay ints
+    check()
+    s.history = []
+    check()
 
 
 def test_goal_spec_validation():
