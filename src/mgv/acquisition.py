@@ -157,10 +157,11 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         # Generate: split the budget, study each item.
         allocation = allocate_resources(signals, config.total_resources_per_cycle,
                                         config.signal_floor)
-        stm_items = store.stm_items()
+        # The store does not change within a cycle and the choice ignores the
+        # signal, so one choice serves every item.
+        strategy_id = select_cognitive_strategy(vectors[active[0]], store.stm_items(),
+                                                set(config.task_tags))
         for j in active:
-            strategy_id = select_cognitive_strategy(vectors[j], stm_items,
-                                                    set(config.task_tags))
             before = state.mastery[j]
             mastery = min(1.0, before + config.mastery_gain
                           * allocation[j] * (1.0 - difficulty[j]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from math import inf
 
 import numpy as np
@@ -93,6 +94,9 @@ class CycleState:
     status: CycleStatus = CycleStatus.ACTIVE
     abandon_reason: AbandonReason | None = None
     history: list[ExperienceTuple] = field(default_factory=list)
+    # (history list, records counted, last record counted, their total)
+    _spent: tuple = field(default=(None, 0, None, 0), init=False, repr=False,
+                          compare=False)
 
     @property
     def cycle(self) -> int:
@@ -100,7 +104,23 @@ class CycleState:
         return len(self.history)
 
     def resources_spent(self) -> float:
-        return sum(t.resources for t in self.history)
+        """Resources over the history, folded left to right from int 0.
+
+        The last answer's total is reused, and only the records appended since
+        are added, while ``history`` is the same list and still holds the last
+        counted record at its place.  A replaced, shrunk or rewritten history
+        is folded again from the start.
+        """
+        history = self.history
+        known, counted, last, total = self._spent
+        if not (known is history and len(history) >= counted
+                and (counted == 0 or history[counted - 1] is last)):
+            counted, total = 0, 0
+        for t in islice(history, counted, None):
+            total += t.resources
+        if history:
+            self._spent = (history, len(history), history[-1], total)
+        return total
 
 
 def classify_evaluative_signal(outcome: float, previous_outcome: float | None,
@@ -148,12 +168,21 @@ def check_termination(state: CycleState,
     if last_outcome >= goal.success_threshold:
         return CycleStatus.TERMINATED, None
     k = goal.failure_streak_limit
-    recent = [t.outcome_quality for t in state.history[-2 * k:]]
-    if len(recent) >= k and all(o < 0 for o in recent[-k:]):
+    history = state.history
+    # Two full windows feed both rules from one read.  Before that only the
+    # streak rule applies, and it stops at the newest non-negative outcome.
+    if len(history) >= 2 * k:
+        recent = [t.outcome_quality for t in history[-2 * k:]]
+        failing = all(o < 0 for o in recent[k:])
+    else:
+        recent = None
+        failing = len(history) >= k and all(
+            t.outcome_quality < 0 for t in islice(reversed(history), k))
+    if failing:
         return CycleStatus.ABANDONED, AbandonReason.STRATEGY_FAILURE
     if state.resources_spent() > goal.resource_budget or state.cycle >= goal.max_cycles:
         return CycleStatus.ABANDONED, AbandonReason.RESOURCE_EXHAUSTED
-    if len(recent) == 2 * k and max(recent[k:]) <= max(recent[:k]):
+    if recent is not None and max(recent[k:]) <= max(recent[:k]):
         return CycleStatus.ABANDONED, AbandonReason.IRREDUCIBLE_DISCREPANCY
     return CycleStatus.ACTIVE, None
 

@@ -203,8 +203,12 @@ def consolidate(store: KnowledgeStore, records: list[ExperienceTuple], rng) -> i
     task items.  Outcome sign seeds the win/loss counters, and records that
     carry both a feeling-of-knowing and a confidence leave a calibration
     record behind for later threshold setting.
+
+    An id is its base, or ``base-<n>`` for the smallest free n >= 2.  A call
+    only adds ids, so each base's probe resumes past the id it last took.
     """
     encoded = 0
+    next_suffix: dict[str, int] = {}
     for rec in records:
         if rng.random() >= store.encoding_rate:
             continue
@@ -216,10 +220,12 @@ def consolidate(store: KnowledgeStore, records: list[ExperienceTuple], rng) -> i
             base = f"episode-c{rec.cycle}"
             category = KnowledgeCategory.TASK
             tags = {"episode"}
-        item_id, n = base, 1
+        n = next_suffix.get(base, 1)
+        item_id = base if n == 1 else f"{base}-{n}"
         while item_id in store.ltm:
             n += 1
             item_id = f"{base}-{n}"
+        next_suffix[base] = n + 1
         item = KnowledgeItem(
             id=item_id,
             category=category,

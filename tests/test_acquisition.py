@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgv import acquisition
 from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
                              compute_norm_of_study, run_acquisition)
+from mgv.errors import NoApplicableStrategy
 from mgv.knowledge import KnowledgeStore
 
 
@@ -227,3 +229,48 @@ def test_config_validation():
                           total_resources_per_cycle=1.0,
                           items=[LearnItem(0, 0.5), LearnItem(0, 0.6)],
                           max_cycles=5)
+
+
+# --- strategy choice --------------------------------------------------------
+
+def test_one_strategy_choice_per_cycle(monkeypatch):
+    """60 items x 30 cycles (trace-heavy's shape) choose 30 times, not 1 800."""
+    calls = []
+    choose = acquisition.select_cognitive_strategy
+
+    def counting(*args):
+        calls.append(args)
+        return choose(*args)
+
+    monkeypatch.setattr(acquisition, "select_cognitive_strategy", counting)
+    cfg = AcquisitionConfig(
+        target_performance=1.0, retention_discount=0.0, total_resources_per_cycle=1.0,
+        items=[LearnItem(i, 0.5) for i in range(60)], max_cycles=30)
+    state, trace = run_acquisition(cfg, KnowledgeStore(), np.random.default_rng(0))
+    assert (state.cycle, len(trace)) == (30, 1800)
+    assert len(calls) == 30
+    assert {t.strategy_id for t in trace} == {acquisition.BASELINE_STRATEGY_ID}
+
+
+def test_no_applicable_strategy_raises_before_the_cycles_first_normal_draw():
+    """With no candidate the run fails before any judgment of learning is drawn."""
+    draws = []
+
+    class RecordingRng:
+        def __init__(self):
+            self.rng = np.random.default_rng(0)
+
+        def random(self):
+            draws.append("random")
+            return self.rng.random()
+
+        def normal(self, *args):
+            draws.append("normal")
+            return self.rng.normal(*args)
+
+    cfg = AcquisitionConfig(
+        target_performance=0.8, retention_discount=0.0, total_resources_per_cycle=1.0,
+        items=[LearnItem(0, 0.5), LearnItem(1, 0.5)], max_cycles=3, task_tags=set())
+    with pytest.raises(NoApplicableStrategy):
+        run_acquisition(cfg, KnowledgeStore(), RecordingRng())
+    assert draws and "normal" not in draws

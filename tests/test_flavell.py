@@ -156,6 +156,38 @@ def test_termination_reads_only_the_last_two_windows():
         assert len(reads) <= 2 * s.goal.failure_streak_limit
 
 
+def test_termination_work_per_cycle_does_not_grow_with_the_history():
+    """trace-heavy's shape: a streak limit as long as the run and improving
+    outcomes.  Each check reads a bounded number of outcomes and resources."""
+    reads = {"outcome_quality": 0, "resources": 0}
+
+    class Record:
+        def __init__(self, quality):
+            self.quality = quality
+
+        @property
+        def outcome_quality(self):
+            reads["outcome_quality"] += 1
+            return self.quality
+
+        @property
+        def resources(self):
+            reads["resources"] += 1
+            return 1.0
+
+    s = CycleState(task_tags={"t"}, goal=goal(max_cycles=500, failure_streak_limit=500))
+    per_call = []
+    for i in range(500):
+        s.history.append(Record(0.1 + i * 1e-4))
+        for key in reads:
+            reads[key] = 0
+        status, _ = check_termination(s, 0.1)
+        per_call.append((reads["outcome_quality"], reads["resources"]))
+    assert status is CycleStatus.ABANDONED  # at max_cycles
+    assert max(q for q, _ in per_call) <= 1
+    assert max(r for _, r in per_call) <= 1
+
+
 def left_to_right(values):
     """The reference total: folded in order from int 0, like 3.11's ``sum``."""
     total = 0

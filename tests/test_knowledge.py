@@ -288,6 +288,27 @@ def test_consolidate_matches_the_full_probe_reference(encoding_rate, seed):
     assert list(got.ltm.items()) == list(want.ltm.items())
 
 
+class CountingLtm(dict):
+    """A long-term store that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_consolidate_probes_each_shared_base_at_most_twice_per_record():
+    """An acquire cycle's 60 records share one base: 60 probes, not 1 + 2 + ... + 60."""
+    store = KnowledgeStore()
+    store.ltm = CountingLtm()
+    records = [record("baseline-study", 0.5, cycle=7) for _ in range(60)]
+    assert consolidate(store, records, np.random.default_rng(0)) == 60
+    assert list(store.ltm) == ["baseline-study-c7"] + [f"baseline-study-c7-{n}"
+                                                      for n in range(2, 61)]
+    assert store.ltm.probes <= 2 * 60
+
+
 # --- threshold calibration ------------------------------------------------
 
 def test_calibrate_takes_medians_over_correct_records():
