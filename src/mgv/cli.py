@@ -71,9 +71,10 @@ def _cmd_report(args) -> int:
     metrics, table = report(args.traces)
     print(table)
     if args.out:
-        Path(args.out).write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(metrics, sort_keys=True, indent=2,
+                                             allow_nan=False) + "\n")
     else:
-        print(json.dumps(metrics, sort_keys=True))
+        print(json.dumps(metrics, sort_keys=True, allow_nan=False))
     return 0
 
 

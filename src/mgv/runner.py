@@ -289,10 +289,17 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} overflows a float")
+    return value
+
+
 def _strict_json(text: str, where: str):
     """Parse JSON that may hold no NaN or infinity; ParseError names ``where``."""
     try:
-        return json.loads(text, parse_constant=_no_constant)
+        return json.loads(text, parse_constant=_no_constant, parse_float=_finite_float)
     except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -352,6 +359,10 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {module} payloads do not fit: "
                          f"{type(exc).__name__}: {exc}") from exc
+    for name, total in (("resources_spent", metrics["resources_spent"]),
+                        ("cumulative_regret", metrics["extra"].get("cumulative_regret"))):
+        if isinstance(total, float) and not math.isfinite(total):
+            raise ParseError(f"{path}: {name} is {total}, not a finite number")
     return metrics
 
 

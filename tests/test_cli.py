@@ -334,6 +334,11 @@ def _non_finite_report(tmp_path):
                                 '{"true_voc_best":NaN,"true_voc_chosen":0,"gamma":Infinity}}')
 
 
+def _overflowing_literal_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id":"a","module":"bandit","payload":'
+                                '{"true_voc_best":1,"true_voc_chosen":0,"gamma":1e400}}')
+
+
 def _non_finite_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, b'{"status": "finished", "plan_value": Infinity}')
 
@@ -357,6 +362,7 @@ def _out_in_missing_directory(tmp_path):
                                   _numeric_run_id_report, _record_without_payload_report,
                                   _list_payload_report, _ragged_steps_report,
                                   _empty_steps_report, _non_finite_report,
+                                  _overflowing_literal_report,
                                   _non_finite_summary_report, _list_summary_report,
                                   _undecodable_summary_report,
                                   _out_in_missing_directory],
@@ -375,6 +381,7 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_ragged_steps_report, "trace.jsonl:"),
                  (_empty_steps_report, "trace.jsonl:"),
                  (_non_finite_report, "trace.jsonl:1:"),
+                 (_overflowing_literal_report, "trace.jsonl:1:"),
                  (_non_finite_summary_report, "trace.summary.json:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:")]
@@ -389,6 +396,30 @@ def test_report_errors_name_the_file(tmp_path, capsys, case, named):
 
 
 # --- numbers JSON cannot hold ------------------------------------------------
+
+# Hand-written records of finite numbers whose report total overflows.
+OVERFLOWING_TOTALS = [
+    ("acquire", {"cycle": 0, "resources": 1e308}, "resources_spent"),
+    ("bandit", {"true_voc_best": 1e308, "true_voc_chosen": -1e308, "gamma": 1.0},
+     "cumulative_regret"),
+]
+
+
+@pytest.mark.parametrize("module,payload,total", OVERFLOWING_TOTALS,
+                         ids=[case[0] for case in OVERFLOWING_TOTALS])
+def test_report_of_an_overflowing_total_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                   module, payload, total):
+    record = json.dumps({"run_id": "a", "module": module, "payload": payload})
+    argv, _ = _report_on(tmp_path, f"{record}\n{record}")
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(report_path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == f"{tmp_path / 'trace.jsonl'}: {total} is inf, not a finite number"
+    assert not report_path.exists()
+
 
 # Valid documents whose runs overflow to infinity or NaN.
 NON_FINITE_RUNS = [
