@@ -9,7 +9,7 @@ run's records are consolidated into knowledge at the end.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -20,6 +20,8 @@ from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
 from .flavell import select_cognitive_strategy
 
 BASELINE_STRATEGY_ID = "baseline-study"
+
+log = logging.getLogger("mgv.acquisition")
 
 
 def compute_norm_of_study(target_performance: float, retention_discount: float) -> float:
@@ -124,8 +126,8 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
     """
     norm = compute_norm_of_study(config.target_performance, config.retention_discount)
     if norm > 1.0:
-        warnings.warn(f"norm of study {norm:.4f} exceeds attainable mastery 1.0; "
-                      "items may never clear it", stacklevel=2)
+        log.warning("norm of study %.4f exceeds attainable mastery 1.0; "
+                    "items may never clear it", norm)
 
     if BASELINE_STRATEGY_ID not in store.ltm:
         store.add(KnowledgeItem(BASELINE_STRATEGY_ID, KnowledgeCategory.STRATEGY,

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -166,10 +167,13 @@ def test_premastered_items_make_one_pass():
     assert len(trace) == len(cfg.items)
 
 
-def test_unattainable_norm_warns_and_leaves_items_unfinished():
+def test_unattainable_norm_warns_and_leaves_items_unfinished(caplog):
     cfg = one_item_config(target=0.9, discount=0.2, max_cycles=5)  # norm 1.08
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="mgv.acquisition"):
         state, _ = run_acquisition(cfg, KnowledgeStore(), np.random.default_rng(0))
+    (note,) = caplog.records
+    assert (note.name, note.levelno) == ("mgv.acquisition", logging.WARNING)
+    assert note.getMessage().startswith("norm of study 1.0800 exceeds")
     assert not state.finished
     assert state.cycle == 5
     assert state.active_items == {0}

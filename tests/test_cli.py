@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import warnings
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_retrieve_and_acquire_subcommands(tmp_path, capsys):
         "items": [{"id": 1, "latent_difficulty": 0.5}]})
     code, out, _ = run_cli(capsys, "acquire", "--config", acquire, "--seed", "2")
     assert code == 0 and json.loads(out)["status"] == "finished"
+
+
+def test_unattainable_norm_is_logged_and_the_run_succeeds(tmp_path, capsys, caplog):
+    """The norm-of-study note is a log record, not a Python warning, so a run
+    under warnings-as-errors still prints its summary."""
+    acquire = write_json(tmp_path / "acq.json",
+                         {**ACQUIRE, "target_performance": 0.9, "retention_discount": 1.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "acquire", "--config", acquire, "--seed", "2")
+    assert code == 0 and json.loads(out)["status"] == "unfinished"
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mgv.acquisition",
+                                                               logging.WARNING)]
 
 
 # --- error handling ---------------------------------------------------------
