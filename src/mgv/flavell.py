@@ -118,8 +118,7 @@ class CycleState:
             counted, total = 0, 0
         for t in islice(history, counted, None):
             total += t.resources
-        if history:
-            self._spent = (history, len(history), history[-1], total)
+        self._spent = (history, len(history), history[-1] if history else None, total)
         return total
 
 
