@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import AT_LEAST_1, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, UNIT, ValidationError
 from .experience import (ExperienceTuple, ExperienceVector, clamp01,
                          generate_experience)
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
@@ -30,10 +30,8 @@ def compute_norm_of_study(target_performance: float, retention_discount: float) 
     Written in distributed form because the factored product drifts off
     decimal targets (0.9 * 1.1 rounds away from 0.99 in binary floats).
     """
-    if not 0.0 <= target_performance <= 1.0:
-        raise ValueError(f"target_performance {target_performance} outside [0, 1]")
-    if retention_discount < 0.0:
-        raise ValueError("retention_discount must be nonnegative")
+    UNIT.check("target_performance", target_performance)
+    NONNEG.check("retention_discount", retention_discount)
     return target_performance + target_performance * retention_discount
 
 
@@ -64,10 +62,8 @@ class LearnItem:
     mastery: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.latent_difficulty <= 1.0:
-            raise ValueError(f"latent_difficulty {self.latent_difficulty} outside (0, 1]")
-        if not 0.0 <= self.mastery <= 1.0:
-            raise ValueError(f"mastery {self.mastery} outside [0, 1]")
+        OPEN_UNIT.check("latent_difficulty", self.latent_difficulty)
+        UNIT.check("mastery", self.mastery)
 
 
 @dataclass
@@ -84,16 +80,12 @@ class AcquisitionConfig:
     task_tags: set[str] = field(default_factory=lambda: {"study"})
 
     def __post_init__(self):
-        if self.total_resources_per_cycle <= 0:
-            raise ValueError("total_resources_per_cycle must be positive")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be at least 1")
-        if not self.items:
-            raise ValueError("need at least one item")
+        POSITIVE.check("total_resources_per_cycle", self.total_resources_per_cycle)
+        AT_LEAST_1.check("max_cycles", self.max_cycles)
+        NONEMPTY.check("items", self.items)
         if len({it.id for it in self.items}) != len(self.items):
             raise ValidationError("items", "ids must be unique")
-        if self.jol_noise_sigma < 0:
-            raise ValueError("jol_noise_sigma must be nonnegative")
+        NONNEG.check("jol_noise_sigma", self.jol_noise_sigma)
 
 
 @dataclass

@@ -29,7 +29,8 @@ from .acquisition import AcquisitionConfig, LearnItem
 from .bandit import BanditState
 from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                    StationaryBanditEnvironment, SyntheticTaskEnvironment)
-from .errors import MissingFile, ParseError, ValidationError
+from .errors import (AT_LEAST_1, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, SIGNED_UNIT, UNIT,
+                     MissingFile, ParseError, ValidationError, at_most)
 from .flavell import FlavellConfig, GoalSpec
 from .knowledge import KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from .planning import DiscretePrior, make_initial_state
@@ -62,7 +63,8 @@ class RunConfig:
 # ``check(value, path, root)`` returns the cleaned value or raises
 # ValidationError naming ``path``.  ``root`` is the enclosing params block as
 # cleaned so far, for defaults that copy an earlier field.  A rule is a
-# (predicate, message) pair applied to the cleaned value.
+# (predicate, message) pair applied to the cleaned value; the range rules are
+# the ``errors`` objects that the library constructors apply too.
 
 def _apply(rules, value, path: str):
     for ok, message in rules:
@@ -214,98 +216,87 @@ MAX_HORIZON = 10**4
 MAX_CUE_SAMPLES = 10**9
 
 
-def _at_most(limit: int):
-    return (lambda x: x <= limit, f"must be at most {limit}")
-
-
-_NONNEG = (lambda x: x >= 0, "must be nonnegative")
-_POSITIVE = (lambda x: x > 0, "must be positive")
-_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
-_RECORD_COUNT = _integer(_AT_LEAST_1, _at_most(MAX_RECORDS))
-_UNIT = (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
-_OPEN_UNIT = (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
-_SIGNED_UNIT = (lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]")
-_NONEMPTY = (bool, "must be non-empty")
+_RECORD_COUNT = _integer(AT_LEAST_1, at_most(MAX_RECORDS))
 _UNIQUE = (lambda xs: len(set(xs)) == len(xs), "must be unique")
 _UNIQUE_IDS = (lambda xs: len({x["id"] for x in xs}) == len(xs), "ids must be unique")
 
 _STORE = [
-    _Field("access_prob", _number(_UNIT), 1.0),
-    _Field("encoding_rate", _number(_UNIT), 1.0),
+    _Field("access_prob", _number(UNIT), 1.0),
+    _Field("encoding_rate", _number(UNIT), 1.0),
 ]
 
 _STRATEGY = _Table([
-    _Field("id", _string(_NONEMPTY)),
-    _Field("quality", _number(_SIGNED_UNIT)),
+    _Field("id", _string(NONEMPTY)),
+    _Field("quality", _number(SIGNED_UNIT)),
     _Field("tags", _Tags(), lambda params: list(params["task_tags"])),
-    _Field("successes", _integer(_NONNEG), 0),
-    _Field("failures", _integer(_NONNEG), 0),
+    _Field("successes", _integer(NONNEG), 0),
+    _Field("failures", _integer(NONNEG), 0),
 ])
 
 _FLAVELL = _Table([
-    _Field("task_tags", _Tags(_NONEMPTY)),
-    _Field("success_threshold", _number(_SIGNED_UNIT)),
+    _Field("task_tags", _Tags(NONEMPTY)),
+    _Field("success_threshold", _number(SIGNED_UNIT)),
     _Field("max_cycles", _RECORD_COUNT),
-    _Field("strategies", _List(_STRATEGY, _NONEMPTY, _UNIQUE_IDS)),
-    _Field("failure_streak_limit", _integer(_AT_LEAST_1), 3),
-    _Field("resource_budget", _number(_POSITIVE), None),
-    _Field("feel_prob", _number(_UNIT), 0.5),
-    _Field("resources_per_cycle", _number(_POSITIVE), 1.0),
-    _Field("prune_margin", _integer(_NONNEG), 5),
+    _Field("strategies", _List(_STRATEGY, NONEMPTY, _UNIQUE_IDS)),
+    _Field("failure_streak_limit", _integer(AT_LEAST_1), 3),
+    _Field("resource_budget", _number(POSITIVE), None),
+    _Field("feel_prob", _number(UNIT), 0.5),
+    _Field("resources_per_cycle", _number(POSITIVE), 1.0),
+    _Field("prune_margin", _integer(NONNEG), 5),
     *_STORE,
-    _Field("completeness", _number(_UNIT), 1.0),
-    _Field("noise", _number(_NONNEG), 0.0),
+    _Field("completeness", _number(UNIT), 1.0),
+    _Field("noise", _number(NONNEG), 0.0),
 ])
 
 _ITEM = _Table([
     _Field("id", _integer()),
-    _Field("latent_difficulty", _number(_OPEN_UNIT)),
-    _Field("mastery", _number(_UNIT), 0.0),
+    _Field("latent_difficulty", _number(OPEN_UNIT)),
+    _Field("mastery", _number(UNIT), 0.0),
 ])
 
 _ACQUIRE = _Table([
-    _Field("target_performance", _number(_UNIT)),
-    _Field("retention_discount", _number(_NONNEG)),
-    _Field("total_resources_per_cycle", _number(_POSITIVE)),
+    _Field("target_performance", _number(UNIT)),
+    _Field("retention_discount", _number(NONNEG)),
+    _Field("total_resources_per_cycle", _number(POSITIVE)),
     _Field("max_cycles", _RECORD_COUNT),
-    _Field("items", _List(_ITEM, _NONEMPTY)),
-    _Field("feel_prob", _number(_UNIT), 0.5),
-    _Field("jol_noise_sigma", _number(_NONNEG), 0.05),
-    _Field("signal_floor", _number(_POSITIVE), 1e-6),
-    _Field("mastery_gain", _number(_POSITIVE), 0.2),
+    _Field("items", _List(_ITEM, NONEMPTY)),
+    _Field("feel_prob", _number(UNIT), 0.5),
+    _Field("jol_noise_sigma", _number(NONNEG), 0.05),
+    _Field("signal_floor", _number(POSITIVE), 1e-6),
+    _Field("mastery_gain", _number(POSITIVE), 0.2),
     *_STORE,
 ])
 
 _CALIBRATION_RECORD = _Table([
-    _Field("fok_magnitude", _number(_NONNEG)),
-    _Field("confidence", _number(_UNIT)),
+    _Field("fok_magnitude", _number(NONNEG)),
+    _Field("confidence", _number(UNIT)),
     _Field("was_correct", _BOOLEAN),
 ])
 
 _STORE_ITEM = _Table([
-    _Field("id", _string(_NONEMPTY)),
+    _Field("id", _string(NONEMPTY)),
     _Field("category", _OneOf(*(c.value for c in KnowledgeCategory))),
     _Field("tags", _List(_string()), []),
     _Field("features", _List(_number()), []),
-    _Field("successes", _integer(_NONNEG), 0),
-    _Field("failures", _integer(_NONNEG), 0),
+    _Field("successes", _integer(NONNEG), 0),
+    _Field("failures", _integer(NONNEG), 0),
     _Field("calibration_records", _List(_CALIBRATION_RECORD), []),
     _Field("in_stm", _BOOLEAN, False),
 ])
 
 _RETRIEVE = _Table([
-    _Field("query", _Tags(_NONEMPTY)),
-    _Field("match_prob", _number(_UNIT)),
+    _Field("query", _Tags(NONEMPTY)),
+    _Field("match_prob", _number(UNIT)),
     _Field("target", _string(), None),
-    _Field("satisficing_rate", _number(_NONNEG), 0.1),
-    _Field("default_lambda_fok", _number(_POSITIVE), 0.5),
-    _Field("default_lambda_confidence", _number(_OPEN_UNIT), 0.5),
+    _Field("satisficing_rate", _number(NONNEG), 0.1),
+    _Field("default_lambda_fok", _number(POSITIVE), 0.5),
+    _Field("default_lambda_confidence", _number(OPEN_UNIT), 0.5),
     _Field("max_cycles", _RECORD_COUNT, 25),
     _Field("compound_decay", _BOOLEAN, False),
-    _Field("cue_samples", _integer(_AT_LEAST_1, _at_most(MAX_CUE_SAMPLES)), 4),
-    _Field("evidence_scale", _number(_POSITIVE), 0.25),
-    _Field("min_matches", _integer(_NONNEG), 6),
-    _Field("confidence_gain", _number(_POSITIVE), 1.0),
+    _Field("cue_samples", _integer(AT_LEAST_1, at_most(MAX_CUE_SAMPLES)), 4),
+    _Field("evidence_scale", _number(POSITIVE), 0.25),
+    _Field("min_matches", _integer(NONNEG), 6),
+    _Field("confidence_gain", _number(POSITIVE), 1.0),
     *_STORE,
     _Field("seed_items", _List(_STORE_ITEM), []),
 ])
@@ -313,22 +304,22 @@ _RETRIEVE = _Table([
 _BANDIT_SHARED = [
     _Field("env", _OneOf("stationary", "feature"), "stationary"),
     _Field("episodes", _RECORD_COUNT),
-    _Field("reward_noise", _number(_NONNEG), 0.1),
-    _Field("prior_variance", _number(_POSITIVE), 1.0),
-    _Field("noise_variance", _number(_POSITIVE), 1.0),
+    _Field("reward_noise", _number(NONNEG), 0.1),
+    _Field("prior_variance", _number(POSITIVE), 1.0),
+    _Field("noise_variance", _number(POSITIVE), 1.0),
     _Field("gamma_prior", _List(_number(), (lambda g: len(g) == 2 and g[1] > 0,
                                             "must be [pseudo_reward, pseudo_time > 0]")),
            [0.0, 1.0]),
 ]
 
-_MATRIX = _List(_List(_number(), _NONEMPTY), _NONEMPTY,
+_MATRIX = _List(_List(_number(), NONEMPTY), NONEMPTY,
                 (lambda rows: len({len(r) for r in rows}) == 1, "rows must share a length"))
 
 _BANDIT = _Switch("env", "stationary", {
     "stationary": _Table(_BANDIT_SHARED + [
-        _Field("utilities", _List(_number(), _NONEMPTY)),
-        _Field("times", _List(_number(_POSITIVE), _NONEMPTY)),
-        _Field("time_noise", _number(_NONNEG), 0.0),
+        _Field("utilities", _List(_number(), NONEMPTY)),
+        _Field("times", _List(_number(POSITIVE), NONEMPTY)),
+        _Field("time_noise", _number(NONNEG), 0.0),
     ]),
     "feature": _Table(_BANDIT_SHARED + [
         _Field("utility_weights", _MATRIX),
@@ -337,38 +328,38 @@ _BANDIT = _Switch("env", "stationary", {
 })
 
 _PRIOR = _Table([
-    _Field("support", _List(_number(), _NONEMPTY)),
-    _Field("probs", _List(_number(_NONNEG), _NONEMPTY)),
+    _Field("support", _List(_number(), NONEMPTY)),
+    _Field("probs", _List(_number(NONNEG), NONEMPTY)),
 ])
 
 _PLAN = _Table([
-    _Field("parents", _List(_NullOr(_integer(_NONNEG)), _NONEMPTY)),
-    _Field("priors", _List(_PRIOR, _NONEMPTY)),
-    _Field("expansion_cost", _number(_NONNEG)),
+    _Field("parents", _List(_NullOr(_integer(NONNEG)), NONEMPTY)),
+    _Field("priors", _List(_PRIOR, NONEMPTY)),
+    _Field("expansion_cost", _number(NONNEG)),
 ])
 
 _SIMULATE = _Table([
-    _Field("drifts", _List(_number(), _NONEMPTY, _UNIQUE)),
+    _Field("drifts", _List(_number(), NONEMPTY, _UNIQUE)),
     _Field("episodes", _RECORD_COUNT),
     _Field("start", _number(), 0.0),
 ])
 
 _RECALL = _Table([
     _Field("drift_prior_mean", _number()),
-    _Field("drift_prior_variance", _number(_POSITIVE)),
-    _Field("evidence_variance", _number(_POSITIVE)),
-    _Field("recall_threshold", _number(_POSITIVE)),
+    _Field("drift_prior_variance", _number(POSITIVE)),
+    _Field("evidence_variance", _number(POSITIVE)),
+    _Field("recall_threshold", _number(POSITIVE)),
     _Field("recall_utility", _number()),
-    _Field("search_cost", _number(_NONNEG)),
-    _Field("horizon", _integer(_AT_LEAST_1, _at_most(MAX_HORIZON))),
+    _Field("search_cost", _number(NONNEG)),
+    _Field("horizon", _integer(AT_LEAST_1, at_most(MAX_HORIZON))),
     _Field("z_min", _number(), None),
-    _Field("z_step", _number(_POSITIVE), None),
+    _Field("z_step", _number(POSITIVE), None),
     _Field("simulate", _SIMULATE, None),
 ])
 
 _DOCUMENT = _Table([
     _Field("mode", _OneOf(*(m.value for m in RunMode))),
-    _Field("seed", _integer(_NONNEG)),
+    _Field("seed", _integer(NONNEG)),
     _Field("params", _OBJECT),
     _Field("out", _string(), None),
 ])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import AT_LEAST_1, POSITIVE, UNIT, ValidationError
 from .experience import clamp01
 
 
@@ -58,10 +58,8 @@ class CueRetrievalEnvironment:
     def __init__(self, target: str | None, match_prob: float, cue_samples: int = 4,
                  evidence_scale: float = 0.25, min_matches: int = 6,
                  confidence_gain: float = 1.0):
-        if not 0.0 <= match_prob <= 1.0:
-            raise ValueError(f"match_prob {match_prob} outside [0, 1]")
-        if cue_samples < 1:
-            raise ValueError("cue_samples must be positive")
+        UNIT.check("match_prob", match_prob)
+        AT_LEAST_1.check("cue_samples", cue_samples)
         self.target = target
         self.match_prob = match_prob
         self.cue_samples = cue_samples
@@ -107,8 +105,8 @@ class StationaryBanditEnvironment:
     def __post_init__(self):
         if len(self.utilities) != len(self.times):
             raise ValidationError("utilities", "utilities and times must align")
-        if any(t <= 0 for t in self.times):
-            raise ValueError("arm times must be positive")
+        for i, t in enumerate(self.times):
+            POSITIVE.check(f"times[{i}]", t)
 
     @property
     def num_arms(self) -> int:

@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the range rules that both the ``config`` params tables
+and the library constructors apply: ``NONNEG``, ``POSITIVE``, ``AT_LEAST_1``,
+``UNIT``, ``OPEN_UNIT``, ``SIGNED_UNIT``, ``NONEMPTY`` and ``at_most``.  Each
+predicate states what a valid value meets, so NaN fails every numeric rule."""
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 
 class MgvError(Exception):
@@ -49,3 +54,28 @@ class NonFiniteOutput(MgvError):
 
 class MissingFile(MgvError):
     """A referenced input file does not exist."""
+
+
+class Rule(NamedTuple):
+    """A (predicate, message) pair; ``check`` raises ValidationError naming the field."""
+
+    ok: Callable[[object], bool]
+    message: str
+
+    def check(self, field: str, value):
+        if not self.ok(value):
+            raise ValidationError(field, self.message)
+        return value
+
+
+def at_most(limit: int) -> Rule:
+    return Rule(lambda x: x <= limit, f"must be at most {limit}")
+
+
+NONNEG = Rule(lambda x: x >= 0, "must be nonnegative")
+POSITIVE = Rule(lambda x: x > 0, "must be positive")
+AT_LEAST_1 = Rule(lambda x: x >= 1, "must be at least 1")
+UNIT = Rule(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+OPEN_UNIT = Rule(lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
+SIGNED_UNIT = Rule(lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]")
+NONEMPTY = Rule(bool, "must be non-empty")

@@ -16,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import NoApplicableStrategy
+from .errors import AT_LEAST_1, POSITIVE, SIGNED_UNIT, NoApplicableStrategy
 from .experience import (ExperienceTuple, ExperienceVector, clamp01,
                          generate_experience)
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
@@ -70,14 +70,10 @@ class GoalSpec:
     resource_budget: float = inf
 
     def __post_init__(self):
-        if not -1.0 <= self.success_threshold <= 1.0:
-            raise ValueError(f"success_threshold {self.success_threshold} outside [-1, 1]")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be at least 1")
-        if self.failure_streak_limit < 1:
-            raise ValueError("failure_streak_limit must be at least 1")
-        if self.resource_budget <= 0:
-            raise ValueError("resource_budget must be positive")
+        SIGNED_UNIT.check("success_threshold", self.success_threshold)
+        AT_LEAST_1.check("max_cycles", self.max_cycles)
+        AT_LEAST_1.check("failure_streak_limit", self.failure_streak_limit)
+        POSITIVE.check("resource_budget", self.resource_budget)
 
 
 @dataclass
@@ -196,9 +192,9 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
     is revised in place every cycle; meta-strategies accrue their own win/loss
     record under ``meta-<kind>`` ids.
     """
-    config = config or FlavellConfig()
     if rng is None:
-        rng = np.random.default_rng()
+        raise ValueError("need an rng")
+    config = config or FlavellConfig()
     state = CycleState(task_tags=set(task_tags), goal=goal)
     prev_outcome: float | None = None
     prev_strategy: str | None = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from statistics import median
 
-from .errors import NoCalibrationHistory
+from .errors import UNIT, NoCalibrationHistory
 from .experience import ExperienceTuple
 
 
@@ -112,10 +112,8 @@ class KnowledgeStore:
     encoding_rate: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.access_prob <= 1.0:
-            raise ValueError(f"access_prob {self.access_prob} outside [0, 1]")
-        if not 0.0 <= self.encoding_rate <= 1.0:
-            raise ValueError(f"encoding_rate {self.encoding_rate} outside [0, 1]")
+        UNIT.check("access_prob", self.access_prob)
+        UNIT.check("encoding_rate", self.encoding_rate)
         missing = self.stm - set(self.ltm)
         if missing:
             raise ValueError(f"stm ids not in ltm: {sorted(missing)}")

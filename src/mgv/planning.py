@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NodeNotOnFrontier, ValidationError
+from .errors import NONNEG, NodeNotOnFrontier, ValidationError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class DiscretePrior:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValidationError("support", "support and probs must be non-empty and align")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probs must be nonnegative")
+        for i, p in enumerate(self.probs):
+            NONNEG.check(f"probs[{i}]", p)
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValidationError("probs", f"sum to {sum(self.probs)}, not 1")
         # The prior is frozen, so its mean is computed once, here.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMonotonePolicy, ValidationError
+from .errors import AT_LEAST_1, NONNEG, POSITIVE, NonMonotonePolicy, ValidationError
 
 MAX_GRID_CELLS = 1001  # each solver step holds a (cells - 1) x cells array
 
@@ -34,16 +34,11 @@ class RecallMdpConfig:
     z_step: float | None = None
 
     def __post_init__(self):
-        if self.drift_prior_variance <= 0:
-            raise ValueError("drift_prior_variance must be positive")
-        if self.evidence_variance <= 0:
-            raise ValueError("evidence_variance must be positive")
-        if self.recall_threshold <= 0:
-            raise ValueError("recall_threshold must be positive")
-        if self.search_cost < 0:
-            raise ValueError("search_cost must be nonnegative")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        POSITIVE.check("drift_prior_variance", self.drift_prior_variance)
+        POSITIVE.check("evidence_variance", self.evidence_variance)
+        POSITIVE.check("recall_threshold", self.recall_threshold)
+        NONNEG.check("search_cost", self.search_cost)
+        AT_LEAST_1.check("horizon", self.horizon)
         if self.z_min is None:
             self.z_min = -2.0 * self.recall_threshold
         # The default step derives from z_min, so z_min is checked first.
@@ -51,8 +46,7 @@ class RecallMdpConfig:
             raise ValidationError("z_min", "must sit below the recall threshold")
         if self.z_step is None:
             self.z_step = (self.recall_threshold - self.z_min) / 40.0
-        if self.z_step <= 0:
-            raise ValueError("z_step must be positive")
+        POSITIVE.check("z_step", self.z_step)
         steps = (self.recall_threshold - self.z_min) / self.z_step
         if steps + 1 >= MAX_GRID_CELLS + 0.5:  # the grid has steps + 1 cells; inf fails too
             raise ValidationError("z_step", f"grid must have at most {MAX_GRID_CELLS} cells")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NoCalibrationHistory
+from .errors import AT_LEAST_1, NONNEG, OPEN_UNIT, POSITIVE, NoCalibrationHistory
 from .experience import (ExperienceTuple, ExperienceVector, FokCounters,
                          clamp01, fok_dual)
 from .knowledge import (KnowledgeStore, calibrate_thresholds, consolidate,
@@ -44,14 +44,10 @@ class RetrievalConfig:
     compound_decay: bool = False
 
     def __post_init__(self):
-        if self.satisficing_rate < 0:
-            raise ValueError("satisficing_rate must be nonnegative")
-        if self.default_lambda_fok <= 0:
-            raise ValueError("default_lambda_fok must be positive")
-        if not 0.0 < self.default_lambda_confidence <= 1.0:
-            raise ValueError("default_lambda_confidence outside (0, 1]")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be at least 1")
+        NONNEG.check("satisficing_rate", self.satisficing_rate)
+        POSITIVE.check("default_lambda_fok", self.default_lambda_fok)
+        OPEN_UNIT.check("default_lambda_confidence", self.default_lambda_confidence)
+        AT_LEAST_1.check("max_cycles", self.max_cycles)
 
 
 @dataclass

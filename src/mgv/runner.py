@@ -13,20 +13,23 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import RunConfig, RunMode, build, read_text
-from .errors import NonFiniteOutput, ParseError, ValidationError
+from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text
+from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
 
 
 # One encoder for every trace line and run id; ``json.dumps`` with options
 # would build a new one per call.  NaN and infinities raise ValueError.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   allow_nan=False).encode
+# A recall episode in a trace takes 0 to MAX_HORIZON steps.
+_AT_MOST_HORIZON = at_most(MAX_HORIZON)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -289,17 +292,17 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
+def _finite_number(text: str, parse=float):
+    if not math.isfinite(float(text)):
         raise ValueError(f"{text} overflows a float")
-    return value
+    return parse(text)
 
 
 def _strict_json(text: str, where: str):
-    """Parse JSON that may hold no NaN or infinity; ParseError names ``where``."""
+    """Parse JSON whose numbers all fit a float; ParseError names ``where``."""
     try:
-        return json.loads(text, parse_constant=_no_constant, parse_float=_finite_float)
+        return json.loads(text, parse_constant=_no_constant, parse_float=_finite_number,
+                          parse_int=partial(_finite_number, parse=int))
     except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -341,16 +344,16 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
         elif module == "recall_mdp":
             drifts: dict[float, list[dict]] = {}
             for p in payloads:
-                steps = p["steps"]
-                if (isinstance(steps, bool) or not isinstance(steps, (int, float))
-                        or not math.isfinite(steps)):
-                    raise TypeError(f"steps must be a finite number, not {steps!r}")
+                steps, recalled = p["steps"], p["recalled"]
+                if type(steps) is not int or type(recalled) is not bool:
+                    raise TypeError(f"want int steps, bool recalled; got {steps!r}, {recalled!r}")
+                _AT_MOST_HORIZON.check("steps", NONNEG.check("steps", steps))
                 drifts.setdefault(p["drift"], []).append(p)
             per_drift = {}
             for drift in sorted(drifts):
                 eps = drifts[drift]
                 result = recall.RecallSimResult(
-                    drift, np.array([bool(e["recalled"]) for e in eps]),
+                    drift, np.array([e["recalled"] for e in eps]),
                     np.array([e["steps"] for e in eps]))
                 per_drift[str(drift)] = {"episodes": len(eps), **_drift_stats(result)}
             metrics["extra"]["by_drift"] = per_drift

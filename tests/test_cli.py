@@ -353,6 +353,23 @@ def _overflowing_literal_report(tmp_path):
                                 '{"true_voc_best":1,"true_voc_chosen":0,"gamma":1e400}}')
 
 
+def _huge_steps_report(tmp_path):
+    record = json.dumps({"run_id": "a", "module": "recall_mdp",
+                         "payload": {"drift": 1, "recalled": True, "steps": 1e308}})
+    return _report_on(tmp_path, f"{record}\n{record}")
+
+
+def _string_recalled_report(tmp_path):
+    return _report_on(tmp_path, json.dumps({"run_id": "a", "module": "recall_mdp",
+                                            "payload": {"drift": 1, "recalled": "false",
+                                                        "steps": 3}}))
+
+
+def _overflowing_integer_report(tmp_path):
+    return _report_on(tmp_path, '{"run_id":"a","module":"acquire","payload":'
+                                '{"cycle":0,"resources":1' + "0" * 400 + '}}')
+
+
 def _non_finite_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, b'{"status": "finished", "plan_value": Infinity}')
 
@@ -376,7 +393,8 @@ def _out_in_missing_directory(tmp_path):
                                   _numeric_run_id_report, _record_without_payload_report,
                                   _list_payload_report, _ragged_steps_report,
                                   _empty_steps_report, _non_finite_report,
-                                  _overflowing_literal_report,
+                                  _overflowing_literal_report, _huge_steps_report,
+                                  _string_recalled_report, _overflowing_integer_report,
                                   _non_finite_summary_report, _list_summary_report,
                                   _undecodable_summary_report,
                                   _out_in_missing_directory],
@@ -396,6 +414,9 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_empty_steps_report, "trace.jsonl:"),
                  (_non_finite_report, "trace.jsonl:1:"),
                  (_overflowing_literal_report, "trace.jsonl:1:"),
+                 (_huge_steps_report, "trace.jsonl:"),
+                 (_string_recalled_report, "trace.jsonl:"),
+                 (_overflowing_integer_report, "trace.jsonl:1:"),
                  (_non_finite_summary_report, "trace.summary.json:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:")]

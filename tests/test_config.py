@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,9 @@ import mgv.config as mgv_config
 from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
                         RunMode, load_config, save_config, validate_config,
                         validate_params)
+from mgv.acquisition import compute_norm_of_study
 from mgv.errors import MissingFile, ParseError, ValidationError
+from mgv.planning import DiscretePrior
 
 
 def flavell_params(**overrides):
@@ -351,40 +354,130 @@ DEFAULT_DOCS = [
 ]
 
 
-def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
-    """A default written in a params table and again in the constructor
-    ``_make`` feeds must agree; ``resource_budget`` (null <-> inf) is the
-    one deliberate exception."""
+def _made_objects(monkeypatch):
+    """(factory, params it took, arguments given beside them, the table that
+    cleaned those params) for every ``_make`` call that builds DEFAULT_DOCS."""
     calls = []
     real_make = mgv_config._make
 
     def spying(factory, params, **given):
-        calls.append((factory, params))
+        calls.append((factory, params, given))
         return real_make(factory, params, **given)
 
     monkeypatch.setattr(mgv_config, "_make", spying)
-    compared = []
     for doc in DEFAULT_DOCS:
         mode = RunMode(doc["mode"])
         clean = validate_params(mode, doc["params"])
         tables = _tables_by_dict(mgv_config._MODES[mode][0], clean)
         calls.clear()
         mgv_config.build(mode, clean)
-        for factory, params in calls:
-            signature = inspect.signature(factory).parameters
-            for f in tables[id(params)].fields:
-                if (f.name not in signature or f.default is mgv_config.REQUIRED
-                        or callable(f.default) or f.name == "resource_budget"):
-                    continue
-                made = signature[f.name].default
-                if made is inspect.Parameter.empty:  # the table's default is the only one
-                    continue
-                made = list(made) if isinstance(made, tuple) else made
-                compared.append((factory.__qualname__, f.name))
-                assert made == f.default, (factory.__qualname__, f.name)
+        for factory, params, given in calls:
+            yield factory, params, given, tables[id(params)]
+
+
+def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
+    """A default written in a params table and again in the constructor
+    ``_make`` feeds must agree; ``resource_budget`` (null <-> inf) is the
+    one deliberate exception."""
+    compared = []
+    for factory, params, _, table in _made_objects(monkeypatch):
+        signature = inspect.signature(factory).parameters
+        for f in table.fields:
+            if (f.name not in signature or f.default is mgv_config.REQUIRED
+                    or callable(f.default) or f.name == "resource_budget"):
+                continue
+            made = signature[f.name].default
+            if made is inspect.Parameter.empty:  # the table's default is the only one
+                continue
+            made = list(made) if isinstance(made, tuple) else made
+            compared.append((factory.__qualname__, f.name))
+            assert made == f.default, (factory.__qualname__, f.name)
     # Every mode with _make-built objects took part.
     assert {name for name, _ in compared} >= {
         "KnowledgeStore", "KnowledgeItem", "SyntheticTaskEnvironment", "GoalSpec",
         "FlavellConfig", "LearnItem", "AcquisitionConfig", "CueRetrievalEnvironment",
         "RetrievalConfig", "StationaryBanditEnvironment", "BanditState.create",
         "RecallMdpConfig"}
+
+
+# --- constructor range checks against the params tables -------------------------
+
+# The fields each library constructor with range checks checks itself;
+# ``name[0]`` stands for a rule on every entry of the list ``name``.
+CONSTRUCTOR_CHECKS = {
+    "GoalSpec": {"success_threshold", "max_cycles", "failure_streak_limit",
+                 "resource_budget"},
+    "AcquisitionConfig": {"total_resources_per_cycle", "max_cycles", "items",
+                          "jol_noise_sigma"},
+    "LearnItem": {"latent_difficulty", "mastery"},
+    "compute_norm_of_study": {"target_performance", "retention_discount"},
+    "RetrievalConfig": {"satisficing_rate", "default_lambda_fok",
+                        "default_lambda_confidence", "max_cycles"},
+    "RecallMdpConfig": {"drift_prior_variance", "evidence_variance", "recall_threshold",
+                        "search_cost", "horizon", "z_step"},
+    "KnowledgeStore": {"access_prob", "encoding_rate"},
+    "CueRetrievalEnvironment": {"match_prob", "cue_samples"},
+    "StationaryBanditEnvironment": {"times[0]"},
+    "DiscretePrior": {"probs[0]"},
+}
+
+
+def _checked_constructors(monkeypatch):
+    """(factory, valid arguments, the table of its params) for each constructor
+    in CONSTRUCTOR_CHECKS, as DEFAULT_DOCS build it."""
+    made = list(_made_objects(monkeypatch))
+    acquire, plan = (validate_params(RunMode(d["mode"]), d["params"]) for d in DEFAULT_DOCS
+                     if d["mode"] in ("acquire", "plan"))
+    made += [(compute_norm_of_study, acquire, {}, mgv_config._ACQUIRE),
+             (DiscretePrior, plan["priors"][0], {}, mgv_config._PRIOR)]
+    found = set()
+    for factory, params, given, table in made:
+        if factory.__qualname__ in CONSTRUCTOR_CHECKS:
+            found.add(factory.__qualname__)
+            names = inspect.signature(factory).parameters
+            yield factory, {k: v for k, v in params.items() if k in names} | given, table
+    assert found == set(CONSTRUCTOR_CHECKS)
+
+
+def _replaced(args: dict, field: str, value) -> dict:
+    """``args`` with ``field``, or for ``name[0]`` the first entry of ``name``,
+    set to ``value``."""
+    name = field.removesuffix("[0]")
+    return {**args, name: [value, *args[name][1:]] if name != field else value}
+
+
+def _raised(call, *args, **kwargs):
+    """(field, message) of the ValidationError ``call`` raises, else None."""
+    try:
+        call(*args, **kwargs)
+    except ValidationError as exc:
+        return exc.field, exc.message
+    return None
+
+
+def test_constructors_reject_nan_naming_the_field(monkeypatch):
+    for factory, args, _ in _checked_constructors(monkeypatch):
+        for field in CONSTRUCTOR_CHECKS[factory.__qualname__] - {"items"}:
+            raised = _raised(factory, **_replaced(args, field, math.nan))
+            assert raised and raised[0] == field, (factory.__qualname__, field)
+
+
+def test_constructors_check_a_field_with_its_table_rule(monkeypatch):
+    """A value on either side of a checked field's range fails in the
+    constructor exactly as in the field's params table: same field, same
+    message."""
+    broken = set()
+    for factory, args, table in _checked_constructors(monkeypatch):
+        name = factory.__qualname__
+        types = {f.name: f.type for f in table.fields}
+        for field in CONSTRUCTOR_CHECKS[name]:
+            arg = field.removesuffix("[0]")
+            for value in ([],) if field == "items" else (-2, 2):
+                bad = _replaced(args, field, value)
+                expected = _raised(types[arg].check, bad[arg], arg, None)
+                if expected is None:  # inside the range
+                    continue
+                broken.add((name, field))
+                assert _raised(factory, **bad) == expected, (name, field, value)
+    assert broken == {(name, field) for name, fields in CONSTRUCTOR_CHECKS.items()
+                      for field in fields}

@@ -285,6 +285,14 @@ def test_run_abandons_without_applicable_strategy():
     assert trace == [] and state.cycle == 0
 
 
+def test_run_without_rng_raises_and_leaves_the_store_untouched():
+    store = seeded_store(strategy("good"))
+    before = store.to_json()
+    with pytest.raises(ValueError):
+        run_cycle({"t"}, goal(), SyntheticTaskEnvironment({"good": 0.9}), store)
+    assert store.to_json() == before
+
+
 def test_history_length_always_equals_cycle_count():
     store = seeded_store(strategy("a"), strategy("b"))
     env = SyntheticTaskEnvironment({"a": 0.3, "b": 0.5}, noise=0.2)

@@ -433,6 +433,20 @@ def test_report_collects_metrics_and_formats_table(tmp_path):
     assert len(lines) == 4
 
 
+def test_report_skips_blank_trace_lines(tmp_path):
+    run(flavell_config(tmp_path))
+    plain = tmp_path / "trace.jsonl"
+    lines = plain.read_text().splitlines(keepends=True)
+    blank = tmp_path / "blank" / "trace.jsonl"
+    blank.parent.mkdir()
+    blank.write_text("".join([lines[0], "\n", "  \n", *lines[1:]]))
+    summary_path_for(blank).write_bytes(summary_path_for(plain).read_bytes())
+    (doc, table), (plain_doc, plain_table) = report([blank]), report([plain])
+    assert doc["runs"][0].pop("trace") == str(blank)
+    plain_doc["runs"][0].pop("trace")
+    assert (doc, table) == (plain_doc, plain_table)
+
+
 def test_report_missing_and_malformed_traces(tmp_path):
     with pytest.raises(MissingFile):
         report([tmp_path / "absent.jsonl"])
