@@ -103,6 +103,23 @@ FEATURE_BANDIT_DOC = {
 GOLDEN_FEATURE_BANDIT = (
     "cb0ae2fdde2b1227cf2e9b7fbca06e8dc67e546be5d294594226445c0b999ecc",
     "806f058464f0354201f77a8967bbdfc9a92144964f0fdc53d7f320a32783befa")
+# The benchmark's solve-large bandit shape: 8 arms, 5 features, 80 episodes.
+# Pinned before the posteriors were held as stacked arrays, so it fences the
+# batched draw and the batched true values where they save the most.
+BENCHMARK_BANDIT_DOC = {
+    "mode": "bandit", "seed": 29,
+    "params": {"env": "feature", "episodes": 80,
+               "utility_weights": [[0.09, 0.96, 0.53, 0.43, 0.95], [0.88, 0.04, 0.83, 0.1, 0.33],
+                                   [0.48, 0.58, 0.24, 0.08, 0.94], [0.1, 0.1, 0.33, 0.24, 0.39],
+                                   [0.1, 0.05, 0.97, 0.73, 0.5], [0.09, 0.28, 0.54, 0.8, 0.41],
+                                   [0.02, 0.55, 0.27, 0.22, 0.93], [0.45, 0.49, 0.31, 0.35, 0.01]],
+               "time_weights": [[0.85, 0.9, 0.29, 0.41, 0.75], [0.53, 0.26, 0.34, 0.6, 0.49],
+                                [0.87, 0.87, 0.97, 0.95, 0.86], [0.25, 0.8, 0.43, 0.85, 0.87],
+                                [0.59, 0.17, 0.6, 0.52, 0.64], [0.6, 0.23, 0.57, 0.19, 0.36],
+                                [0.49, 0.47, 0.26, 0.47, 0.47], [0.88, 0.3, 0.55, 0.14, 0.46]]}}
+GOLDEN_BENCHMARK_BANDIT = (
+    "156b3160867725f99868bf666fbecb865d21a7130e7d3e06213be3860d6d7a49",
+    "da9fcd4297b4f6fafed353dfc4add39dfd2f9bb6a84dc6e1d3f5eeeea5639c71")
 # Six study items, noisy judgments of learning and partial recall of the
 # baseline strategy: items leave the active set at cycles 4, 5, 6, 6, 7
 # and 9, so the allocation splits the budget over six down to one item and
@@ -176,6 +193,10 @@ def test_integer_literal_docs_match_golden_digests(doc, tmp_path):
 
 def test_feature_bandit_doc_matches_golden_digests(tmp_path):
     assert digests(FEATURE_BANDIT_DOC, tmp_path) == GOLDEN_FEATURE_BANDIT
+
+
+def test_benchmark_shaped_bandit_doc_matches_golden_digests(tmp_path):
+    assert digests(BENCHMARK_BANDIT_DOC, tmp_path) == GOLDEN_BENCHMARK_BANDIT
 
 
 def test_plan_tree_doc_matches_golden_digests(tmp_path):
