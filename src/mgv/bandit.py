@@ -10,12 +10,12 @@ play the argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import NONNEG, POSITIVE, DimensionMismatch, Rule
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,34 @@ def voc_estimate(utility_weights: np.ndarray, time_weights: np.ndarray,
     return float(u @ f - gamma * (t @ f))
 
 
+GAMMA_PRIOR = Rule(lambda g: len(g) == 2 and POSITIVE.ok(g[1]),
+                   "must be [pseudo_reward, pseudo_time > 0]")
+
+
 @dataclass
 class BanditState:
-    """Per-strategy payoff and time beliefs plus the running opportunity cost."""
+    """Per-strategy payoff and time beliefs plus the running opportunity cost.
+
+    ``utility`` and ``time`` stay the per-strategy posteriors, which callers
+    may replace.  ``stacks`` keeps every strategy's means and SVD factors in
+    two arrays as well, so a draw for all strategies is one batched product.
+    """
 
     utility: list[WeightPosterior]
     time: list[WeightPosterior]
     cumulative_reward: float = 0.0
     cumulative_time: float = 0.0
     gamma_prior: tuple[float, float] = (0.0, 1.0)
+    # The posteriors the stacks hold, utility and time interleaved per arm.
+    _stacked: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _means: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _factors: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.utility) != len(self.time):
             raise ValueError("utility and time posterior lists must align")
-        if self.cumulative_time < 0:
-            raise ValueError("cumulative_time must be nonnegative")
-        if self.gamma_prior[1] <= 0:
-            raise ValueError("gamma pseudo-time must be positive")
+        NONNEG.check("cumulative_time", self.cumulative_time)
+        GAMMA_PRIOR.check("gamma_prior", self.gamma_prior)
 
     @classmethod
     def create(cls, num_strategies: int, feature_dim: int, prior_variance: float = 1.0,
@@ -144,6 +155,27 @@ class BanditState:
         it is defined before the first observation."""
         pr, pt = self.gamma_prior
         return (self.cumulative_reward + pr) / (self.cumulative_time + pt)
+
+    def stacks(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every strategy's means, shape ``(arms, 2, dim)``, and SVD factors,
+        shape ``(arms, 2, dim, dim)``; index 0 on the second axis is utility,
+        1 is time.  Only the slices of posteriors replaced since the last
+        call are written again, so each posterior is factored once."""
+        posteriors = [p for pair in zip(self.utility, self.time) for p in pair]
+        if self._means is None or self._means.shape != (self.num_strategies, 2, dim):
+            self._means = np.empty((self.num_strategies, 2, dim))
+            self._factors = np.empty((self.num_strategies, 2, dim, dim))
+            self._stacked = [None] * len(posteriors)
+        means = self._means.reshape(-1, dim)
+        factors = self._factors.reshape(-1, dim, dim)
+        for k, (post, held) in enumerate(zip(posteriors, self._stacked)):
+            if post is not held:
+                if post.dim != dim:
+                    raise DimensionMismatch("weights and features must share a shape")
+                means[k] = post.mean
+                factors[k] = post.factor
+                self._stacked[k] = post
+        return self._means, self._factors
 
 
 def update_gamma(state: BanditState, reward: float, elapsed: float) -> float:
@@ -168,17 +200,18 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
     """One posterior sample of the value of computation for every strategy.
 
     All the normals come from one call, in the order per-posterior draws
-    would take them: arm by arm, utility before time.
+    would take them: arm by arm, utility before time.  Each item of the
+    batched products is the vector product ``WeightPosterior.draw`` and
+    ``voc_estimate`` make, so the scores match theirs bit for bit.
     """
     f = np.asarray(features, dtype=float)
-    if any(p.dim != f.size for p in (*state.utility, *state.time)):
+    if f.ndim != 1:
         raise DimensionMismatch("weights and features must share a shape")
-    z = rng.standard_normal((state.num_strategies, 2, f.size))
-    vocs = np.empty(state.num_strategies)
-    for i in range(state.num_strategies):
-        vocs[i] = voc_estimate(state.utility[i].draw(z[i, 0]),
-                               state.time[i].draw(z[i, 1]), f, gamma)
-    return vocs
+    means, factors = state.stacks(f.size)
+    z = rng.standard_normal(means.shape)
+    w = means + np.matmul(z[:, :, None, :], factors.swapaxes(-1, -2))[:, :, 0, :]
+    scores = np.matmul(w[..., None, :], f[:, None])[..., 0, 0]
+    return scores[:, 0] - gamma * scores[:, 1]
 
 
 def thompson_select(state: BanditState, features: np.ndarray, gamma: float,
@@ -196,6 +229,9 @@ def run_bandit_episodes(env, state: BanditState, episodes: int, rng) -> list[dic
     chosen and best strategies (under the pre-choice gamma) so regret can be
     read straight off the trace.
     """
+    if env.num_arms != state.num_strategies:
+        raise DimensionMismatch(
+            f"{state.num_strategies} strategies cannot play {env.num_arms} arms")
     records = []
     for episode in range(episodes):
         feats = env.features(rng)
@@ -203,18 +239,17 @@ def run_bandit_episodes(env, state: BanditState, episodes: int, rng) -> list[dic
         vocs = sample_vocs(state, feats, gamma, rng)
         chosen = int(np.argmax(vocs))
         reward, elapsed = env.pull(chosen, feats, rng)
-        true_vocs = [env.true_voc(a, feats, gamma) for a in range(state.num_strategies)]
+        true_vocs = env.true_vocs(feats, gamma).tolist()
         gamma_after = observe(state, chosen, feats, reward, elapsed)
         records.append({
             "episode": episode,
-            "features": [float(x) for x in np.atleast_1d(feats)],
-            "sampled_vocs": [float(v) for v in vocs],
+            "features": np.atleast_1d(feats).astype(float, copy=False).tolist(),
+            "sampled_vocs": vocs.tolist(),
             "chosen": chosen,
             "reward": float(reward),
             "elapsed": float(elapsed),
             "gamma": float(gamma_after),
-            "true_voc_chosen": float(true_vocs[chosen]),
-            "true_voc_best": float(max(true_vocs)),
+            "true_voc_chosen": true_vocs[chosen],
+            "true_voc_best": max(true_vocs),
         })
     return records
-

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .acquisition import AcquisitionConfig, LearnItem
-from .bandit import BanditState
+from .bandit import GAMMA_PRIOR, BanditState
 from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                    StationaryBanditEnvironment, SyntheticTaskEnvironment)
 from .errors import (AT_LEAST_1, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, SIGNED_UNIT, UNIT,
@@ -307,9 +307,7 @@ _BANDIT_SHARED = [
     _Field("reward_noise", _number(NONNEG), 0.1),
     _Field("prior_variance", _number(POSITIVE), 1.0),
     _Field("noise_variance", _number(POSITIVE), 1.0),
-    _Field("gamma_prior", _List(_number(), (lambda g: len(g) == 2 and g[1] > 0,
-                                            "must be [pseudo_reward, pseudo_time > 0]")),
-           [0.0, 1.0]),
+    _Field("gamma_prior", _List(_number(), GAMMA_PRIOR), [0.0, 1.0]),
 ]
 
 _MATRIX = _List(_List(_number(), NONEMPTY), NONEMPTY,

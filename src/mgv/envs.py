@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AT_LEAST_1, POSITIVE, UNIT, ValidationError
+from .errors import AT_LEAST_1, NONNEG, POSITIVE, UNIT, ValidationError
 from .experience import clamp01
 
 
@@ -107,6 +107,8 @@ class StationaryBanditEnvironment:
             raise ValidationError("utilities", "utilities and times must align")
         for i, t in enumerate(self.times):
             POSITIVE.check(f"times[{i}]", t)
+        NONNEG.check("reward_noise", self.reward_noise)
+        NONNEG.check("time_noise", self.time_noise)
 
     @property
     def num_arms(self) -> int:
@@ -131,6 +133,11 @@ class StationaryBanditEnvironment:
     def true_voc(self, arm: int, feats: np.ndarray, gamma: float) -> float:
         return self.utilities[arm] - gamma * self.times[arm]
 
+    def true_vocs(self, feats: np.ndarray, gamma: float) -> np.ndarray:
+        """``true_voc`` of every arm, bit for bit."""
+        return np.asarray(self.utilities, dtype=float) - gamma * np.asarray(
+            self.times, dtype=float)
+
 
 @dataclass
 class FeatureBanditEnvironment:
@@ -146,6 +153,8 @@ class FeatureBanditEnvironment:
         self.time_weights = np.asarray(self.time_weights, dtype=float)
         if self.utility_weights.shape != self.time_weights.shape:
             raise ValidationError("time_weights", "must match utility_weights' shape")
+        NONNEG.check("reward_noise", self.reward_noise)
+        POSITIVE.check("time_floor", self.time_floor)
 
     @property
     def num_arms(self) -> int:
@@ -168,4 +177,14 @@ class FeatureBanditEnvironment:
     def true_voc(self, arm: int, feats: np.ndarray, gamma: float) -> float:
         utility = float(self.utility_weights[arm] @ feats)
         elapsed = max(self.time_floor, float(self.time_weights[arm] @ feats))
+        return utility - gamma * elapsed
+
+    def true_vocs(self, feats: np.ndarray, gamma: float) -> np.ndarray:
+        """``true_voc`` of every arm, bit for bit: one vector product per arm
+        and weight row, as ``true_voc`` makes (a matrix-vector product sums
+        in another order), and the floor applied as ``max`` applies it."""
+        f = np.asarray(feats, dtype=float)[:, None]
+        utility = np.matmul(self.utility_weights[:, None, :], f)[:, 0, 0]
+        elapsed = np.matmul(self.time_weights[:, None, :], f)[:, 0, 0]
+        elapsed = np.where(elapsed > self.time_floor, elapsed, self.time_floor)
         return utility - gamma * elapsed

@@ -132,21 +132,27 @@ def plan_value(state: PlanningState) -> float:
     return max(_path_sums(_contributions(state), state.paths))
 
 
-def myopic_voc(state: PlanningState, node: int, expansion_cost: float) -> float:
+def myopic_voc(state: PlanningState, node: int, expansion_cost: float,
+               base: tuple[list[float], list[float]] | None = None) -> float:
     """One-step value of revealing ``node``: expected plan worth afterwards,
     minus current worth, minus the cost.
 
     Each path is summed once; for each value the node may take, only the
     paths through it are summed again.  The worth after a reveal is still the
     ``max`` over every path sum in leaf order, so ties and NaNs resolve as a
-    full re-scoring would.
+    full re-scoring would.  ``base``, the state's ``(contributions, path
+    sums)``, spares that first sum when several nodes of one state are
+    scored; it is read, not changed.
     """
     values, parents = state.values, state.parents
     if not (0 < node < len(parents) and values[node] is None
             and values[parents[node]] is not None):
         raise NodeNotOnFrontier(f"node {node} is not expandable now")
-    contributions = _contributions(state)
-    sums = _path_sums(contributions, state.paths)
+    if base is None:
+        contributions = _contributions(state)
+        sums = _path_sums(contributions, state.paths)
+    else:
+        contributions, sums = list(base[0]), base[1]
     through = state.through[node]
     through_paths = [state.paths[i] for i in through]
     prior = state.priors[node]
@@ -190,8 +196,10 @@ def run_myopic_planner(state: PlanningState, expansion_cost: float, rng=None,
         if not candidates:
             break
         best_node, best_voc = None, -np.inf
+        contributions = _contributions(st)
+        base = contributions, _path_sums(contributions, st.paths)
         for node in candidates:
-            voc = myopic_voc(st, node, expansion_cost)
+            voc = myopic_voc(st, node, expansion_cost, base)
             if voc > best_voc:
                 best_node, best_voc = node, voc
         if best_voc <= 0:

@@ -8,7 +8,7 @@ from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
                         run_bandit_episodes, sample_vocs, thompson_select,
                         update_gamma, voc_estimate)
 from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
-from mgv.errors import DimensionMismatch
+from mgv.errors import DimensionMismatch, ValidationError
 
 
 def oracle_update(mean, cov, noise, f, y):
@@ -124,6 +124,13 @@ def test_gamma_prior_smoothing_before_data():
     assert state.gamma == pytest.approx(0.5)
 
 
+def test_state_rejects_a_nonpositive_or_nan_gamma_pseudo_time():
+    for pseudo_time in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError) as info:
+            BanditState.create(2, 1, gamma_prior=(0.0, pseudo_time))
+        assert info.value.field == "gamma_prior"
+
+
 def test_update_gamma_accumulates():
     state = BanditState.create(1, 1)
     g = update_gamma(state, reward=3.0, elapsed=2.0)
@@ -190,6 +197,12 @@ def test_episode_records_expose_regret_terms():
     assert rec["true_voc_best"] >= rec["true_voc_chosen"]
     assert set(rec) >= {"episode", "chosen", "reward", "elapsed", "gamma",
                         "sampled_vocs", "true_voc_chosen", "true_voc_best"}
+
+
+def test_episodes_reject_a_state_for_another_number_of_arms():
+    env = StationaryBanditEnvironment(utilities=[1.0, 0.0, 0.5], times=[1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        run_bandit_episodes(env, BanditState.create(2, 1), 1, np.random.default_rng(0))
 
 
 def test_episodes_factor_each_posterior_once(monkeypatch):
@@ -276,6 +289,36 @@ def test_sample_vocs_matches_multivariate_normal_bit_for_bit():
             want = reference_sample_vocs(state, feats, gamma, ref)
             assert np.array_equal(got, want), (case, draw)
             assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
+
+
+def test_sample_vocs_follows_replaced_posteriors_bit_for_bit():
+    """Posteriors swapped into ``utility`` and ``time`` between calls, one
+    side at a time, are what the next draw samples."""
+    meta = np.random.default_rng(2025)
+    for case in range(20):
+        arms, d = int(meta.integers(2, 9)), int(meta.integers(1, 7))
+        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
+                            [fence_posterior(meta, d) for _ in range(arms)])
+        feats, gamma = meta.normal(size=d), float(meta.uniform(0.0, 2.0))
+        for draw in range(6):
+            if draw:
+                i, j = (int(x) for x in meta.integers(arms, size=2))
+                state.utility[i] = fence_posterior(meta, d)
+                if draw % 2:
+                    state.time[j] = fence_posterior(meta, d)
+            ours, ref = (np.random.default_rng([case, draw]) for _ in range(2))
+            got = sample_vocs(state, feats, gamma, ours)
+            want = reference_sample_vocs(state, feats, gamma, ref)
+            assert np.array_equal(got, want), (case, draw)
+            assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
+
+
+def test_sample_vocs_rejects_a_posterior_of_another_size():
+    state = BanditState.create(3, 2)
+    sample_vocs(state, np.ones(2), 0.0, np.random.default_rng(0))
+    state.time[1] = WeightPosterior.standard(3)
+    with pytest.raises(DimensionMismatch):
+        sample_vocs(state, np.ones(2), 0.0, np.random.default_rng(0))
 
 
 def test_posterior_sample_matches_multivariate_normal_bit_for_bit():

@@ -417,7 +417,9 @@ CONSTRUCTOR_CHECKS = {
                         "search_cost", "horizon", "z_step"},
     "KnowledgeStore": {"access_prob", "encoding_rate"},
     "CueRetrievalEnvironment": {"match_prob", "cue_samples"},
-    "StationaryBanditEnvironment": {"times[0]"},
+    "StationaryBanditEnvironment": {"times[0]", "reward_noise", "time_noise"},
+    "FeatureBanditEnvironment": {"reward_noise"},
+    "BanditState.create": {"gamma_prior"},
     "DiscretePrior": {"probs[0]"},
 }
 
@@ -439,10 +441,17 @@ def _checked_constructors(monkeypatch):
     assert found == set(CONSTRUCTOR_CHECKS)
 
 
+# How a number stands in for a field that holds a list: ``items`` becomes
+# empty, ``gamma_prior`` takes the number as its pseudo-time.
+AS_LIST = {"items": lambda x: [], "gamma_prior": lambda x: [0.0, x]}
+
+
 def _replaced(args: dict, field: str, value) -> dict:
     """``args`` with ``field``, or for ``name[0]`` the first entry of ``name``,
-    set to ``value``."""
+    set to ``value`` (see AS_LIST for the list fields)."""
     name = field.removesuffix("[0]")
+    if field in AS_LIST:
+        value = AS_LIST[field](value)
     return {**args, name: [value, *args[name][1:]] if name != field else value}
 
 
@@ -472,7 +481,7 @@ def test_constructors_check_a_field_with_its_table_rule(monkeypatch):
         types = {f.name: f.type for f in table.fields}
         for field in CONSTRUCTOR_CHECKS[name]:
             arg = field.removesuffix("[0]")
-            for value in ([],) if field == "items" else (-2, 2):
+            for value in (-2, 2):
                 bad = _replaced(args, field, value)
                 expected = _raised(types[arg].check, bad[arg], arg, None)
                 if expected is None:  # inside the range

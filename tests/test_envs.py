@@ -3,6 +3,7 @@ import pytest
 
 from mgv.envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                       StationaryBanditEnvironment, SyntheticTaskEnvironment)
+from mgv.errors import ValidationError
 
 
 def test_task_env_scores_from_table_with_fallback():
@@ -98,3 +99,54 @@ def test_feature_env_features_are_unit_interval():
 def test_feature_env_shape_validation():
     with pytest.raises(ValueError):
         FeatureBanditEnvironment(np.ones((2, 3)), np.ones((2, 2)))
+
+
+def test_feature_env_constructor_checks_noise_and_floor():
+    for kwargs, field in [({"reward_noise": -1.0}, "reward_noise"),
+                          ({"reward_noise": float("nan")}, "reward_noise"),
+                          ({"time_floor": 0.0}, "time_floor"),
+                          ({"time_floor": float("nan")}, "time_floor")]:
+        with pytest.raises(ValidationError) as info:
+            FeatureBanditEnvironment(np.ones((2, 3)), np.ones((2, 3)), **kwargs)
+        assert info.value.field == field
+
+
+def test_stationary_env_constructor_checks_noise():
+    for kwargs, field in [({"reward_noise": float("nan")}, "reward_noise"),
+                          ({"time_noise": -0.5}, "time_noise")]:
+        with pytest.raises(ValidationError) as info:
+            StationaryBanditEnvironment([0.5, 0.1], [1.0, 2.0], **kwargs)
+        assert info.value.field == field
+
+
+# --- batched true values fence ----------------------------------------------
+
+def per_arm_true_vocs(env, feats, gamma):
+    return np.array([env.true_voc(a, feats, gamma) for a in range(env.num_arms)])
+
+
+def test_feature_true_vocs_match_per_arm_true_voc_bit_for_bit():
+    rng = np.random.default_rng(77)
+    clipped = 0
+    for case in range(300):
+        arms, d = int(rng.integers(1, 10)), int(rng.integers(1, 9))
+        env = FeatureBanditEnvironment(rng.normal(size=(arms, d)),
+                                       rng.normal(0.3, 0.6, size=(arms, d)),
+                                       time_floor=float(rng.uniform(0.01, 0.5)))
+        feats = rng.uniform(0.0, 1.0, size=d)
+        gamma = float(rng.uniform(-1.0, 3.0))
+        got = env.true_vocs(feats, gamma)
+        assert np.array_equal(got, per_arm_true_vocs(env, feats, gamma)), case
+        clipped += int((env.time_weights @ feats <= env.time_floor).sum())
+    assert clipped > 100  # the floor decided many arms' durations
+
+
+def test_stationary_true_vocs_match_per_arm_true_voc_bit_for_bit():
+    rng = np.random.default_rng(78)
+    for case in range(100):
+        arms = int(rng.integers(1, 10))
+        env = StationaryBanditEnvironment(rng.normal(size=arms).tolist(),
+                                          rng.uniform(0.1, 2.0, size=arms).tolist())
+        gamma = float(rng.uniform(-1.0, 3.0))
+        got = env.true_vocs(np.ones(1), gamma)
+        assert np.array_equal(got, per_arm_true_vocs(env, np.ones(1), gamma)), case

@@ -434,6 +434,57 @@ def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
             state.values[node] = support[0]
 
 
+def test_planner_sums_the_base_paths_once_per_expansion(monkeypatch):
+    """Within one expansion every frontier node is scored against the same
+    base, so the planner sums all ``len(paths)`` paths once per frontier
+    scan, not once per node scored, and each node then re-sums only the
+    paths through it."""
+    from mgv import planning
+
+    calls = {"path_sums": 0, "rescored": 0, "scored": 0}
+    path_sums, voc = planning._path_sums, planning.myopic_voc
+
+    def counting_path_sums(contributions, paths):
+        calls["path_sums"] += len(paths)
+        return path_sums(contributions, paths)
+
+    def counting_voc(state, node, *args):
+        calls["scored"] += 1
+        calls["rescored"] += len(state.priors[node].support) * len(state.through[node])
+        return voc(state, node, *args)
+
+    monkeypatch.setattr(planning, "_path_sums", counting_path_sums)
+    monkeypatch.setattr(planning, "myopic_voc", counting_voc)
+    rng = np.random.default_rng(11)
+    extra_nodes_scored = 0
+    for seed in range(12):
+        parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
+        state = make_initial_state(parents, priors)
+        calls.update(path_sums=0, rescored=0, scored=0)
+        result = run_myopic_planner(state, 0.0, rng=np.random.default_rng(seed))
+        scans = result.num_expansions + bool(frontier(result.state))
+        # One base sum per scan, the rescored paths, and the final plan_value.
+        assert calls["path_sums"] == ((scans + 1) * len(state.paths)
+                                      + calls["rescored"]), seed
+        extra_nodes_scored += calls["scored"] - scans
+    assert extra_nodes_scored > 0  # some scans scored several nodes
+
+
+def test_voc_reads_a_shared_base_without_changing_it():
+    from mgv.planning import _contributions, _path_sums
+
+    rng = np.random.default_rng(12)
+    for seed in range(10):
+        parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
+        for state in reveal_walk(parents, priors, rng):
+            contributions = _contributions(state)
+            sums = _path_sums(contributions, state.paths)
+            base = (list(contributions), list(sums))
+            for node in frontier(state):
+                assert myopic_voc(state, node, 0.05, base) == myopic_voc(state, node, 0.05)
+            assert base == (contributions, sums)
+
+
 def test_through_table_lists_the_paths_crossing_each_node():
     for parents in both_labellings(5):
         state = make_initial_state(list(parents), [coin()] * 5)
