@@ -66,14 +66,10 @@ class WeightPosterior:
         u, s, _ = np.linalg.svd(self.covariance)
         return u * np.sqrt(s)
 
-    def draw(self, z: np.ndarray) -> np.ndarray:
-        """The weights for a standard normal vector ``z``."""
-        return self.mean + z @ self.factor.T
-
     def sample(self, rng) -> np.ndarray:
         """One draw, bit for bit ``rng.multivariate_normal(mean, covariance,
         check_valid="ignore", method="svd")``."""
-        return self.draw(rng.standard_normal(self.dim))
+        return self.mean + rng.standard_normal(self.dim) @ self.factor.T
 
 
 def posterior_update(posterior: WeightPosterior, features: np.ndarray,
@@ -201,7 +197,7 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
 
     All the normals come from one call, in the order per-posterior draws
     would take them: arm by arm, utility before time.  Each item of the
-    batched products is the vector product ``WeightPosterior.draw`` and
+    batched products is the vector product ``WeightPosterior.sample`` and
     ``voc_estimate`` make, so the scores match theirs bit for bit.
     """
     f = np.asarray(features, dtype=float)

@@ -8,7 +8,7 @@ from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
                         run_bandit_episodes, sample_vocs, thompson_select,
                         update_gamma, voc_estimate)
 from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
-from mgv.errors import DimensionMismatch, ValidationError
+from mgv.errors import DimensionMismatch
 
 
 def oracle_update(mean, cov, noise, f, y):
@@ -122,13 +122,6 @@ def test_voc_estimate_dimension_mismatch():
 def test_gamma_prior_smoothing_before_data():
     state = BanditState.create(2, 1, gamma_prior=(1.0, 2.0))
     assert state.gamma == pytest.approx(0.5)
-
-
-def test_state_rejects_a_nonpositive_or_nan_gamma_pseudo_time():
-    for pseudo_time in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError) as info:
-            BanditState.create(2, 1, gamma_prior=(0.0, pseudo_time))
-        assert info.value.field == "gamma_prior"
 
 
 def test_update_gamma_accumulates():
