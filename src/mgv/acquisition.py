@@ -85,7 +85,10 @@ class AcquisitionConfig:
         NONEMPTY.check("items", self.items)
         if len({it.id for it in self.items}) != len(self.items):
             raise ValidationError("items", "ids must be unique")
+        UNIT.check("feel_prob", self.feel_prob)
         NONNEG.check("jol_noise_sigma", self.jol_noise_sigma)
+        POSITIVE.check("signal_floor", self.signal_floor)
+        POSITIVE.check("mastery_gain", self.mastery_gain)
 
 
 @dataclass
@@ -136,15 +139,16 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         active = sorted(state.active_items)
         state.active_history.append(frozenset(active))
 
-        # Monitor: one signal per active item, in fixed id order.
+        # Monitor: one signal per active item, in fixed id order.  Each item
+        # takes one uniform; drawn as one array, they are the same numbers.
         retrieve_probabilistic(store, set(config.task_tags), rng)
         vectors: dict[int, ExperienceVector] = {}
-        for j in active:
+        for j, u in zip(active, rng.random(len(active)).tolist()):
             if cycle == 0:
-                vec = generate_experience(1.0 - difficulty[j], None, config.feel_prob, rng)
+                vec = generate_experience(1.0 - difficulty[j], None, config.feel_prob, u)
             else:
                 vec = generate_experience(state.mastery[j], state.jols.get(j),
-                                          config.feel_prob, rng)
+                                          config.feel_prob, u)
             vectors[j] = vec
         signals = {j: vectors[j].primary for j in active}
 
@@ -155,15 +159,16 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         # signal, so one choice serves every item.
         strategy_id = select_cognitive_strategy(vectors[active[0]], store.stm_items(),
                                                 set(config.task_tags))
-        for j in active:
+        # One judgment-of-learning noise per item, drawn as one array.
+        noise = (rng.normal(0.0, config.jol_noise_sigma, len(active)).tolist()
+                 if config.jol_noise_sigma > 0 else None)
+        for i, j in enumerate(active):
             before = state.mastery[j]
             mastery = min(1.0, before + config.mastery_gain
                           * allocation[j] * (1.0 - difficulty[j]))
 
             # Verify: judge learning from the updated mastery.
-            jol = mastery
-            if config.jol_noise_sigma > 0:
-                jol = clamp01(jol + rng.normal(0.0, config.jol_noise_sigma))
+            jol = mastery if noise is None else clamp01(mastery + noise[i])
             record = ExperienceTuple(
                 cycle=cycle,
                 experience=ExperienceVector(vectors[j].primary, jol, vectors[j].mode),

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from math import inf, isfinite
+from math import inf
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -29,8 +29,8 @@ from .acquisition import AcquisitionConfig, LearnItem
 from .bandit import GAMMA_PRIOR, BanditState
 from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                    StationaryBanditEnvironment, SyntheticTaskEnvironment)
-from .errors import (AT_LEAST_1, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, SIGNED_UNIT, UNIT,
-                     MissingFile, ParseError, ValidationError, at_most)
+from .errors import (AT_LEAST_1, FINITE, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, SIGNED_UNIT,
+                     UNIT, MissingFile, ParseError, ValidationError, at_most)
 from .flavell import FlavellConfig, GoalSpec
 from .knowledge import KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from .planning import DiscretePrior, make_initial_state
@@ -90,8 +90,7 @@ class _Scalar:
                 value = float(value)
             except OverflowError:
                 raise ValidationError(path, "number out of range") from None
-            if not isfinite(value):
-                raise ValidationError(path, "must be finite")
+            FINITE.check(path, value)
         return _apply(self.rules, value, path)
 
 

@@ -29,6 +29,8 @@ class SyntheticTaskEnvironment:
 
     def __init__(self, strategy_quality: dict[str, float], completeness: float = 1.0,
                  noise: float = 0.0, default_quality: float = -0.5):
+        UNIT.check("completeness", completeness)
+        NONNEG.check("noise", noise)
         self.strategy_quality = dict(strategy_quality)
         self.completeness = completeness
         self.noise = noise
@@ -60,6 +62,9 @@ class CueRetrievalEnvironment:
                  confidence_gain: float = 1.0):
         UNIT.check("match_prob", match_prob)
         AT_LEAST_1.check("cue_samples", cue_samples)
+        POSITIVE.check("evidence_scale", evidence_scale)
+        NONNEG.check("min_matches", min_matches)
+        POSITIVE.check("confidence_gain", confidence_gain)
         self.target = target
         self.match_prob = match_prob
         self.cue_samples = cue_samples
@@ -151,6 +156,8 @@ class FeatureBanditEnvironment:
     def __post_init__(self):
         self.utility_weights = np.asarray(self.utility_weights, dtype=float)
         self.time_weights = np.asarray(self.time_weights, dtype=float)
+        if self.utility_weights.ndim != 2:
+            raise ValidationError("utility_weights", "must be a matrix, one row per arm")
         if self.utility_weights.shape != self.time_weights.shape:
             raise ValidationError("time_weights", "must match utility_weights' shape")
         NONNEG.check("reward_noise", self.reward_noise)

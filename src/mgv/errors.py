@@ -1,10 +1,12 @@
 """Exception types, and the range rules that both the ``config`` params tables
-and the library constructors apply: ``NONNEG``, ``POSITIVE``, ``AT_LEAST_1``,
-``UNIT``, ``OPEN_UNIT``, ``SIGNED_UNIT``, ``NONEMPTY`` and ``at_most``.  Each
-predicate states what a valid value meets, so NaN fails every numeric rule."""
+and the library constructors apply: ``FINITE``, ``NONNEG``, ``POSITIVE``,
+``AT_LEAST_1``, ``UNIT``, ``OPEN_UNIT``, ``SIGNED_UNIT``, ``NONEMPTY`` and
+``at_most``.  Each predicate states what a valid value meets, so NaN fails
+every numeric rule."""
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, NamedTuple
 
 
@@ -72,6 +74,7 @@ def at_most(limit: int) -> Rule:
     return Rule(lambda x: x <= limit, f"must be at most {limit}")
 
 
+FINITE = Rule(lambda x: -inf < x < inf, "must be finite")
 NONNEG = Rule(lambda x: x >= 0, "must be nonnegative")
 POSITIVE = Rule(lambda x: x > 0, "must be positive")
 AT_LEAST_1 = Rule(lambda x: x >= 1, "must be at least 1")

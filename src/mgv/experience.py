@@ -75,17 +75,18 @@ def fok_dual(match_evidence: float, mismatch_evidence: float,
 
 
 def generate_experience(raw_signal: float, knowledge_assessment: float | None,
-                        feel_prob: float, rng) -> ExperienceVector:
+                        feel_prob: float, uniform: float) -> ExperienceVector:
     """Produce one monitoring signal through exactly one channel.
 
-    With probability ``feel_prob`` the raw task-surface signal is used as-is;
-    otherwise the knowledge-based assessment is used when one exists, falling
-    back to the raw feeling when it does not.  One uniform draw is consumed on
-    every call so run reproducibility does not depend on which branch fires.
+    The raw task-surface signal is used as-is when ``uniform``, a draw from
+    [0, 1), falls below ``feel_prob``; otherwise the knowledge-based
+    assessment is used when one exists, falling back to the raw feeling when
+    it does not.  The caller draws ``uniform`` on every call, so run
+    reproducibility does not depend on which branch fires.
     """
     if not 0.0 <= feel_prob <= 1.0:
         raise ValueError(f"feel_prob {feel_prob} outside [0, 1]")
-    if rng.random() < feel_prob or knowledge_assessment is None:
+    if uniform < feel_prob or knowledge_assessment is None:
         return ExperienceVector(clamp01(raw_signal), mode=ExperienceMode.FEEL)
     return ExperienceVector(clamp01(knowledge_assessment), mode=ExperienceMode.ASSESS)
 

@@ -16,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import AT_LEAST_1, POSITIVE, SIGNED_UNIT, NoApplicableStrategy
+from .errors import AT_LEAST_1, NONNEG, POSITIVE, SIGNED_UNIT, UNIT, NoApplicableStrategy
 from .experience import (ExperienceTuple, ExperienceVector, clamp01,
                          generate_experience)
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
@@ -81,6 +81,11 @@ class FlavellConfig:
     feel_prob: float = 0.5
     resources_per_cycle: float = 1.0
     prune_margin: int = 5
+
+    def __post_init__(self):
+        UNIT.check("feel_prob", self.feel_prob)
+        POSITIVE.check("resources_per_cycle", self.resources_per_cycle)
+        NONNEG.check("prune_margin", self.prune_margin)
 
 
 @dataclass
@@ -216,7 +221,7 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
         raw = 0.5 if prev_outcome is None else (1.0 - prev_outcome) / 2.0
         assessment = (1.0 - float(np.mean([it.success_rate() for it in candidates]))
                       if candidates else None)
-        difficulty = generate_experience(raw, assessment, config.feel_prob, rng)
+        difficulty = generate_experience(raw, assessment, config.feel_prob, rng.random())
 
         # Generate: dispatch the best activated strategy.
         try:

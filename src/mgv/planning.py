@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NONNEG, NodeNotOnFrontier, ValidationError
+from .errors import FINITE, NONNEG, NodeNotOnFrontier, ValidationError
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class DiscretePrior:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValidationError("support", "support and probs must be non-empty and align")
+        for i, s in enumerate(self.support):
+            FINITE.check(f"support[{i}]", s)
         for i, p in enumerate(self.probs):
             NONNEG.check(f"probs[{i}]", p)
         if abs(sum(self.probs) - 1.0) > 1e-9:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AT_LEAST_1, NONNEG, POSITIVE, NonMonotonePolicy, ValidationError
+from .errors import AT_LEAST_1, FINITE, NONNEG, POSITIVE, NonMonotonePolicy, ValidationError
 
 MAX_GRID_CELLS = 1001  # each solver step holds a (cells - 1) x cells array
 
@@ -34,9 +34,11 @@ class RecallMdpConfig:
     z_step: float | None = None
 
     def __post_init__(self):
+        FINITE.check("drift_prior_mean", self.drift_prior_mean)
         POSITIVE.check("drift_prior_variance", self.drift_prior_variance)
         POSITIVE.check("evidence_variance", self.evidence_variance)
         POSITIVE.check("recall_threshold", self.recall_threshold)
+        FINITE.check("recall_utility", self.recall_utility)
         NONNEG.check("search_cost", self.search_cost)
         AT_LEAST_1.check("horizon", self.horizon)
         if self.z_min is None:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import numpy as np
 from . import acquisition, bandit, flavell, planning, recall, retrieval
 from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text
 from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
+from .experience import ExperienceTuple
 
 
 # One encoder for every trace line and run id; ``json.dumps`` with options
@@ -85,8 +86,8 @@ def summary_path_for(trace_path: str | Path) -> Path:
 
 # One formula per run total, shared by the summaries and ``report``.
 
-def _resources_spent(payloads: list[dict]) -> float:
-    return sum(p["resources"] for p in payloads)
+def _resources_spent(resources) -> float:
+    return sum(resources)
 
 
 def _cumulative_regret(payloads: list[dict]) -> float:
@@ -99,9 +100,8 @@ def _drift_stats(result: recall.RecallSimResult) -> dict:
             "mean_giveup_time": result.mean_giveup_time()}
 
 
-def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+def _run_flavell(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
     state, trace = flavell.run_cycle(*build(config.mode, config.params), rng)
-    payloads = [t.to_dict() for t in trace]
     summary = {
         "status": state.status.value,
         "abandon_reason": state.abandon_reason.value if state.abandon_reason else None,
@@ -109,29 +109,27 @@ def _run_flavell(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
         "resources_spent": state.resources_spent(),
         "final_outcome": trace[-1].outcome_quality if trace else None,
     }
-    return payloads, summary, {}
+    return trace, summary, {}
 
 
-def _run_acquire(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+def _run_acquire(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
     state, trace = acquisition.run_acquisition(*build(config.mode, config.params), rng)
-    payloads = [t.to_dict() for t in trace]
     summary = {
         "status": "finished" if state.finished else "unfinished",
         "cycles": state.cycle,
         "norm_of_study": state.norm_of_study,
         "remaining_items": sorted(state.active_items),
         "jols": {str(k): v for k, v in sorted(state.jols.items())},
-        "resources_spent": _resources_spent(payloads),
+        "resources_spent": _resources_spent(t.resources for t in trace),
     }
-    return payloads, summary, {}
+    return trace, summary, {}
 
 
-def _run_retrieve(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
+def _run_retrieve(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
     result, trace = retrieval.run_retrieval(*build(config.mode, config.params), rng)
-    payloads = [t.to_dict() for t in trace]
     summary = {"status": result.decision, **result.to_dict()}
-    summary["resources_spent"] = _resources_spent(payloads)
-    return payloads, summary, {}
+    summary["resources_spent"] = _resources_spent(t.resources for t in trace)
+    return trace, summary, {}
 
 
 def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
@@ -212,11 +210,46 @@ def _recall_episode(row: tuple) -> str:
             f'"recalled":{"true" if recalled else "false"},"steps":{steps}}}')
 
 
+def _finite_repr(x: float) -> str:
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    raise ValueError(f"{x!r} is not a JSON number")
+
+
+# ``canonical_json`` of a record field, by the field's exact type.  Any other
+# type (bool, numpy scalars, str subclasses, ...) takes the encoder itself.
+# Strategy ids and modes repeat from record to record, so each distinct
+# string is encoded once.
+_FIELD_ENCODERS = {float: _finite_repr, int: int.__repr__, type(None): lambda _: "null",
+                   str: lru_cache(maxsize=1024)(canonical_json)}
+
+
+def _experience_record(t: ExperienceTuple) -> str:
+    """A control-loop record as ``canonical_json(t.to_dict())`` writes it:
+    sorted keys, ``confidence`` and ``fok`` left out when None."""
+    get, other = _FIELD_ENCODERS.get, canonical_json
+    e, fok, confidence = t.experience, t.fok, t.confidence
+    head = "{" if confidence is None else (
+        f'{{"confidence":{get(type(confidence), other)(confidence)},')
+    counters = "" if fok is None else (
+        f'"fok":{{"minus":{get(type(fok.minus), other)(fok.minus)},'
+        f'"plus":{get(type(fok.plus), other)(fok.plus)}}},')
+    mode, primary, secondary = e.mode.value, e.primary, e.secondary
+    cycle, quality, resources, sid = t.cycle, t.outcome_quality, t.resources, t.strategy_id
+    return (f'{head}"cycle":{get(type(cycle), other)(cycle)},'
+            f'"experience":{{"mode":{get(type(mode), other)(mode)},'
+            f'"primary":{get(type(primary), other)(primary)},'
+            f'"secondary":{get(type(secondary), other)(secondary)}}},{counters}'
+            f'"outcome_quality":{get(type(quality), other)(quality)},'
+            f'"resources":{get(type(resources), other)(resources)},'
+            f'"strategy_id":{get(type(sid), other)(sid)}}}')
+
+
 # Each mode's runner, and the encoder of the payloads it returns.
 _RUNNERS = {
-    RunMode.FLAVELL: (_run_flavell, canonical_json),
-    RunMode.ACQUIRE: (_run_acquire, canonical_json),
-    RunMode.RETRIEVE: (_run_retrieve, canonical_json),
+    RunMode.FLAVELL: (_run_flavell, _experience_record),
+    RunMode.ACQUIRE: (_run_acquire, _experience_record),
+    RunMode.RETRIEVE: (_run_retrieve, _experience_record),
     RunMode.BANDIT: (_run_bandit, canonical_json),
     RunMode.PLAN: (_run_plan, canonical_json),
     RunMode.RECALL_MDP: (_run_recall, _recall_episode),
@@ -335,7 +368,7 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
     try:
         payloads = [r["payload"] for r in records]
         if module in ("flavell", "acquire", "retrieve"):
-            metrics["resources_spent"] = _resources_spent(payloads)
+            metrics["resources_spent"] = _resources_spent(p["resources"] for p in payloads)
             metrics["extra"]["cycles"] = max((p["cycle"] for p in payloads), default=-1) + 1
         elif module == "bandit":
             metrics["extra"]["cumulative_regret"] = _cumulative_regret(payloads)

@@ -9,7 +9,10 @@ from mgv import acquisition
 from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
                              compute_norm_of_study, run_acquisition)
 from mgv.errors import NoApplicableStrategy
-from mgv.knowledge import KnowledgeStore
+from mgv.experience import ExperienceTuple, ExperienceVector, clamp01, generate_experience
+from mgv.flavell import select_cognitive_strategy
+from mgv.knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore, consolidate,
+                           retrieve_probabilistic)
 
 
 # --- norm of study ----------------------------------------------------------
@@ -264,9 +267,9 @@ def test_no_applicable_strategy_raises_before_the_cycles_first_normal_draw():
         def __init__(self):
             self.rng = np.random.default_rng(0)
 
-        def random(self):
+        def random(self, *args):
             draws.append("random")
-            return self.rng.random()
+            return self.rng.random(*args)
 
         def normal(self, *args):
             draws.append("normal")
@@ -278,3 +281,102 @@ def test_no_applicable_strategy_raises_before_the_cycles_first_normal_draw():
     with pytest.raises(NoApplicableStrategy):
         run_acquisition(cfg, KnowledgeStore(), RecordingRng())
     assert draws and "normal" not in draws
+
+
+# --- batched draws against the per-item scalar draws ------------------------
+
+def scalar_draw_acquisition(config, store, rng):
+    """``run_acquisition`` as it drew before its draws were batched: one
+    scalar uniform per item when monitoring, one scalar normal per item when
+    judging learning.  The bit-for-bit reference for the batched loop."""
+    norm = compute_norm_of_study(config.target_performance, config.retention_discount)
+    if acquisition.BASELINE_STRATEGY_ID not in store.ltm:
+        store.add(KnowledgeItem(acquisition.BASELINE_STRATEGY_ID, KnowledgeCategory.STRATEGY,
+                                tags=set(config.task_tags)))
+    store.stm.add(acquisition.BASELINE_STRATEGY_ID)
+    retrieve_probabilistic(store, set(config.task_tags), rng)
+    difficulty = {it.id: it.latent_difficulty for it in config.items}
+    state = acquisition.AcquisitionState(
+        norm_of_study=norm, active_items=set(difficulty),
+        mastery={it.id: it.mastery for it in config.items})
+    while state.active_items and state.cycle < config.max_cycles:
+        cycle = state.cycle
+        active = sorted(state.active_items)
+        state.active_history.append(frozenset(active))
+        retrieve_probabilistic(store, set(config.task_tags), rng)
+        vectors = {}
+        for j in active:
+            if cycle == 0:
+                vectors[j] = generate_experience(1.0 - difficulty[j], None,
+                                                 config.feel_prob, rng.random())
+            else:
+                vectors[j] = generate_experience(state.mastery[j], state.jols.get(j),
+                                                 config.feel_prob, rng.random())
+        allocation = allocate_resources({j: vectors[j].primary for j in active},
+                                        config.total_resources_per_cycle,
+                                        config.signal_floor)
+        strategy_id = select_cognitive_strategy(vectors[active[0]], store.stm_items(),
+                                                set(config.task_tags))
+        for j in active:
+            before = state.mastery[j]
+            mastery = min(1.0, before + config.mastery_gain
+                          * allocation[j] * (1.0 - difficulty[j]))
+            jol = mastery
+            if config.jol_noise_sigma > 0:
+                jol = clamp01(jol + rng.normal(0.0, config.jol_noise_sigma))
+            state.trace.append(ExperienceTuple(
+                cycle=cycle,
+                experience=ExperienceVector(vectors[j].primary, jol, vectors[j].mode),
+                strategy_id=strategy_id, resources=allocation[j],
+                outcome_quality=min(1.0, mastery - before)))
+            state.jols[j] = jol
+            state.mastery[j] = mastery
+        state.active_items = {j for j in active if state.jols[j] < norm}
+        state.cycle = cycle + 1
+    state.active_history.append(frozenset(state.active_items))
+    consolidate(store, state.trace, rng)
+    return state, list(state.trace)
+
+
+def random_acquisition_config(rng, case):
+    """Seeded configs over 1-12 items; the first cases pin the edges: one
+    item, ``feel_prob`` 0 and 1, and no judgment-of-learning noise."""
+    n = 1 if case % 5 == 0 else int(rng.integers(1, 13))
+    feel_prob = (0.0, 1.0)[case % 2] if case % 3 == 0 else float(rng.uniform())
+    sigma = 0.0 if case % 4 == 0 else float(rng.uniform(0.0, 0.3))
+    items = [LearnItem(int(i), float(rng.uniform(0.01, 1.0)),
+                       float(rng.uniform(0.0, 0.5)) if rng.uniform() < 0.3 else 0.0)
+             for i in rng.permutation(40)[:n]]
+    return AcquisitionConfig(
+        target_performance=float(rng.uniform(0.3, 1.0)),
+        retention_discount=float(rng.uniform(0.0, 0.3)),
+        total_resources_per_cycle=float(rng.uniform(0.5, 6.0)), items=items,
+        max_cycles=int(rng.integers(1, 25)), feel_prob=feel_prob, jol_noise_sigma=sigma,
+        signal_floor=float(rng.choice([1e-6, 0.05, 0.3])),
+        mastery_gain=float(rng.uniform(0.05, 0.5)))
+
+
+def seeded_store(rng) -> KnowledgeStore:
+    """A store whose inactive study strategies each take a draw per cycle
+    until working memory admits them, so the monitor's draws fall between
+    other draws."""
+    store = KnowledgeStore(access_prob=float(rng.uniform(0.05, 0.6)),
+                           encoding_rate=float(rng.uniform(0.3, 1.0)))
+    for k in range(int(rng.integers(0, 4))):
+        store.add(KnowledgeItem(f"s{k}", KnowledgeCategory.STRATEGY, tags={"study"},
+                                successes=int(rng.integers(0, 5)),
+                                failures=int(rng.integers(0, 5))))
+    return store
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_batched_draws_match_the_scalar_draw_loop_bit_for_bit(case):
+    config = random_acquisition_config(np.random.default_rng(1000 + case), case)
+    rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+    store, ref_store = (seeded_store(np.random.default_rng(2000 + case)) for _ in range(2))
+    state, trace = run_acquisition(config, store, rng)
+    ref_state, ref_trace = scalar_draw_acquisition(config, ref_store, ref_rng)
+    assert trace == ref_trace
+    assert state == ref_state
+    assert store == ref_store
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

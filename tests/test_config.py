@@ -407,8 +407,10 @@ def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
 CONSTRUCTOR_CHECKS = {
     "GoalSpec": {"success_threshold", "max_cycles", "failure_streak_limit",
                  "resource_budget"},
-    "AcquisitionConfig": {"total_resources_per_cycle", "max_cycles", "items",
-                          "jol_noise_sigma"},
+    "FlavellConfig": {"feel_prob", "resources_per_cycle", "prune_margin"},
+    "SyntheticTaskEnvironment": {"completeness", "noise"},
+    "AcquisitionConfig": {"total_resources_per_cycle", "max_cycles", "items", "feel_prob",
+                          "jol_noise_sigma", "signal_floor", "mastery_gain"},
     "LearnItem": {"latent_difficulty", "mastery"},
     "compute_norm_of_study": {"target_performance", "retention_discount"},
     "RetrievalConfig": {"satisficing_rate", "default_lambda_fok",
@@ -416,17 +418,23 @@ CONSTRUCTOR_CHECKS = {
     "RecallMdpConfig": {"drift_prior_variance", "evidence_variance", "recall_threshold",
                         "search_cost", "horizon", "z_step"},
     "KnowledgeStore": {"access_prob", "encoding_rate"},
-    "CueRetrievalEnvironment": {"match_prob", "cue_samples"},
+    "CueRetrievalEnvironment": {"match_prob", "cue_samples", "evidence_scale",
+                                "min_matches", "confidence_gain"},
     "StationaryBanditEnvironment": {"times[0]", "reward_noise", "time_noise"},
     "FeatureBanditEnvironment": {"reward_noise"},
     "BanditState.create": {"gamma_prior"},
     "DiscretePrior": {"probs[0]"},
 }
+# The number fields with no range rule that a constructor checks are finite.
+FINITE_CHECKS = {
+    "RecallMdpConfig": {"drift_prior_mean", "recall_utility"},
+    "DiscretePrior": {"support[0]"},
+}
 
 
-def _checked_constructors(monkeypatch):
+def _checked_constructors(monkeypatch, checks=CONSTRUCTOR_CHECKS):
     """(factory, valid arguments, the table of its params) for each constructor
-    in CONSTRUCTOR_CHECKS, as DEFAULT_DOCS build it."""
+    in ``checks``, as DEFAULT_DOCS build it."""
     made = list(_made_objects(monkeypatch))
     acquire, plan = (validate_params(RunMode(d["mode"]), d["params"]) for d in DEFAULT_DOCS
                      if d["mode"] in ("acquire", "plan"))
@@ -434,11 +442,11 @@ def _checked_constructors(monkeypatch):
              (DiscretePrior, plan["priors"][0], {}, mgv_config._PRIOR)]
     found = set()
     for factory, params, given, table in made:
-        if factory.__qualname__ in CONSTRUCTOR_CHECKS:
+        if factory.__qualname__ in checks:
             found.add(factory.__qualname__)
             names = inspect.signature(factory).parameters
             yield factory, {k: v for k, v in params.items() if k in names} | given, table
-    assert found == set(CONSTRUCTOR_CHECKS)
+    assert found == set(checks)
 
 
 # How a number stands in for a field that holds a list: ``items`` becomes
@@ -469,6 +477,20 @@ def test_constructors_reject_nan_naming_the_field(monkeypatch):
         for field in CONSTRUCTOR_CHECKS[factory.__qualname__] - {"items"}:
             raised = _raised(factory, **_replaced(args, field, math.nan))
             assert raised and raised[0] == field, (factory.__qualname__, field)
+
+
+def test_constructors_reject_infinities_as_their_tables_do(monkeypatch):
+    """A number field with no range rule fails on NaN and on either infinity in
+    the constructor as in its params table: same field, same message."""
+    for factory, args, table in _checked_constructors(monkeypatch, FINITE_CHECKS):
+        types = {f.name: f.type for f in table.fields}
+        for field in FINITE_CHECKS[factory.__qualname__]:
+            arg = field.removesuffix("[0]")
+            for value in (math.nan, math.inf, -math.inf):
+                bad = _replaced(args, field, value)
+                expected = _raised(types[arg].check, bad[arg], arg, None)
+                assert expected == (field, "must be finite")
+                assert _raised(factory, **bad) == expected, (field, value)
 
 
 def test_constructors_check_a_field_with_its_table_rule(monkeypatch):

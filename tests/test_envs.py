@@ -101,6 +101,16 @@ def test_feature_env_shape_validation():
         FeatureBanditEnvironment(np.ones((2, 3)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("weights", [[1.0, 2.0], 1.0, np.ones((2, 3, 1))],
+                         ids=["vector", "scalar", "3-d"])
+def test_feature_env_rejects_weights_that_are_not_a_matrix(weights):
+    """The params table admits only matrices; a library caller's vector
+    fails here, naming the field, not later in ``feature_dim``."""
+    with pytest.raises(ValidationError) as info:
+        FeatureBanditEnvironment(weights, weights)
+    assert info.value.field == "utility_weights"
+
+
 def test_feature_env_checks_its_time_floor():
     """``time_floor`` has no params-table field, so the table tests in
     ``test_config.py`` do not reach it."""

@@ -46,7 +46,7 @@ def test_fok_dual_rejects_negative_evidence():
 def test_generate_experience_feel_certain():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, 0.9, feel_prob=1.0, rng=rng)
+        v = generate_experience(0.3, 0.9, feel_prob=1.0, uniform=rng.random())
         assert v.mode is ExperienceMode.FEEL
         assert v.primary == 0.3
 
@@ -54,7 +54,7 @@ def test_generate_experience_feel_certain():
 def test_generate_experience_assess_certain():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, 0.9, feel_prob=0.0, rng=rng)
+        v = generate_experience(0.3, 0.9, feel_prob=0.0, uniform=rng.random())
         assert v.mode is ExperienceMode.ASSESS
         assert v.primary == 0.9
 
@@ -62,25 +62,22 @@ def test_generate_experience_assess_certain():
 def test_generate_experience_falls_back_to_feel_without_assessment():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, None, feel_prob=0.0, rng=rng)
+        v = generate_experience(0.3, None, feel_prob=0.0, uniform=rng.random())
         assert v.mode is ExperienceMode.FEEL
         assert v.primary == 0.3
 
 
-def test_generate_experience_consumes_one_draw_per_call():
-    # Identical seeds must stay aligned regardless of which branch fires.
-    r1 = np.random.default_rng(42)
-    r2 = np.random.default_rng(42)
-    for signal in (0.1, 0.9, 0.4):
-        generate_experience(signal, 0.5, feel_prob=0.5, rng=r1)
-        r2.random()
-    assert r1.random() == r2.random()
+def test_generate_experience_feels_exactly_when_the_uniform_is_below_feel_prob():
+    # The caller's one uniform per call picks the channel, whichever fires.
+    for u in (0.0, 0.3, np.nextafter(0.5, 0.0), 0.5, 0.7, np.nextafter(1.0, 0.0)):
+        v = generate_experience(0.1, 0.9, feel_prob=0.5, uniform=float(u))
+        assert v.mode is (ExperienceMode.FEEL if u < 0.5 else ExperienceMode.ASSESS)
+        assert v.primary == (0.1 if u < 0.5 else 0.9)
 
 
 def test_generate_experience_clamps_out_of_range_signal():
-    rng = np.random.default_rng(1)
-    assert generate_experience(1.7, None, 1.0, rng).primary == 1.0
-    assert generate_experience(-0.4, None, 1.0, rng).primary == 0.0
+    assert generate_experience(1.7, None, 1.0, 0.5).primary == 1.0
+    assert generate_experience(-0.4, None, 1.0, 0.5).primary == 0.0
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
@@ -90,7 +87,7 @@ def test_clamp01_bounds(x):
 
 def test_generate_experience_rejects_bad_feel_prob():
     with pytest.raises(ValueError):
-        generate_experience(0.5, None, 1.5, np.random.default_rng(0))
+        generate_experience(0.5, None, 1.5, 0.0)
 
 
 def test_tuple_validation():

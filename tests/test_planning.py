@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -382,11 +384,14 @@ def test_voc_keeps_full_rescoring_choice_among_nan_path_sums():
     so with a NaN path sum its result depends on the order of every path:
     the worth after a reveal must be the max over all path sums in leaf
     order, not the max of the best path avoiding the node and the best path
-    through it."""
-    parents = [None, 0, 0, 1, 1]  # paths (0, 2), (0, 1, 3), (0, 1, 4)
+    through it.  Supports are finite, but a mean may overflow: nodes 3 and 4
+    hold +inf and -inf means, so the path through both sums to NaN."""
+    parents = [None, 0, 0, 1, 3, 1]  # paths (0, 2), (0, 1, 3, 4), (0, 1, 5)
+    big, over = sys.float_info.max, 1.0 + 5e-10  # probs sum to 1 within 1e-9
     priors = [coin(), coin(0.0, 1.0), DiscretePrior((-1.0,), (1.0,)),
-              DiscretePrior((float("nan"),), (1.0,)),
+              DiscretePrior((big,), (over,)), DiscretePrior((-big,), (over,)),
               DiscretePrior((2.0,), (1.0,))]
+    assert (priors[3].mean(), priors[4].mean()) == (math.inf, -math.inf)
     state = make_initial_state(parents, priors)
     assert plan_value(state) == 2.5
     # After node 1 shows v, the sums are [-1.0, nan, v + 2.0].

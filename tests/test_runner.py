@@ -13,6 +13,7 @@ import mgv.runner
 from mgv import recall
 from mgv.config import RunConfig, RunMode, build, validate_config
 from mgv.errors import MissingFile, NonFiniteOutput, ParseError
+from mgv.experience import ExperienceMode, ExperienceTuple, ExperienceVector, FokCounters
 from mgv.runner import (_write_trace, canonical_json, report, run, run_id_for,
                         run_repeated, substream, summary_path_for)
 
@@ -204,6 +205,61 @@ def test_recall_trace_matches_simulation_arrays(tmp_path_factory, drifts, episod
                       "steps": int(result.steps[e])} for e in range(episodes)]
     expected = reference_trace(run_id_for(config), "recall_mdp", payloads)
     assert (tmp_path / "recall.jsonl").read_bytes() == expected
+
+
+# Control-loop record fields: plain and awkward floats, ints and bools where
+# floats go, and numpy scalars, each within the range its constructor takes.
+def _numbers(lo, hi, *extra):
+    return st.one_of(st.floats(lo, hi), st.sampled_from([-0.0, 5e-324, *extra]),
+                     st.floats(lo, hi).map(np.float64))
+
+
+UNIT_FIELD = _numbers(0.0, 1.0, 0, 1, True, 1 / 3)
+SIGNED_FIELD = _numbers(-1.0, 1.0, -1, 0, 1, False, -5e-324)
+NONNEG_FIELD = _numbers(0.0, 1e300, 1e16, 1e-7, 0, 7, 10**30, np.float64(1e16))
+RECORDS = st.builds(
+    ExperienceTuple,
+    cycle=st.one_of(st.integers(0, 10**20), st.just(np.int64(3))),
+    experience=st.builds(ExperienceVector, primary=UNIT_FIELD,
+                         secondary=st.none() | UNIT_FIELD,
+                         mode=st.sampled_from(ExperienceMode)),
+    strategy_id=TEXT, resources=NONNEG_FIELD, outcome_quality=SIGNED_FIELD,
+    fok=st.none() | st.builds(FokCounters, NONNEG_FIELD, NONNEG_FIELD),
+    confidence=st.none() | UNIT_FIELD)
+
+
+def _encoded(encode, record):
+    """What ``encode`` makes of ``record``: its text, or the type it raises."""
+    try:
+        return encode(record)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(record=RECORDS)
+def test_experience_template_matches_canonical_json_of_the_record(record):
+    expected = _encoded(lambda t: canonical_json(t.to_dict()), record)
+    assert _encoded(mgv.runner._experience_record, record) == expected
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan")], ids=["nan", "inf", "-inf", "np-nan"])
+@pytest.mark.parametrize("field", ["cycle", "experience.primary", "experience.secondary",
+                                   "resources", "outcome_quality", "fok.plus", "fok.minus",
+                                   "confidence"])
+def test_experience_template_rejects_non_finite_fields(tmp_path, field, value):
+    def record():
+        return ExperienceTuple(2, ExperienceVector(0.5, 0.25), "s", 1.0, 0.5,
+                               fok=FokCounters(0.5, 0.25), confidence=0.75)
+
+    bad = record()
+    *path, name = field.split(".")
+    setattr(getattr(bad, path[0]) if path else bad, name, value)
+    out = tmp_path / "trace.jsonl"
+    with pytest.raises(NonFiniteOutput, match="^trace record 1: "):
+        _write_trace(out, "r", "acquire", [record(), bad], mgv.runner._experience_record)
+    assert not out.exists()
 
 
 # Documents whose trace grows with one count: (mode, params, field, small, large).
