@@ -18,6 +18,7 @@ from .experience import (ExperienceTuple, ExperienceVector, clamp01,
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
                         consolidate, retrieve_probabilistic)
 from .flavell import select_cognitive_strategy
+from .floats import fold_sum
 
 BASELINE_STRATEGY_ID = "baseline-study"
 
@@ -48,7 +49,7 @@ def allocate_resources(signals: dict[int, float], total: float,
     if not signals:
         return {}
     weights = {j: 1.0 / min(1.0, max(signal_floor, s)) for j, s in signals.items()}
-    weight_sum = sum(weights.values())
+    weight_sum = fold_sum(weights.values())
     return {j: total * w / weight_sum for j, w in weights.items()}
 
 

@@ -48,6 +48,18 @@ class WeightPosterior:
         if not 0 < self.noise_variance < math.inf:  # NaN fails too
             raise ValueError("noise_variance must be positive and finite")
 
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, covariance: np.ndarray, noise_variance: float,
+                 factor: np.ndarray | None = None) -> "WeightPosterior":
+        """A posterior from arrays an update has just made: float, of fitting
+        shapes and exactly symmetric, so ``__post_init__`` is skipped.  A
+        ``factor`` seeds the cached one."""
+        post = object.__new__(cls)
+        post.__dict__.update(mean=mean, covariance=covariance, noise_variance=noise_variance)
+        if factor is not None:
+            post.__dict__["factor"] = factor
+        return post
+
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -72,24 +84,44 @@ class WeightPosterior:
         return self.mean + rng.standard_normal(self.dim) @ self.factor.T
 
 
+def _rank_one_updates(posteriors, features: np.ndarray,
+                      observations) -> tuple[np.ndarray, np.ndarray]:
+    """Condition each posterior on the same features and its own observation:
+    the new means, shape ``(k, d)``, and covariances, ``(k, d, d)``.
+
+    Each item of the batched products is the vector product one posterior
+    alone would make (``C @ f``, ``f @ sf``, ``np.outer``), so the results
+    match a per-posterior update bit for bit.  Checks come before any work.
+    """
+    f = np.asarray(features, dtype=float)
+    for p in posteriors:
+        if f.shape != p.mean.shape:
+            raise DimensionMismatch(
+                f"features shape {f.shape} does not match weight dim {p.mean.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("features must be finite")
+    mean = np.array([p.mean for p in posteriors])
+    c = np.array([p.covariance for p in posteriors])
+    noise = np.array([p.noise_variance for p in posteriors])
+    sf = np.matmul(c, f)
+    denom = noise + np.matmul(sf[:, None, :], f[:, None])[:, 0, 0]
+    gain = sf / denom[:, None]
+    predicted = np.matmul(mean[:, None, :], f[:, None])[:, 0, 0]
+    mean = mean + gain * (np.asarray(observations, dtype=float) - predicted)[:, None]
+    cov = c - gain[:, :, None] * sf[:, None, :]
+    return mean, (cov + cov.swapaxes(1, 2)) / 2.0
+
+
 def posterior_update(posterior: WeightPosterior, features: np.ndarray,
                      observation: float) -> WeightPosterior:
     """Condition the weight belief on one observed (features, value) pair.
 
     Rank-one update: no matrix inversion, so collapsed or flat directions are
-    handled exactly.  Zero features leave the belief unchanged.
+    handled exactly.  Zero features leave the belief unchanged; non-finite
+    ones raise ValueError.
     """
-    f = np.asarray(features, dtype=float)
-    if f.shape != posterior.mean.shape:
-        raise DimensionMismatch(
-            f"features shape {f.shape} does not match weight dim {posterior.mean.shape}")
-    sf = posterior.covariance @ f
-    denom = posterior.noise_variance + f @ sf
-    gain = sf / denom
-    mean = posterior.mean + gain * (observation - f @ posterior.mean)
-    cov = posterior.covariance - np.outer(gain, sf)
-    cov = (cov + cov.T) / 2.0
-    return WeightPosterior(mean, cov, posterior.noise_variance)
+    mean, cov = _rank_one_updates((posterior,), features, (observation,))
+    return WeightPosterior._trusted(mean[0], cov[0], posterior.noise_variance)
 
 
 def voc_estimate(utility_weights: np.ndarray, time_weights: np.ndarray,
@@ -185,9 +217,17 @@ def update_gamma(state: BanditState, reward: float, elapsed: float) -> float:
 def observe(state: BanditState, strategy: int, features: np.ndarray,
             utility: float, elapsed: float) -> float:
     """Fold one play's outcome into the strategy's beliefs and the
-    opportunity cost.  Returns the refreshed gamma."""
-    state.utility[strategy] = posterior_update(state.utility[strategy], features, utility)
-    state.time[strategy] = posterior_update(state.time[strategy], features, elapsed)
+    opportunity cost.  Returns the refreshed gamma.
+
+    Both posteriors update in one batched call and are factored in one
+    batched SVD, each item bit for bit the single-matrix result."""
+    pair = state.utility[strategy], state.time[strategy]
+    means, covs = _rank_one_updates(pair, features, (utility, elapsed))
+    u, s, _ = np.linalg.svd(covs)
+    factors = u * np.sqrt(s)[:, None, :]
+    state.utility[strategy], state.time[strategy] = (
+        WeightPosterior._trusted(m, c, p.noise_variance, k)
+        for m, c, p, k in zip(means, covs, pair, factors))
     return update_gamma(state, utility, elapsed)
 
 

@@ -11,10 +11,12 @@ is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
 from .errors import FINITE, NONNEG, NodeNotOnFrontier, ValidationError
+from .floats import fold_sum
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,15 @@ class DiscretePrior:
             FINITE.check(f"support[{i}]", s)
         for i, p in enumerate(self.probs):
             NONNEG.check(f"probs[{i}]", p)
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValidationError("probs", f"sum to {sum(self.probs)}, not 1")
-        # The prior is frozen, so its mean is computed once, here.
-        object.__setattr__(self, "_mean", float(
-            sum(s * p for s, p in zip(self.support, self.probs))))
+        total = fold_sum(self.probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError("probs", f"sum to {total}, not 1")
+        # The prior is frozen, so its mean is computed once, here.  The probs
+        # may sum to a little over 1, so a finite support can overflow it.
+        mean = float(fold_sum(map(mul, self.support, self.probs)))
+        if not FINITE.ok(mean):
+            raise ValidationError("support", "mean must be finite")
+        object.__setattr__(self, "_mean", mean)
 
     def mean(self) -> float:
         return self._mean
@@ -125,7 +131,8 @@ def _contributions(state: PlanningState) -> list[float]:
 def _path_sums(contributions: list[float], paths) -> list[float]:
     """Each path's sum, left to right from the root.  Every plan worth comes
     from these sums, so this order fixes the trace's bytes."""
-    return [sum([contributions[n] for n in path]) for path in paths]
+    at = contributions.__getitem__
+    return [fold_sum(map(at, path)) for path in paths]
 
 
 def plan_value(state: PlanningState) -> float:

@@ -23,6 +23,7 @@ from . import acquisition, bandit, flavell, planning, recall, retrieval
 from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text
 from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
 from .experience import ExperienceTuple
+from .floats import fold_sum
 
 
 # One encoder for every trace line and run id; ``json.dumps`` with options
@@ -87,11 +88,11 @@ def summary_path_for(trace_path: str | Path) -> Path:
 # One formula per run total, shared by the summaries and ``report``.
 
 def _resources_spent(resources) -> float:
-    return sum(resources)
+    return fold_sum(resources)
 
 
 def _cumulative_regret(payloads: list[dict]) -> float:
-    return sum(p["true_voc_best"] - p["true_voc_chosen"] for p in payloads)
+    return fold_sum(p["true_voc_best"] - p["true_voc_chosen"] for p in payloads)
 
 
 def _drift_stats(result: recall.RecallSimResult) -> dict:

@@ -81,6 +81,26 @@ def test_update_dimension_mismatch():
         posterior_update(WeightPosterior.standard(2), [1.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_update_rejects_non_finite_features(bad):
+    post = WeightPosterior.standard(2)
+    with pytest.raises(ValueError, match="features must be finite"):
+        posterior_update(post, [1.0, bad], 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observe_rejects_non_finite_features_before_any_change(bad):
+    state = BanditState.create(2, 2)
+    observe(state, 1, np.ones(2), utility=0.5, elapsed=1.0)
+    before = (list(state.utility), list(state.time),
+              state.cumulative_reward, state.cumulative_time)
+    with pytest.raises(ValueError, match="features must be finite"):
+        observe(state, 1, np.array([bad, 1.0]), utility=1.0, elapsed=1.0)
+    after = (state.utility, state.time, state.cumulative_reward, state.cumulative_time)
+    assert all(a is b for a, b in zip(before[0] + before[1], after[0] + after[1]))
+    assert before[2:] == after[2:]
+
+
 def test_posterior_validation():
     with pytest.raises(ValueError):
         WeightPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -200,8 +220,8 @@ def test_episodes_reject_a_state_for_another_number_of_arms():
 
 def test_episodes_factor_each_posterior_once(monkeypatch):
     """Only the chosen arm's two posteriors change per episode, and each
-    posterior is factored once, so a run makes 2*arms + 2*(episodes - 1)
-    SVDs: the last episode's updates are never sampled."""
+    posterior is factored once: the priors one by one when first sampled,
+    then each episode's updated pair in one batched call."""
     svd = np.linalg.svd
     calls = []
 
@@ -211,11 +231,11 @@ def test_episodes_factor_each_posterior_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     rng = np.random.default_rng(3)
-    arms, d, episodes = 3, 2, 25
+    arms, d, episodes = 3, 4, 25
     env = FeatureBanditEnvironment(rng.uniform(size=(arms, d)),
                                    rng.uniform(0.1, 1.0, size=(arms, d)))
     run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
-    assert len(calls) == 2 * arms + 2 * (episodes - 1)
+    assert calls == [(d, d)] * (2 * arms) + [(2, d, d)] * episodes
 
 
 def test_sample_vocs_rejects_features_of_another_size():
@@ -323,3 +343,61 @@ def test_posterior_sample_matches_multivariate_normal_bit_for_bit():
                                                check_valid="ignore", method="svd")
                 assert np.array_equal(post.sample(ours), want), case
             assert ours.bit_generator.state == ref.bit_generator.state, case
+
+
+# --- update fence -----------------------------------------------------------
+
+def reference_update(post, features, observation):
+    """One posterior's update and SVD factor with the vector products
+    ``posterior_update`` made before ``observe`` batched them."""
+    f = np.asarray(features, dtype=float)
+    sf = post.covariance @ f
+    denom = post.noise_variance + f @ sf
+    gain = sf / denom
+    mean = post.mean + gain * (observation - f @ post.mean)
+    cov = post.covariance - np.outer(gain, sf)
+    cov = (cov + cov.T) / 2.0
+    u, s, _ = np.linalg.svd(cov)
+    return mean, cov, u * np.sqrt(s)
+
+
+def fence_features(rng, d):
+    """Normal features, some of them zero, or all of them zero."""
+    kind = int(rng.integers(4))
+    f = rng.normal(size=d)
+    if kind == 0:
+        return np.zeros(d)
+    if kind == 1:
+        f[rng.random(d) < 0.5] = 0.0
+    return f
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_observe_matches_per_posterior_updates_bit_for_bit():
+    meta = np.random.default_rng(2026)
+    for case in range(300):
+        arms, d = int(meta.integers(1, 5)), int(meta.integers(1, 8))
+        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
+                            [fence_posterior(meta, d) for _ in range(arms)])
+        for step in range(int(meta.integers(1, 5))):
+            arm, f = int(meta.integers(arms)), fence_features(meta, d)
+            utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
+            old = state.utility[arm], state.time[arm]
+            others = state.utility[:arm] + state.utility[arm + 1:]
+            observe(state, arm, f, utility, elapsed)
+            for before, after, y in zip(old, (state.utility[arm], state.time[arm]),
+                                        (utility, elapsed)):
+                mean, cov, factor = reference_update(before, f, y)
+                assert same_bits(after.mean, mean), (case, step)
+                assert same_bits(after.covariance, cov), (case, step)
+                assert same_bits(after.factor, factor), (case, step)
+                assert after.noise_variance == before.noise_variance
+                single = posterior_update(before, f, y)
+                assert same_bits(single.mean, mean), (case, step)
+                assert same_bits(single.covariance, cov), (case, step)
+                assert same_bits(single.factor, factor), (case, step)
+            assert all(a is b for a, b in zip(others, state.utility[:arm]
+                                              + state.utility[arm + 1:]))

@@ -258,6 +258,12 @@ MALFORMED = [
      "params.priors[2].support"),
     ("bandit", "--arms", {**STATIONARY, "utilities": [math.inf, 1.0]}, [],
      "params.utilities[0]"),
+    # probs may sum to 1 within 1e-9, so a finite support's mean can overflow.
+    ("plan", "--tree",
+     {**TREE, "priors": [TREE["priors"][0],
+                         {"support": [1.7976931348623157e308], "probs": [1.0000000005]},
+                         {"support": [-1.7976931348623157e308], "probs": [1.0000000005]}]},
+     [], "params.priors[1].support"),
 ]
 
 

@@ -6,13 +6,19 @@ arithmetic or the serialisation.  A change that moves a digest on purpose
 must say why in CHANGES.md.
 """
 
+import builtins
 import hashlib
 import json
+import math
 
 import pytest
 
+from mgv.acquisition import allocate_resources
 from mgv.config import validate_config
-from mgv.runner import report, run, summary_path_for
+from mgv.errors import ValidationError
+from mgv.floats import fold_sum
+from mgv.planning import DiscretePrior, _path_sums
+from mgv.runner import _cumulative_regret, _resources_spent, report, run, summary_path_for
 from test_acceptance import MODE_DOCS
 
 # Integer literals in number fields (and in retrieve's ``seed_items``).
@@ -239,3 +245,88 @@ def test_recall_emitted_policy_and_threshold_match_golden_digests(tmp_path):
                                 emit_threshold=str(threshold))
     assert trace_and_summary == GOLDEN["recall_mdp"]
     assert (sha(policy), sha(threshold)) == (GOLDEN_POLICY, GOLDEN_THRESHOLD)
+
+
+# --- float sums on every Python -----------------------------------------------
+
+SUM = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12 and later over floats: Neumaier's
+    compensated sum (gh-100425).  Anything else goes to the builtin."""
+    items = list(iterable)
+    if not (items and type(start) in (int, float)
+            and all(type(x) is float for x in items)):
+        return SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.fixture
+def compensated_builtin_sum(monkeypatch):
+    """Runs a test as a Python whose ``sum`` compensates float rounding."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+
+
+def test_fold_sum_adds_left_to_right_as_the_3_11_sum_does():
+    assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert fold_sum([0.1] * 10) == 0.9999999999999999
+    assert math.copysign(1.0, fold_sum([-0.0])) == 1.0
+    assert fold_sum([]) == 0 and fold_sum([1, 2]) == 3
+
+
+def left_to_right(values):
+    total = 0
+    for x in values:
+        total = total + x
+    return total
+
+
+@pytest.mark.usefixtures("compensated_builtin_sum")
+def test_each_float_sum_site_folds_left_to_right_under_a_compensated_sum():
+    """Each site gets floats whose compensated sum differs from the fold."""
+    tiny = [1.0, 1e-16, 1e-16]
+    assert compensated_sum(tiny) != left_to_right(tiny)
+    assert _resources_spent(tiny) == left_to_right(tiny)
+    payloads = [{"true_voc_best": x, "true_voc_chosen": 0.0} for x in tiny]
+    assert _cumulative_regret(payloads) == left_to_right(tiny)
+    weights = [1e16, 1.0, 1.0]
+    assert compensated_sum(weights) != left_to_right(weights)
+    shares = allocate_resources({0: 1e-16, 1: 1.0, 2: 1.0}, 3.0, signal_floor=1e-20)
+    assert shares == {j: 3.0 * w / left_to_right(weights) for j, w in enumerate(weights)}
+    assert _path_sums([1e16, 1.0, 1.0, 5.0], [(0, 1, 2), (3,)]) == [1e16, 5.0]
+    terms = [2.5e15, 0.25, 0.25]
+    assert compensated_sum(terms) != left_to_right(terms)
+    assert DiscretePrior((1e16, 1.0, 0.5), (0.25, 0.25, 0.5)).mean() == left_to_right(terms)
+    with pytest.raises(ValidationError, match="^probs: sum to 1.0999999999999999, not 1$"):
+        DiscretePrior((0.0,) * 11, (0.1,) * 11)
+
+
+GOLDEN_RUNS = ([(d, GOLDEN[d["mode"]]) for d in MODE_DOCS]
+               + [(d, GOLDEN_INT[d["mode"]]) for d in INT_DOCS]
+               + [(FEATURE_BANDIT_DOC, GOLDEN_FEATURE_BANDIT),
+                  (BENCHMARK_BANDIT_DOC, GOLDEN_BENCHMARK_BANDIT),
+                  (PLAN_TREE_DOC, GOLDEN_PLAN_TREE),
+                  (ACQUIRE_ITEMS_DOC, GOLDEN_ACQUIRE_ITEMS),
+                  (FLAVELL_ABANDON_DOC, GOLDEN_FLAVELL_ABANDON)])
+
+
+@pytest.mark.usefixtures("compensated_builtin_sum")
+@pytest.mark.parametrize("doc,golden", GOLDEN_RUNS,
+                         ids=[f"{i}:{d['mode']}" for i, (d, _) in enumerate(GOLDEN_RUNS)])
+def test_golden_digests_hold_under_a_compensated_sum(doc, golden, tmp_path):
+    assert digests(doc, tmp_path) == golden
+
+
+@pytest.mark.usefixtures("compensated_builtin_sum")
+def test_golden_report_holds_under_a_compensated_sum(tmp_path, monkeypatch):
+    test_report_over_every_golden_trace_matches_golden_digest(tmp_path, monkeypatch)

@@ -1,11 +1,11 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from mgv.errors import NodeNotOnFrontier
+from mgv.errors import NodeNotOnFrontier, ValidationError
+from mgv.floats import fold_sum
 from mgv.planning import (DiscretePrior, PlanningState, frontier,
                           make_initial_state, myopic_voc, plan_value,
                           run_myopic_planner)
@@ -48,7 +48,7 @@ def oracle_plan_value(parents, priors, values):
         if v is not None:
             return v
         pr = priors[i]
-        return sum(s * p for s, p in zip(pr.support, pr.probs))
+        return fold_sum(s * p for s, p in zip(pr.support, pr.probs))
 
     def best(i):
         if not kids[i]:
@@ -77,6 +77,15 @@ def test_prior_mean_and_validation():
         DiscretePrior((0.0, 1.0), (0.5, 0.4))
     with pytest.raises(ValueError):
         DiscretePrior((0.0,), (0.5, 0.5))
+
+
+def test_prior_rejects_a_mean_that_overflows():
+    # probs may sum to 1 within 1e-9, so a finite support's mean can overflow.
+    big, over = 1.7976931348623157e308, 1.0 + 5e-10
+    for support in ((big,), (-big,), (big, big)):
+        with pytest.raises(ValidationError, match="^support: mean must be finite$"):
+            DiscretePrior(support, (over,) if len(support) == 1 else (0.5, 0.5 + 5e-10))
+    assert DiscretePrior((big,), (1.0,)).mean() == big
 
 
 def test_prior_round_trip():
@@ -260,8 +269,8 @@ def reference_plan_value(parents, priors, values):
         if values[n] is not None:
             return values[n]
         pr = priors[n]
-        return float(sum(s * p for s, p in zip(pr.support, pr.probs)))
-    return max(sum(contribution(n) for n in path)
+        return float(fold_sum(s * p for s, p in zip(pr.support, pr.probs)))
+    return max(fold_sum(contribution(n) for n in path)
                for path in reference_paths(parents))
 
 
@@ -384,13 +393,17 @@ def test_voc_keeps_full_rescoring_choice_among_nan_path_sums():
     so with a NaN path sum its result depends on the order of every path:
     the worth after a reveal must be the max over all path sums in leaf
     order, not the max of the best path avoiding the node and the best path
-    through it.  Supports are finite, but a mean may overflow: nodes 3 and 4
-    hold +inf and -inf means, so the path through both sums to NaN."""
+    through it.  Nodes 3 and 4 hold +inf and -inf means, so the path through
+    both sums to NaN.  A prior rejects a mean that overflows, so those means,
+    and the supports the reference reads them from, are set on priors
+    already built."""
     parents = [None, 0, 0, 1, 3, 1]  # paths (0, 2), (0, 1, 3, 4), (0, 1, 5)
-    big, over = sys.float_info.max, 1.0 + 5e-10  # probs sum to 1 within 1e-9
     priors = [coin(), coin(0.0, 1.0), DiscretePrior((-1.0,), (1.0,)),
-              DiscretePrior((big,), (over,)), DiscretePrior((-big,), (over,)),
+              DiscretePrior((1.0,), (1.0,)), DiscretePrior((-1.0,), (1.0,)),
               DiscretePrior((2.0,), (1.0,))]
+    for prior, mean in ((priors[3], math.inf), (priors[4], -math.inf)):
+        object.__setattr__(prior, "support", (mean,))
+        object.__setattr__(prior, "_mean", mean)
     assert (priors[3].mean(), priors[4].mean()) == (math.inf, -math.inf)
     state = make_initial_state(parents, priors)
     assert plan_value(state) == 2.5
@@ -406,11 +419,11 @@ def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
     from mgv import planning
 
     calls = {"sum": 0, "path_sums": 0}
-    path_sums = planning._path_sums
+    path_sums, fold_sum = planning._path_sums, planning.fold_sum
 
     def counting_sum(*args):
         calls["sum"] += 1
-        return sum(*args)
+        return fold_sum(*args)
 
     def counting_path_sums(contributions, paths):
         calls["path_sums"] += len(paths)
@@ -421,7 +434,7 @@ def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
     for seed in range(6):
         parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
         states.append(make_initial_state(parents, priors))
-    monkeypatch.setattr(planning, "sum", counting_sum, raising=False)
+    monkeypatch.setattr(planning, "fold_sum", counting_sum)
     monkeypatch.setattr(planning, "_path_sums", counting_path_sums)
     for state in states:
         for _ in range(3):  # the same calls again: no work is cached away
@@ -431,7 +444,7 @@ def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
                 expected = (len(state.paths) + len(state.priors[node].support)
                             * len(state.through[node]))
                 assert calls["path_sums"] - before["path_sums"] == expected
-                # Every builtin sum is a path sum: no prior mean is computed
+                # Every float sum is a path sum: no prior mean is computed
                 # again, however many times the node is scored.
                 assert calls["sum"] - before["sum"] == expected
         for node in frontier(state):

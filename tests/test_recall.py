@@ -363,6 +363,71 @@ def test_solver_builds_one_transition_per_step(monkeypatch):
     assert calls == list(range(6, -1, -1))
 
 
+def flat_transition(t, z, config):
+    """``recall_transition`` with ``math.erf`` fed from ``x.flat``."""
+    z = np.asarray(z, dtype=float)
+    mu, var = recall_posterior(t, z, config.drift_prior_mean,
+                               config.drift_prior_variance, config.evidence_variance)
+    sigma = math.sqrt(config.evidence_variance + var)
+    grid = config.grid()
+    edges = (grid[:-1] + grid[1:]) / 2.0
+    edges[-1] = config.recall_threshold
+    x = (edges - (z + mu)[..., None]) / sigma / math.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
+    return np.diff(0.5 * (1.0 + erf), prepend=0.0, append=1.0)
+
+
+def per_row_solve(config):
+    """Backward induction with one Python-level dot product per transition
+    row, each step's rows from ``flat_transition``."""
+    grid = config.grid()
+    k = grid.size
+    values = np.zeros((config.horizon + 1, k))
+    actions = np.zeros((config.horizon + 1, k - 1), dtype=np.int8)
+    values[:, -1] = config.recall_utility
+    for t in range(config.horizon - 1, -1, -1):
+        rows = flat_transition(t, grid[:-1], config)
+        q_search = -config.search_cost + np.array([row @ values[t + 1] for row in rows])
+        search = q_search > 0.0
+        values[t, :-1][search] = q_search[search]
+        actions[t] = search
+    return values, actions
+
+
+def row_fence_configs():
+    """Forty seeded configs of 2 to 300 cells, then one on the 1001-cell limit."""
+    rng = np.random.default_rng(606)
+    for k in [*(int(c) for c in rng.integers(2, 301, size=40)), 1001]:
+        theta = float(rng.uniform(0.5, 3.0))
+        span = float(rng.uniform(0.5, 4.0))
+        yield RecallMdpConfig(drift_prior_mean=float(rng.uniform(-0.5, 0.8)),
+                              drift_prior_variance=float(rng.uniform(0.05, 2.0)),
+                              evidence_variance=float(rng.uniform(0.2, 2.0)),
+                              recall_threshold=theta,
+                              recall_utility=float(rng.uniform(0.5, 10.0)),
+                              search_cost=float(rng.uniform(0.0, 0.3)),
+                              horizon=2 if k == 1001 else int(rng.integers(1, 13)),
+                              z_min=theta - span, z_step=span / (k - 1))
+
+
+ROW_FENCE_CONFIGS = list(row_fence_configs())
+
+
+@pytest.mark.parametrize("config", ROW_FENCE_CONFIGS,
+                         ids=[f"{i}:{c.grid().size}cells-h{c.horizon}"
+                              for i, c in enumerate(ROW_FENCE_CONFIGS)])
+def test_batched_row_products_match_the_per_row_loop_bit_for_bit(config):
+    values, actions = per_row_solve(config)
+    table = solve_recall_mdp(config)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.actions.tobytes() == actions.tobytes()
+    grid = config.grid()
+    for t in (0, config.horizon - 1):
+        for z in (grid[:-1], float(grid[0]), float(grid[-2])):
+            assert (recall_transition(t, z, config).tobytes()
+                    == flat_transition(t, z, config).tobytes())
+
+
 # --- numerical guards on fine grids -------------------------------------------
 
 def fine_grid_configs():
