@@ -14,9 +14,8 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
-from .config import RunConfig, RunMode, read_document, validate_config
+from .config import RunConfig, RunMode, read_document, validate_config, write_text
 from .errors import MgvError, ValidationError
 from .runner import report, run_repeated
 
@@ -71,8 +70,8 @@ def _cmd_report(args) -> int:
     metrics, table = report(args.traces)
     print(table)
     if args.out:
-        Path(args.out).write_text(json.dumps(metrics, sort_keys=True, indent=2,
-                                             allow_nan=False) + "\n")
+        write_text(args.out, (json.dumps(metrics, sort_keys=True, indent=2,
+                                         allow_nan=False) + "\n",))
     else:
         print(json.dumps(metrics, sort_keys=True, allow_nan=False))
     return 0

@@ -17,13 +17,15 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from math import inf
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .acquisition import AcquisitionConfig, LearnItem
 from .bandit import GAMMA_PRIOR, BanditState
@@ -493,5 +495,30 @@ def load_config(path: str | Path) -> RunConfig:
     return validate_config(read_document(path))
 
 
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` as UTF-8; every file mgv writes goes here.
+
+    The file is overwritten in place, not opened with ``O_TRUNC``: on ext4,
+    truncating an existing file at open, and the flush that arms for
+    ``close``, cost far more than a small write.  A regular file is then cut
+    where the writing ended; a FIFO or device (``/dev/null`` seeks but cannot
+    be truncated) is only written.  New files get mode 0o666 under the umask,
+    and a symlink is written through.  If writing raises, the regular file
+    (a symlink's target, not the link) is removed and the exception
+    propagates, so no failure leaves new bytes ahead of an older file's tail.
+    """
+    with open(path, "w", encoding="utf-8",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        try:
+            f.writelines(chunks)
+            if regular:
+                f.truncate()
+        except BaseException:
+            if regular:
+                os.unlink(os.path.realpath(path))
+            raise
+
+
 def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_text(path, (json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",))

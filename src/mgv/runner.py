@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text
+from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text, write_text
 from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
 from .experience import ExperienceTuple
 from .floats import fold_sum
@@ -70,14 +70,9 @@ def _trace_lines(run_id: str, mode: str, payloads: list, encode=canonical_json):
 
 def _write_trace(path: str | Path, run_id: str, mode: str, payloads: list,
                  encode=canonical_json) -> None:
-    # Streamed line by line, so memory stays flat however long the trace;
-    # ``open`` takes the same encoding and newline defaults as ``write_text``.
-    try:
-        with Path(path).open("w") as f:
-            f.writelines(_trace_lines(run_id, mode, payloads, encode))
-    except NonFiniteOutput:
-        Path(path).unlink()  # leave no partial trace
-        raise
+    # Streamed line by line, so memory stays flat however long the trace.  Any
+    # exception while it streams removes the partial file (see ``write_text``).
+    write_text(path, _trace_lines(run_id, mode, payloads, encode))
 
 
 def summary_path_for(trace_path: str | Path) -> Path:
@@ -281,14 +276,14 @@ def run(config: RunConfig, emit_policy: str | None = None,
             raise NonFiniteOutput(f"summary.{key}: holds NaN or Infinity") from None
     if config.out:
         _write_trace(config.out, run_id, config.mode.value, payloads, encode)
-        summary_path_for(config.out).write_text(
-            json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        write_text(summary_path_for(config.out),
+                   (json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n",))
     else:
         for _ in _trace_lines(run_id, config.mode.value, payloads, encode):
             pass
     for name, path in (("policy", emit_policy), ("threshold", emit_threshold)):
         if path and name in artifacts:
-            Path(path).write_text(artifacts[name]())
+            write_text(path, (artifacts[name](),))
     return summary
 
 

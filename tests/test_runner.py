@@ -139,6 +139,29 @@ def test_non_finite_trace_record_fails_the_run_and_leaves_no_file(monkeypatch, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("error", [TypeError("record 2 does not encode"),
+                                   OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()],
+                         ids=["TypeError", "OSError", "KeyboardInterrupt"])
+def test_any_failure_mid_trace_removes_the_file_and_propagates(monkeypatch, tmp_path,
+                                                               error):
+    def encode(payload):
+        if payload["x"] == 2:
+            raise error
+        return canonical_json(payload)
+
+    def four_records(config, rng):
+        return [{"x": i} for i in range(4)], {"status": "finished"}, {}
+
+    config = flavell_config(tmp_path)
+    _write_trace(config.out, "older", "flavell", [{"x": i} for i in range(50)])
+    monkeypatch.setitem(mgv.runner._RUNNERS, RunMode.FLAVELL, (four_records, encode))
+    with pytest.raises(type(error)) as raised:
+        run(config)
+    assert raised.value is error
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- trace bytes against a per-record reference ------------------------------
 
 def reference_trace(run_id, mode, payloads) -> bytes:
