@@ -504,20 +504,40 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     where the writing ended; a FIFO or device (``/dev/null`` seeks but cannot
     be truncated) is only written.  New files get mode 0o666 under the umask,
     and a symlink is written through.  If writing raises, the regular file
-    (a symlink's target, not the link) is removed and the exception
-    propagates, so no failure leaves new bytes ahead of an older file's tail.
+    (a symlink's target, not the link) is removed, or emptied when it cannot
+    be removed, so no failure leaves new bytes ahead of an older file's tail.
+    The exception that writing raised is the one that propagates; an error of
+    the clean-up is added to it as a note.
     """
-    with open(path, "w", encoding="utf-8",
-              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+    f = open(path, "w", encoding="utf-8",
+             opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
+    regular = False
+    try:
         regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-        try:
-            f.writelines(chunks)
-            if regular:
-                f.truncate()
-        except BaseException:
-            if regular:
-                os.unlink(os.path.realpath(path))
-            raise
+        f.writelines(chunks)
+        if regular:
+            f.truncate()
+    except BaseException as exc:
+        _clean_up(exc, f.close)
+        if regular:
+            target = os.path.realpath(path)
+            if not _clean_up(exc, os.unlink, target):
+                _clean_up(exc, os.truncate, target, 0)
+        raise
+    f.close()
+
+
+def _clean_up(exc: BaseException, action, *args) -> bool:
+    """Call ``action(*args)`` while ``exc`` propagates; an ``OSError`` from it
+    becomes a note on ``exc`` (Python 3.11 and later) instead of replacing it.
+    Returns whether the action succeeded."""
+    try:
+        action(*args)
+    except OSError as err:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"while cleaning up: {err!r}")
+        return False
+    return True
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

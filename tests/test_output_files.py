@@ -2,8 +2,11 @@
 for writing."""
 
 import ast
+import errno
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -101,6 +104,68 @@ def test_a_fifo_is_written_but_never_truncated_or_removed(tmp_path, fails):
     assert not reader.is_alive()
     assert received == [b"new line\n"]
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+# --- a failing clean-up never hides the error that writing raised -----------
+
+def notes(exc: BaseException) -> str:
+    return "\n".join(getattr(exc, "__notes__", ()))
+
+
+@pytest.mark.parametrize("refused", [("unlink",), ("unlink", "truncate")],
+                         ids=["emptied", "left"])
+def test_a_file_that_cannot_be_removed_still_raises_the_first_error(tmp_path, monkeypatch,
+                                                                    refused):
+    # A read-only directory would refuse the unlink too, but not to root.
+    out = tmp_path / "run.jsonl"
+    out.write_text("an older and longer file\n" * 100)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    for name in refused:
+        monkeypatch.setattr(os, name, refuse)
+    with pytest.raises(TypeError, match="chunk 2") as raised:
+        write_text(out, failing_chunks())
+    if "truncate" not in refused:
+        assert out.read_bytes() == b""
+    if sys.version_info >= (3, 11):
+        assert notes(raised.value).count("PermissionError") == len(refused)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_close_that_fails_after_an_error_does_not_replace_it():
+    # Writes to /dev/full fail with ENOSPC once the buffer is flushed at close.
+    with pytest.raises(TypeError, match="chunk 2") as raised:
+        write_text("/dev/full", failing_chunks())
+    if sys.version_info >= (3, 11):
+        assert "No space left on device" in notes(raised.value)
+
+
+FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from mgv.config import write_text
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write_text(sys.argv[1], ["new line\\n"] * 500)
+except OSError as exc:
+    print(exc.errno, exc.__context__ is None, file=sys.stderr)
+    raise SystemExit(3)
+"""
+
+
+def test_a_flush_that_fails_on_a_regular_file_removes_it_and_raises_once(tmp_path):
+    # RLIMIT_FSIZE makes the real flush in truncate() fail with EFBIG, and
+    # the flush that close() retries fails again.
+    out = tmp_path / "run.jsonl"
+    out.write_text("an older and longer file\n" * 400)
+    env = {**os.environ, "PYTHONPATH": str(Path(mgv.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", FILE_SIZE_LIMIT, str(out)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.split() == [str(errno.EFBIG), "True"]
+    assert not out.exists()
 
 
 # --- one writer ---------------------------------------------------------------
