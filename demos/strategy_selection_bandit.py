@@ -31,10 +31,11 @@ for i, r in enumerate(records, start=1):
 
 # With gamma ~= 0.8/unit-time, arm 1's 3-unit duration costs ~2.4 of value:
 # the agent learns to leave it alone even though its raw payoff is high.
+# state.means is indexed [arm, k, feature]: k = 0 is utility, 1 is time.
 print("\nposterior utility means:",
-      [round(float(p.mean[0]), 3) for p in state.utility])
+      [round(float(m), 3) for m in state.means[:, 0, 0]])
 print("posterior time means:   ",
-      [round(float(p.mean[0]), 3) for p in state.time])
+      [round(float(m), 3) for m in state.means[:, 1, 0]])
 print("final gamma:            ", round(state.gamma, 3))
 best = max(range(3), key=lambda a: env.true_voc(a, np.ones(1), state.gamma))
 print(f"best arm under final gamma: {best} "

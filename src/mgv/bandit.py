@@ -10,8 +10,7 @@ play the argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +19,8 @@ from .errors import NONNEG, POSITIVE, DimensionMismatch, Rule
 
 @dataclass(frozen=True)
 class WeightPosterior:
-    """Gaussian belief over a linear weight vector under known noise.
-
-    Frozen, and its arrays must not be written in place: ``factor`` is
-    computed from ``covariance`` once and cached.  ``posterior_update``
-    returns a new posterior.
-    """
+    """Gaussian belief over a linear weight vector under known noise: the
+    validated value ``posterior_update`` returns and ``BanditState`` takes."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -48,18 +43,6 @@ class WeightPosterior:
         if not 0 < self.noise_variance < math.inf:  # NaN fails too
             raise ValueError("noise_variance must be positive and finite")
 
-    @classmethod
-    def _trusted(cls, mean: np.ndarray, covariance: np.ndarray, noise_variance: float,
-                 factor: np.ndarray | None = None) -> "WeightPosterior":
-        """A posterior from arrays an update has just made: float, of fitting
-        shapes and exactly symmetric, so ``__post_init__`` is skipped.  A
-        ``factor`` seeds the cached one."""
-        post = object.__new__(cls)
-        post.__dict__.update(mean=mean, covariance=covariance, noise_variance=noise_variance)
-        if factor is not None:
-            post.__dict__["factor"] = factor
-        return post
-
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -69,46 +52,39 @@ class WeightPosterior:
                  noise_variance: float = 1.0) -> "WeightPosterior":
         return cls(np.zeros(dim), np.eye(dim) * prior_variance, noise_variance)
 
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """``u * sqrt(s)`` from the SVD of the covariance: the factor
-        ``Generator.multivariate_normal(method="svd")`` builds on every call.
-        It handles a rank-deficient covariance; a collapsed posterior samples
-        its mean exactly."""
-        u, s, _ = np.linalg.svd(self.covariance)
-        return u * np.sqrt(s)
 
-    def sample(self, rng) -> np.ndarray:
-        """One draw, bit for bit ``rng.multivariate_normal(mean, covariance,
-        check_valid="ignore", method="svd")``."""
-        return self.mean + rng.standard_normal(self.dim) @ self.factor.T
+def _factor(covariances: np.ndarray) -> np.ndarray:
+    """``u * sqrt(s)`` from the SVD of each covariance: the factor
+    ``Generator.multivariate_normal(method="svd")`` builds on every call.  It
+    handles a rank-deficient covariance; a collapsed belief samples its mean
+    exactly.  LAPACK factors a stack one matrix at a time, so each item is
+    bit for bit the single-matrix factor."""
+    u, s, _ = np.linalg.svd(covariances)
+    return u * np.sqrt(s)[..., None, :]
 
 
-def _rank_one_updates(posteriors, features: np.ndarray,
-                      observations) -> tuple[np.ndarray, np.ndarray]:
-    """Condition each posterior on the same features and its own observation:
-    the new means, shape ``(k, d)``, and covariances, ``(k, d, d)``.
+def _rank_one_updates(means: np.ndarray, covariances: np.ndarray, noise: np.ndarray,
+                      features: np.ndarray, observations) -> tuple[np.ndarray, np.ndarray]:
+    """Condition k beliefs, ``means`` ``(k, d)`` and ``covariances``
+    ``(k, d, d)`` under ``noise`` ``(k,)``, on the same features and each on
+    its own observation: the new means and covariances.
 
-    Each item of the batched products is the vector product one posterior
-    alone would make (``C @ f``, ``f @ sf``, ``np.outer``), so the results
-    match a per-posterior update bit for bit.  Checks come before any work.
+    Each item of the batched products is the vector product one belief alone
+    would make (``C @ f``, ``f @ sf``, ``np.outer``), so the results match a
+    per-belief update bit for bit.  Checks come before any work.
     """
     f = np.asarray(features, dtype=float)
-    for p in posteriors:
-        if f.shape != p.mean.shape:
-            raise DimensionMismatch(
-                f"features shape {f.shape} does not match weight dim {p.mean.shape}")
+    if f.shape != means.shape[1:]:
+        raise DimensionMismatch(
+            f"features shape {f.shape} does not match weight dim {means.shape[1:]}")
     if not np.isfinite(f).all():
         raise ValueError("features must be finite")
-    mean = np.array([p.mean for p in posteriors])
-    c = np.array([p.covariance for p in posteriors])
-    noise = np.array([p.noise_variance for p in posteriors])
-    sf = np.matmul(c, f)
+    sf = np.matmul(covariances, f)
     denom = noise + np.matmul(sf[:, None, :], f[:, None])[:, 0, 0]
     gain = sf / denom[:, None]
-    predicted = np.matmul(mean[:, None, :], f[:, None])[:, 0, 0]
-    mean = mean + gain * (np.asarray(observations, dtype=float) - predicted)[:, None]
-    cov = c - gain[:, :, None] * sf[:, None, :]
+    predicted = np.matmul(means[:, None, :], f[:, None])[:, 0, 0]
+    mean = means + gain * (np.asarray(observations, dtype=float) - predicted)[:, None]
+    cov = covariances - gain[:, :, None] * sf[:, None, :]
     return mean, (cov + cov.swapaxes(1, 2)) / 2.0
 
 
@@ -118,10 +94,14 @@ def posterior_update(posterior: WeightPosterior, features: np.ndarray,
 
     Rank-one update: no matrix inversion, so collapsed or flat directions are
     handled exactly.  Zero features leave the belief unchanged; non-finite
-    ones raise ValueError.
+    features or a non-finite observation raise ValueError.
     """
-    mean, cov = _rank_one_updates((posterior,), features, (observation,))
-    return WeightPosterior._trusted(mean[0], cov[0], posterior.noise_variance)
+    if not math.isfinite(observation):
+        raise ValueError("observation must be finite")
+    mean, cov = _rank_one_updates(np.array([posterior.mean]), np.array([posterior.covariance]),
+                                  np.array([posterior.noise_variance]), features,
+                                  (observation,))
+    return WeightPosterior(mean[0], cov[0], posterior.noise_variance)
 
 
 def voc_estimate(utility_weights: np.ndarray, time_weights: np.ndarray,
@@ -139,43 +119,48 @@ GAMMA_PRIOR = Rule(lambda g: len(g) == 2 and POSITIVE.ok(g[1]),
                    "must be [pseudo_reward, pseudo_time > 0]")
 
 
-@dataclass
 class BanditState:
     """Per-strategy payoff and time beliefs plus the running opportunity cost.
 
-    ``utility`` and ``time`` stay the per-strategy posteriors, which callers
-    may replace.  ``stacks`` keeps every strategy's means and SVD factors in
-    two arrays as well, so a draw for all strategies is one batched product.
+    Each belief is held once, in arrays indexed ``[arm, k]`` where k = 0 is
+    utility and 1 is time: ``means`` ``(arms, 2, d)``, ``covariances`` and
+    their SVD ``factors`` ``(arms, 2, d, d)``, and ``noise`` ``(arms, 2)``.
+    ``observe`` writes the chosen arm's slices in place; ``put`` replaces a
+    posterior.  Construction factors every prior in one batched SVD.
     """
 
-    utility: list[WeightPosterior]
-    time: list[WeightPosterior]
-    cumulative_reward: float = 0.0
-    cumulative_time: float = 0.0
-    gamma_prior: tuple[float, float] = (0.0, 1.0)
-    # The posteriors the stacks hold, utility and time interleaved per arm.
-    _stacked: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _means: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _factors: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.utility) != len(self.time):
+    def __init__(self, utility_posteriors: list[WeightPosterior],
+                 time_posteriors: list[WeightPosterior], cumulative_reward: float = 0.0,
+                 cumulative_time: float = 0.0,
+                 gamma_prior: tuple[float, float] = (0.0, 1.0)):
+        if len(utility_posteriors) != len(time_posteriors):
             raise ValueError("utility and time posterior lists must align")
-        NONNEG.check("cumulative_time", self.cumulative_time)
-        GAMMA_PRIOR.check("gamma_prior", self.gamma_prior)
+        if not utility_posteriors:
+            raise ValueError("a bandit needs at least one strategy")
+        pairs = list(zip(utility_posteriors, time_posteriors))
+        if len({p.dim for pair in pairs for p in pair}) != 1:
+            raise DimensionMismatch("every posterior must have the same weight dim")
+        NONNEG.check("cumulative_time", cumulative_time)
+        GAMMA_PRIOR.check("gamma_prior", gamma_prior)
+        self.means = np.array([[u.mean, t.mean] for u, t in pairs])
+        self.covariances = np.array([[u.covariance, t.covariance] for u, t in pairs])
+        self.factors = _factor(self.covariances)
+        self.noise = np.array([[u.noise_variance, t.noise_variance] for u, t in pairs])
+        self.cumulative_reward = cumulative_reward
+        self.cumulative_time = cumulative_time
+        self.gamma_prior = gamma_prior
 
     @classmethod
     def create(cls, num_strategies: int, feature_dim: int, prior_variance: float = 1.0,
                noise_variance: float = 1.0,
                gamma_prior: tuple[float, float] = (0.0, 1.0)) -> "BanditState":
         make = lambda: WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
-        return cls(utility=[make() for _ in range(num_strategies)],
-                   time=[make() for _ in range(num_strategies)],
-                   gamma_prior=gamma_prior)
+        return cls([make() for _ in range(num_strategies)],
+                   [make() for _ in range(num_strategies)], gamma_prior=gamma_prior)
 
     @property
     def num_strategies(self) -> int:
-        return len(self.utility)
+        return len(self.means)
 
     @property
     def gamma(self) -> float:
@@ -184,31 +169,30 @@ class BanditState:
         pr, pt = self.gamma_prior
         return (self.cumulative_reward + pr) / (self.cumulative_time + pt)
 
-    def stacks(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every strategy's means, shape ``(arms, 2, dim)``, and SVD factors,
-        shape ``(arms, 2, dim, dim)``; index 0 on the second axis is utility,
-        1 is time.  Only the slices of posteriors replaced since the last
-        call are written again, so each posterior is factored once."""
-        posteriors = [p for pair in zip(self.utility, self.time) for p in pair]
-        if self._means is None or self._means.shape != (self.num_strategies, 2, dim):
-            self._means = np.empty((self.num_strategies, 2, dim))
-            self._factors = np.empty((self.num_strategies, 2, dim, dim))
-            self._stacked = [None] * len(posteriors)
-        means = self._means.reshape(-1, dim)
-        factors = self._factors.reshape(-1, dim, dim)
-        for k, (post, held) in enumerate(zip(posteriors, self._stacked)):
-            if post is not held:
-                if post.dim != dim:
-                    raise DimensionMismatch("weights and features must share a shape")
-                means[k] = post.mean
-                factors[k] = post.factor
-                self._stacked[k] = post
-        return self._means, self._factors
+    def put(self, arm: int, utility: WeightPosterior | None = None,
+            time: WeightPosterior | None = None) -> None:
+        """Replace the arm's utility and/or time posterior, each of the
+        state's weight dim, and factor it."""
+        dim = self.means.shape[-1]
+        given = [(k, p) for k, p in enumerate((utility, time)) if p is not None]
+        if any(p.dim != dim for _, p in given):
+            raise DimensionMismatch(f"a posterior must have the state's weight dim {dim}")
+        for k, p in given:
+            self.means[arm, k] = p.mean
+            self.covariances[arm, k] = p.covariance
+            self.factors[arm, k] = _factor(p.covariance)
+            self.noise[arm, k] = p.noise_variance
+
+
+def _check_outcome(reward: float, elapsed: float) -> None:
+    if not math.isfinite(reward):
+        raise ValueError("reward must be finite")
+    if not 0 < elapsed < math.inf:  # NaN fails too
+        raise ValueError("elapsed must be positive and finite")
 
 
 def update_gamma(state: BanditState, reward: float, elapsed: float) -> float:
-    if elapsed <= 0:
-        raise ValueError("elapsed must be positive")
+    _check_outcome(reward, elapsed)
     state.cumulative_reward += reward
     state.cumulative_time += elapsed
     return state.gamma
@@ -219,15 +203,15 @@ def observe(state: BanditState, strategy: int, features: np.ndarray,
     """Fold one play's outcome into the strategy's beliefs and the
     opportunity cost.  Returns the refreshed gamma.
 
-    Both posteriors update in one batched call and are factored in one
-    batched SVD, each item bit for bit the single-matrix result."""
-    pair = state.utility[strategy], state.time[strategy]
-    means, covs = _rank_one_updates(pair, features, (utility, elapsed))
-    u, s, _ = np.linalg.svd(covs)
-    factors = u * np.sqrt(s)[:, None, :]
-    state.utility[strategy], state.time[strategy] = (
-        WeightPosterior._trusted(m, c, p.noise_variance, k)
-        for m, c, p, k in zip(means, covs, pair, factors))
+    Both beliefs update in one batched call and are factored in one batched
+    SVD, each item bit for bit the single-matrix result.  Every check comes
+    before the state changes."""
+    _check_outcome(utility, elapsed)
+    means, covs = _rank_one_updates(state.means[strategy], state.covariances[strategy],
+                                    state.noise[strategy], features, (utility, elapsed))
+    state.factors[strategy] = _factor(covs)
+    state.means[strategy] = means
+    state.covariances[strategy] = covs
     return update_gamma(state, utility, elapsed)
 
 
@@ -237,15 +221,15 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
 
     All the normals come from one call, in the order per-posterior draws
     would take them: arm by arm, utility before time.  Each item of the
-    batched products is the vector product ``WeightPosterior.sample`` and
-    ``voc_estimate`` make, so the scores match theirs bit for bit.
+    batched products is the vector product
+    ``rng.multivariate_normal(method="svd")`` and ``voc_estimate`` make, so
+    the scores match theirs bit for bit.
     """
     f = np.asarray(features, dtype=float)
-    if f.ndim != 1:
+    if f.shape != state.means.shape[-1:]:
         raise DimensionMismatch("weights and features must share a shape")
-    means, factors = state.stacks(f.size)
-    z = rng.standard_normal(means.shape)
-    w = means + np.matmul(z[:, :, None, :], factors.swapaxes(-1, -2))[:, :, 0, :]
+    z = rng.standard_normal(state.means.shape)
+    w = state.means + np.matmul(z[:, :, None, :], state.factors.swapaxes(-1, -2))[:, :, 0, :]
     scores = np.matmul(w[..., None, :], f[:, None])[..., 0, 0]
     return scores[:, 0] - gamma * scores[:, 1]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import MAX_HORIZON, RunConfig, RunMode, build, read_text, write_text
+from .config import MAX_HORIZON, RunConfig, RunMode, _clean_up, build, read_text, write_text
 from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
 from .experience import ExperienceTuple
 from .floats import fold_sum
@@ -275,7 +275,12 @@ def run(config: RunConfig, emit_policy: str | None = None,
         except ValueError:
             raise NonFiniteOutput(f"summary.{key}: holds NaN or Infinity") from None
     if config.out:
-        _write_trace(config.out, run_id, config.mode.value, payloads, encode)
+        try:
+            _write_trace(config.out, run_id, config.mode.value, payloads, encode)
+        except BaseException as exc:
+            # An older run's summary must not outlive the trace it described.
+            _clean_up(exc, partial(summary_path_for(config.out).unlink, missing_ok=True))
+            raise
         write_text(summary_path_for(config.out),
                    (json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n",))
     else:

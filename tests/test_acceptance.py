@@ -301,14 +301,13 @@ def test_08_thompson_argmax_identity_and_two_arm_convergence():
         dim = int(rng.integers(1, 4))
         state = BanditState.create(arms, dim)
         for arm in range(arms):
-            state.utility[arm] = WeightPosterior(rng.normal(size=dim),
-                                                 np.zeros((dim, dim)))
-            state.time[arm] = WeightPosterior(rng.normal(size=dim),
-                                              np.zeros((dim, dim)))
+            state.put(arm,
+                      utility=WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))),
+                      time=WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
         feats = rng.normal(size=dim)
         gamma = float(rng.uniform(0.0, 2.0))
         greedy = int(np.argmax([
-            voc_estimate(state.utility[a].mean, state.time[a].mean, feats,
+            voc_estimate(state.means[a, 0], state.means[a, 1], feats,
                          gamma) for a in range(arms)]))
         assert thompson_select(state, feats, gamma,
                                np.random.default_rng(trial)) == greedy

@@ -89,16 +89,38 @@ def test_update_rejects_non_finite_features(bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_update_rejects_a_non_finite_observation(bad):
+    post = WeightPosterior.standard(2)
+    with pytest.raises(ValueError, match="observation must be finite"):
+        posterior_update(post, [1.0, 0.5], bad)
+
+
+def state_bytes(state):
+    return ([a.tobytes() for a in (state.means, state.covariances, state.factors,
+                                   state.noise)],
+            state.cumulative_reward, state.cumulative_time)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_observe_rejects_non_finite_features_before_any_change(bad):
     state = BanditState.create(2, 2)
     observe(state, 1, np.ones(2), utility=0.5, elapsed=1.0)
-    before = (list(state.utility), list(state.time),
-              state.cumulative_reward, state.cumulative_time)
+    before = state_bytes(state)
     with pytest.raises(ValueError, match="features must be finite"):
         observe(state, 1, np.array([bad, 1.0]), utility=1.0, elapsed=1.0)
-    after = (state.utility, state.time, state.cumulative_reward, state.cumulative_time)
-    assert all(a is b for a, b in zip(before[0] + before[1], after[0] + after[1]))
-    assert before[2:] == after[2:]
+    assert state_bytes(state) == before
+
+
+@pytest.mark.parametrize("field, bad", [(field, bad) for field in ("utility", "elapsed")
+                                        for bad in (math.nan, math.inf, -math.inf)]
+                         + [("elapsed", 0.0), ("elapsed", -1.0)])
+def test_observe_rejects_a_bad_outcome_before_any_change(field, bad):
+    state = BanditState.create(2, 2)
+    observe(state, 1, np.ones(2), utility=0.5, elapsed=1.0)
+    before = state_bytes(state)
+    with pytest.raises(ValueError, match="must be (positive and )?finite"):
+        observe(state, 1, np.ones(2), **{"utility": 1.0, "elapsed": 1.0, field: bad})
+    assert state_bytes(state) == before
 
 
 def test_posterior_validation():
@@ -116,9 +138,12 @@ def test_posterior_is_frozen():
 
 
 def test_collapsed_posterior_samples_its_mean():
-    post = WeightPosterior(np.array([1.5, -2.0]), np.zeros((2, 2)))
-    samples = {tuple(post.sample(np.random.default_rng(s))) for s in range(5)}
-    assert samples == {(1.5, -2.0)}
+    collapsed = WeightPosterior(np.array([1.5, -2.0]), np.zeros((2, 2)))
+    state = BanditState([collapsed], [WeightPosterior(np.zeros(2), np.zeros((2, 2)))])
+    for i, want in enumerate(collapsed.mean):
+        samples = {float(sample_vocs(state, np.eye(2)[i], 0.0,
+                                     np.random.default_rng(s))[0]) for s in range(5)}
+        assert samples == {want}
 
 
 # --- value of computation ---------------------------------------------------
@@ -157,6 +182,38 @@ def test_update_gamma_rejects_nonpositive_time():
         update_gamma(BanditState.create(1, 1), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["reward", "elapsed"])
+def test_update_gamma_rejects_a_non_finite_outcome_before_any_change(field, bad):
+    state = BanditState.create(1, 1)
+    update_gamma(state, 1.0, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        update_gamma(state, **{"reward": 1.0, "elapsed": 1.0, field: bad})
+    assert (state.cumulative_reward, state.cumulative_time) == (1.0, 2.0)
+
+
+# --- construction -----------------------------------------------------------
+
+def test_state_rejects_zero_strategies():
+    with pytest.raises(ValueError, match="at least one strategy"):
+        BanditState.create(0, 2)
+    with pytest.raises(ValueError, match="at least one strategy"):
+        BanditState([], [])
+
+
+def test_state_rejects_posteriors_of_mixed_dims():
+    with pytest.raises(DimensionMismatch):
+        BanditState([WeightPosterior.standard(2)], [WeightPosterior.standard(3)])
+    with pytest.raises(DimensionMismatch):
+        BanditState([WeightPosterior.standard(2), WeightPosterior.standard(1)],
+                    [WeightPosterior.standard(2), WeightPosterior.standard(2)])
+
+
+def test_state_rejects_unaligned_posterior_lists():
+    with pytest.raises(ValueError, match="must align"):
+        BanditState([WeightPosterior.standard(2)] * 2, [WeightPosterior.standard(2)])
+
+
 # --- Thompson selection -----------------------------------------------------
 
 def test_zero_covariance_reduces_to_greedy_argmax():
@@ -166,13 +223,11 @@ def test_zero_covariance_reduces_to_greedy_argmax():
         state = BanditState.create(k, d)
         feats = rng_out.normal(size=d)
         for arm in range(k):
-            state.utility[arm] = WeightPosterior(rng_out.normal(size=d),
-                                                 np.zeros((d, d)))
-            state.time[arm] = WeightPosterior(rng_out.normal(size=d),
-                                              np.zeros((d, d)))
+            state.put(arm, utility=WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))),
+                      time=WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
         gamma = float(rng_out.uniform(0, 2))
         greedy = int(np.argmax([
-            voc_estimate(state.utility[a].mean, state.time[a].mean, feats, gamma)
+            voc_estimate(state.means[a, 0], state.means[a, 1], feats, gamma)
             for a in range(k)]))
         chosen = thompson_select(state, feats, gamma, np.random.default_rng(trial))
         assert chosen == greedy
@@ -188,9 +243,9 @@ def test_sampled_vocs_vary_under_uncertainty():
 def test_observe_updates_both_posteriors_and_gamma():
     state = BanditState.create(2, 1)
     g = observe(state, 0, np.ones(1), utility=1.0, elapsed=2.0)
-    assert state.utility[0].mean[0] == pytest.approx(0.5)
-    assert state.time[0].mean[0] == pytest.approx(1.0)
-    assert state.utility[1].mean[0] == 0.0
+    assert state.means[0, 0, 0] == pytest.approx(0.5)
+    assert state.means[0, 1, 0] == pytest.approx(1.0)
+    assert state.means[1, 0, 0] == 0.0
     assert g == pytest.approx((1.0 + 0.0) / (2.0 + 1.0))
 
 
@@ -220,8 +275,8 @@ def test_episodes_reject_a_state_for_another_number_of_arms():
 
 def test_episodes_factor_each_posterior_once(monkeypatch):
     """Only the chosen arm's two posteriors change per episode, and each
-    posterior is factored once: the priors one by one when first sampled,
-    then each episode's updated pair in one batched call."""
+    posterior is factored once: all the priors in one batched call at
+    construction, then each episode's updated pair in one batched call."""
     svd = np.linalg.svd
     calls = []
 
@@ -235,7 +290,7 @@ def test_episodes_factor_each_posterior_once(monkeypatch):
     env = FeatureBanditEnvironment(rng.uniform(size=(arms, d)),
                                    rng.uniform(0.1, 1.0, size=(arms, d)))
     run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
-    assert calls == [(d, d)] * (2 * arms) + [(2, d, d)] * episodes
+    assert calls == [(arms, 2, d, d)] + [(2, d, d)] * episodes
 
 
 def test_sample_vocs_rejects_features_of_another_size():
@@ -258,9 +313,9 @@ def reference_sample_vocs(state, features, gamma, rng):
     draw per posterior, utility before time, arm by arm."""
     vocs = np.empty(state.num_strategies)
     for i in range(state.num_strategies):
-        wu, wt = (rng.multivariate_normal(p.mean, p.covariance, check_valid="ignore",
-                                          method="svd")
-                  for p in (state.utility[i], state.time[i]))
+        wu, wt = (rng.multivariate_normal(state.means[i, k], state.covariances[i, k],
+                                          check_valid="ignore", method="svd")
+                  for k in (0, 1))
         vocs[i] = voc_estimate(wu, wt, features, gamma)
     return vocs
 
@@ -304,9 +359,19 @@ def test_sample_vocs_matches_multivariate_normal_bit_for_bit():
             assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
 
 
+def test_construction_factors_each_posterior_bit_for_bit():
+    """The batched SVD at construction gives each posterior the factor a
+    single-matrix SVD gives it."""
+    for case, state, _, _ in fence_cases():
+        for arm in range(state.num_strategies):
+            for k in (0, 1):
+                u, s, _ = np.linalg.svd(state.covariances[arm, k])
+                assert same_bits(state.factors[arm, k], u * np.sqrt(s)), (case, arm, k)
+
+
 def test_sample_vocs_follows_replaced_posteriors_bit_for_bit():
-    """Posteriors swapped into ``utility`` and ``time`` between calls, one
-    side at a time, are what the next draw samples."""
+    """Posteriors put in between calls, one side at a time or both, are what
+    the next draw samples."""
     meta = np.random.default_rng(2025)
     for case in range(20):
         arms, d = int(meta.integers(2, 9)), int(meta.integers(1, 7))
@@ -316,9 +381,12 @@ def test_sample_vocs_follows_replaced_posteriors_bit_for_bit():
         for draw in range(6):
             if draw:
                 i, j = (int(x) for x in meta.integers(arms, size=2))
-                state.utility[i] = fence_posterior(meta, d)
+                state.put(i, utility=fence_posterior(meta, d))
                 if draw % 2:
-                    state.time[j] = fence_posterior(meta, d)
+                    state.put(j, time=fence_posterior(meta, d))
+                if draw % 3 == 0:
+                    state.put(j, utility=fence_posterior(meta, d),
+                              time=fence_posterior(meta, d))
             ours, ref = (np.random.default_rng([case, draw]) for _ in range(2))
             got = sample_vocs(state, feats, gamma, ours)
             want = reference_sample_vocs(state, feats, gamma, ref)
@@ -326,23 +394,14 @@ def test_sample_vocs_follows_replaced_posteriors_bit_for_bit():
             assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
 
 
-def test_sample_vocs_rejects_a_posterior_of_another_size():
+def test_put_rejects_a_posterior_of_another_size():
     state = BanditState.create(3, 2)
-    sample_vocs(state, np.ones(2), 0.0, np.random.default_rng(0))
-    state.time[1] = WeightPosterior.standard(3)
+    before = state_bytes(state)
     with pytest.raises(DimensionMismatch):
-        sample_vocs(state, np.ones(2), 0.0, np.random.default_rng(0))
-
-
-def test_posterior_sample_matches_multivariate_normal_bit_for_bit():
-    for case, state, _, _ in fence_cases():
-        for post in state.utility + state.time:
-            ours, ref = np.random.default_rng(case), np.random.default_rng(case)
-            for _ in range(2):
-                want = ref.multivariate_normal(post.mean, post.covariance,
-                                               check_valid="ignore", method="svd")
-                assert np.array_equal(post.sample(ours), want), case
-            assert ours.bit_generator.state == ref.bit_generator.state, case
+        state.put(1, time=WeightPosterior.standard(3))
+    with pytest.raises(DimensionMismatch):
+        state.put(1, utility=WeightPosterior.standard(2), time=WeightPosterior.standard(1))
+    assert state_bytes(state) == before
 
 
 # --- update fence -----------------------------------------------------------
@@ -385,19 +444,19 @@ def test_observe_matches_per_posterior_updates_bit_for_bit():
         for step in range(int(meta.integers(1, 5))):
             arm, f = int(meta.integers(arms)), fence_features(meta, d)
             utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
-            old = state.utility[arm], state.time[arm]
-            others = state.utility[:arm] + state.utility[arm + 1:]
+            arrays = lambda: (state.means, state.covariances, state.factors, state.noise)
+            old = [WeightPosterior(state.means[arm, k].copy(),
+                                   state.covariances[arm, k].copy(),
+                                   float(state.noise[arm, k])) for k in (0, 1)]
+            others = [np.delete(a, arm, axis=0).tobytes() for a in arrays()]
             observe(state, arm, f, utility, elapsed)
-            for before, after, y in zip(old, (state.utility[arm], state.time[arm]),
-                                        (utility, elapsed)):
+            for k, (before, y) in enumerate(zip(old, (utility, elapsed))):
                 mean, cov, factor = reference_update(before, f, y)
-                assert same_bits(after.mean, mean), (case, step)
-                assert same_bits(after.covariance, cov), (case, step)
-                assert same_bits(after.factor, factor), (case, step)
-                assert after.noise_variance == before.noise_variance
+                assert same_bits(state.means[arm, k], mean), (case, step)
+                assert same_bits(state.covariances[arm, k], cov), (case, step)
+                assert same_bits(state.factors[arm, k], factor), (case, step)
+                assert state.noise[arm, k] == before.noise_variance
                 single = posterior_update(before, f, y)
                 assert same_bits(single.mean, mean), (case, step)
                 assert same_bits(single.covariance, cov), (case, step)
-                assert same_bits(single.factor, factor), (case, step)
-            assert all(a is b for a, b in zip(others, state.utility[:arm]
-                                              + state.utility[arm + 1:]))
+            assert [np.delete(a, arm, axis=0).tobytes() for a in arrays()] == others

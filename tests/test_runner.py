@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 import tracemalloc
 import types
 from pathlib import Path
@@ -160,6 +161,40 @@ def test_any_failure_mid_trace_removes_the_file_and_propagates(monkeypatch, tmp_
         run(config)
     assert raised.value is error
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_rerun_removes_the_older_summary_with_its_trace(monkeypatch, tmp_path):
+    config = flavell_config(tmp_path, out="t.jsonl")
+    run(config)
+    assert summary_path_for(config.out).exists()
+
+    def overflowing(config, rng):
+        return [{"x": 1.0}, {"x": float("inf")}], {"status": "finished"}, {}
+
+    monkeypatch.setitem(mgv.runner._RUNNERS, RunMode.FLAVELL, (overflowing, canonical_json))
+    with pytest.raises(NonFiniteOutput, match="^trace record 1: "):
+        run(config)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_summary_that_cannot_be_removed_is_a_note_on_the_first_error(monkeypatch,
+                                                                       tmp_path):
+    config = flavell_config(tmp_path, out="t.jsonl")
+    run(config)
+
+    def overflowing(config, rng):
+        return [{"x": float("nan")}], {"status": "finished"}, {}
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setitem(mgv.runner._RUNNERS, RunMode.FLAVELL, (overflowing, canonical_json))
+    monkeypatch.setattr(Path, "unlink", refuse)
+    with pytest.raises(NonFiniteOutput, match="^trace record 0: ") as raised:
+        run(config)
+    if sys.version_info >= (3, 11):
+        assert "PermissionError" in "\n".join(raised.value.__notes__)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.summary.json"]
 
 
 # --- trace bytes against a per-record reference ------------------------------
