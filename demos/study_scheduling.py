@@ -5,13 +5,14 @@ Five items of graded difficulty share a fixed per-cycle budget.  Allocation is
 inverse to each item's momentary ease signal, so hard items soak up budget.
 An item leaves the study set the first time its post-study judgement reaches
 the norm (the target performance inflated by anticipated forgetting), and the
-set only ever shrinks.
+set only ever shrinks.  Afterwards the run's records are consolidated into the
+knowledge store, the feedback step a later run would start from.
 """
 
 import numpy as np
 
 from mgv import (AcquisitionConfig, KnowledgeStore, LearnItem,
-                 compute_norm_of_study, run_acquisition)
+                 compute_norm_of_study, consolidate, run_acquisition)
 
 rng = np.random.default_rng(11)
 
@@ -25,7 +26,8 @@ config = AcquisitionConfig(target_performance=target, retention_discount=discoun
                            total_resources_per_cycle=3.0, items=items,
                            max_cycles=40, jol_noise_sigma=0.02)
 
-state, trace = run_acquisition(config, KnowledgeStore(), rng)
+store = KnowledgeStore(encoding_rate=0.8)
+state, trace = run_acquisition(config, store, rng)
 
 # Rebuild the per-cycle picture from the trace: each record is one item's
 # study event, with the allocation in `resources` and the JOL in the
@@ -56,3 +58,9 @@ print("\ntotal budget per item (difficulty order):")
 for item in items:
     print(f"  item {item.id} (d={item.latent_difficulty}): "
           f"{totals.get(item.id, 0.0):.2f}")
+
+# Feedback: each study record survives into long-term knowledge with
+# probability encoding_rate, on the run's own generator.
+encoded = consolidate(store, trace, rng)
+print(f"\nconsolidated {encoded} of {len(trace)} study records; "
+      f"long-term store now holds {len(store.ltm)} items")

@@ -3,8 +3,8 @@
 A batch of items is studied cycle by cycle.  Monitoring produces ease-of-learning
 signals on the first pass and feeling-of-knowing signals afterwards; budget flows
 inversely to those signals, so shaky items soak up study time.  An item leaves
-the active set once its judgment of learning clears the norm of study, and the
-run's records are consolidated into knowledge at the end.
+the active set once its judgment of learning clears the norm of study.  Folding
+the run's records into knowledge (``consolidate``) is the caller's step.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import AT_LEAST_1, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, UNIT, ValidationError
-from .experience import (ExperienceTuple, ExperienceVector, clamp01,
-                         generate_experience)
+from .experience import ExperienceTuple, ExperienceVector, clamp01, experience_channel
+# ``consolidate`` is not called here: it is the caller's step after a run.
+# It stays importable from this module, where perfbench's tracer wraps it.
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
                         consolidate, retrieve_probabilistic)
 from .flavell import select_cognitive_strategy
@@ -118,8 +119,11 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
     at 1.  First-cycle signals are ease-of-learning feelings (1 - difficulty);
     later cycles blend current mastery with the previous judgment of learning
     through the feel/assess channel choice.  Judgments of learning observe
-    mastery under Gaussian noise.
+    mastery under Gaussian noise.  The records are returned, not
+    consolidated: ``consolidate(store, trace, rng)`` on the same generator
+    afterwards is the feedback step, for a caller whose store outlives the run.
     """
+    feel_prob = UNIT.check("feel_prob", config.feel_prob)
     norm = compute_norm_of_study(config.target_performance, config.retention_discount)
     if norm > 1.0:
         log.warning("norm of study %.4f exceeds attainable mastery 1.0; "
@@ -140,30 +144,31 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         active = sorted(state.active_items)
         state.active_history.append(frozenset(active))
 
-        # Monitor: one signal per active item, in fixed id order.  Each item
-        # takes one uniform; drawn as one array, they are the same numbers.
+        # Monitor: one (primary, mode) per active item, in fixed id order.
+        # Each item takes one uniform; drawn as one array, they are the same
+        # numbers.
         retrieve_probabilistic(store, set(config.task_tags), rng)
-        vectors: dict[int, ExperienceVector] = {}
-        for j, u in zip(active, rng.random(len(active)).tolist()):
-            if cycle == 0:
-                vec = generate_experience(1.0 - difficulty[j], None, config.feel_prob, u)
-            else:
-                vec = generate_experience(state.mastery[j], state.jols.get(j),
-                                          config.feel_prob, u)
-            vectors[j] = vec
-        signals = {j: vectors[j].primary for j in active}
+        uniforms = rng.random(len(active)).tolist()
+        if cycle == 0:
+            channels = [experience_channel(1.0 - difficulty[j], None, feel_prob, u)
+                        for j, u in zip(active, uniforms)]
+        else:
+            channels = [experience_channel(state.mastery[j], state.jols.get(j), feel_prob, u)
+                        for j, u in zip(active, uniforms)]
+        signals = {j: primary for j, (primary, _) in zip(active, channels)}
 
         # Generate: split the budget, study each item.
         allocation = allocate_resources(signals, config.total_resources_per_cycle,
                                         config.signal_floor)
         # The store does not change within a cycle and the choice ignores the
         # signal, so one choice serves every item.
-        strategy_id = select_cognitive_strategy(vectors[active[0]], store.stm_items(),
-                                                set(config.task_tags))
+        strategy_id = select_cognitive_strategy(
+            ExperienceVector(channels[0][0], mode=channels[0][1]), store.stm_items(),
+            set(config.task_tags))
         # One judgment-of-learning noise per item, drawn as one array.
         noise = (rng.normal(0.0, config.jol_noise_sigma, len(active)).tolist()
                  if config.jol_noise_sigma > 0 else None)
-        for i, j in enumerate(active):
+        for i, (j, (primary, mode)) in enumerate(zip(active, channels)):
             before = state.mastery[j]
             mastery = min(1.0, before + config.mastery_gain
                           * allocation[j] * (1.0 - difficulty[j]))
@@ -172,7 +177,7 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
             jol = mastery if noise is None else clamp01(mastery + noise[i])
             record = ExperienceTuple(
                 cycle=cycle,
-                experience=ExperienceVector(vectors[j].primary, jol, vectors[j].mode),
+                experience=ExperienceVector(primary, jol, mode),
                 strategy_id=strategy_id,
                 resources=allocation[j],
                 outcome_quality=min(1.0, mastery - before),
@@ -186,5 +191,4 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         state.cycle = cycle + 1
 
     state.active_history.append(frozenset(state.active_items))
-    consolidate(store, state.trace, rng)
     return state, list(state.trace)

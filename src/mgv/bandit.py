@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NONNEG, POSITIVE, DimensionMismatch, Rule
+from .errors import FINITE, NONNEG, POSITIVE, DimensionMismatch, Rule
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ def voc_estimate(utility_weights: np.ndarray, time_weights: np.ndarray,
     return float(u @ f - gamma * (t @ f))
 
 
-GAMMA_PRIOR = Rule(lambda g: len(g) == 2 and POSITIVE.ok(g[1]),
-                   "must be [pseudo_reward, pseudo_time > 0]")
+GAMMA_PRIOR = Rule(lambda g: len(g) == 2 and FINITE.ok(g[0]) and FINITE.ok(g[1])
+                   and POSITIVE.ok(g[1]),
+                   "must be [finite pseudo_reward, finite pseudo_time > 0]")
 
 
 class BanditState:
@@ -205,7 +206,10 @@ def observe(state: BanditState, strategy: int, features: np.ndarray,
 
     Both beliefs update in one batched call and are factored in one batched
     SVD, each item bit for bit the single-matrix result.  Every check comes
-    before the state changes."""
+    before the state changes; a ``strategy`` outside ``range(num_strategies)``
+    raises ValueError rather than wrapping to another arm."""
+    if strategy not in range(state.num_strategies):
+        raise ValueError(f"strategy {strategy!r} is not in range({state.num_strategies})")
     _check_outcome(utility, elapsed)
     means, covs = _rank_one_updates(state.means[strategy], state.covariances[strategy],
                                     state.noise[strategy], features, (utility, elapsed))

@@ -86,9 +86,17 @@ def generate_experience(raw_signal: float, knowledge_assessment: float | None,
     """
     if not 0.0 <= feel_prob <= 1.0:
         raise ValueError(f"feel_prob {feel_prob} outside [0, 1]")
+    primary, mode = experience_channel(raw_signal, knowledge_assessment, feel_prob, uniform)
+    return ExperienceVector(primary, mode=mode)
+
+
+def experience_channel(raw_signal: float, knowledge_assessment: float | None,
+                       feel_prob: float, uniform: float) -> tuple[float, ExperienceMode]:
+    """The (primary, mode) ``generate_experience`` builds its vector from,
+    for callers that check ``feel_prob`` once and build their own vector."""
     if uniform < feel_prob or knowledge_assessment is None:
-        return ExperienceVector(clamp01(raw_signal), mode=ExperienceMode.FEEL)
-    return ExperienceVector(clamp01(knowledge_assessment), mode=ExperienceMode.ASSESS)
+        return clamp01(raw_signal), ExperienceMode.FEEL
+    return clamp01(knowledge_assessment), ExperienceMode.ASSESS
 
 
 @dataclass

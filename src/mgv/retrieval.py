@@ -17,6 +17,8 @@ from enum import Enum
 from .errors import AT_LEAST_1, NONNEG, OPEN_UNIT, POSITIVE, NoCalibrationHistory
 from .experience import (ExperienceTuple, ExperienceVector, FokCounters,
                          clamp01, fok_dual)
+# ``consolidate`` is not called here: it is the caller's step after a run.
+# It stays importable from this module, where perfbench's tracer wraps it.
 from .knowledge import (KnowledgeStore, calibrate_thresholds, consolidate,
                         retrieve_probabilistic)
 
@@ -128,6 +130,9 @@ def run_retrieval(query: set[str], store: KnowledgeStore, env,
     re-decays both thresholds from their base by the satisficing factor.
     ``env`` is consulted for cue glances (``monitor_evidence``), attention
     (``attend``), candidates (``search``) and confidence (``assess_confidence``).
+    The records are returned, not consolidated: ``consolidate(store, trace,
+    rng)`` on the same generator afterwards is the feedback step, for a caller
+    whose store outlives the run.
     """
     retrieve_probabilistic(store, query, rng)
     try:
@@ -187,7 +192,6 @@ def run_retrieval(query: set[str], store: KnowledgeStore, env,
             decision_kind = "output_null"
             break
 
-    consolidate(store, trace, rng)
     result = RetrievalResult(decision_kind, output, len(trace), lambda_fok,
                              lambda_confidence, fok, threshold_history)
     return result, trace

@@ -161,11 +161,13 @@ def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
     return payloads, summary, {}
 
 
-def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
+def _run_recall(config: RunConfig, rng) -> tuple[list[str], dict, dict]:
     (mdp,) = build(config.mode, config.params)
     policy = recall.solve_recall_mdp(mdp)
     thresholds = recall.stopping_threshold(policy)
-    rows: list[tuple] = []
+    # Each episode is kept as its encoded payload: strings are not tracked by
+    # the cyclic garbage collector, so thousands of rows trigger no collection.
+    rows: list[str] = []
     by_drift = {}
     sim = config.params["simulate"]
     if sim is not None:
@@ -173,8 +175,9 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
             result = recall.simulate_recall(policy, mdp, drift, sim["episodes"],
                                             rng, start=sim["start"])
             by_drift[str(drift)] = _drift_stats(result)
-            rows += zip(repeat(canonical_json(drift)), range(sim["episodes"]),
-                        result.recalled.tolist(), result.steps.tolist())
+            rows += map(_recall_episode, repeat(canonical_json(drift)),
+                        range(sim["episodes"]), result.recalled.tolist(),
+                        result.steps.tolist())
     summary = {
         "status": "finished",
         "horizon": mdp.horizon,
@@ -198,10 +201,9 @@ def _run_recall(config: RunConfig, rng) -> tuple[list[tuple], dict, dict]:
     return rows, summary, artifacts
 
 
-def _recall_episode(row: tuple) -> str:
-    """A recall episode row (encoded drift, episode, recalled, steps) as the
+def _recall_episode(drift: str, episode: int, recalled: bool, steps: int) -> str:
+    """A recall episode (encoded drift, episode, recalled, steps) as the
     payload ``canonical_json`` would write for it."""
-    drift, episode, recalled, steps = row
     return (f'{{"drift":{drift},"episode":{episode},'
             f'"recalled":{"true" if recalled else "false"},"steps":{steps}}}')
 
@@ -248,7 +250,7 @@ _RUNNERS = {
     RunMode.RETRIEVE: (_run_retrieve, _experience_record),
     RunMode.BANDIT: (_run_bandit, canonical_json),
     RunMode.PLAN: (_run_plan, canonical_json),
-    RunMode.RECALL_MDP: (_run_recall, _recall_episode),
+    RunMode.RECALL_MDP: (_run_recall, str),
 }
 
 
@@ -342,6 +344,8 @@ def _strict_json(text: str, where: str):
 
 
 def _read_trace(path: str | Path) -> list[dict]:
+    """The trace's records; every one must carry the first one's run_id and
+    module, so lines spliced in from another run are a ParseError."""
     records = []
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -350,6 +354,11 @@ def _read_trace(path: str | Path) -> list[dict]:
         if not (isinstance(record, dict)
                 and all(isinstance(record.get(key), str) for key in ("run_id", "module"))):
             raise ParseError(f"{path}:{line_no}: not a record with string run_id and module")
+        if records:
+            for key in ("run_id", "module"):
+                if record[key] != records[0][key]:
+                    raise ParseError(f"{path}:{line_no}: {key} {record[key]!r} differs "
+                                     f"from the first record's {records[0][key]!r}")
         records.append(record)
     return records
 
@@ -365,6 +374,11 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
         summary = _strict_json(read_text(sp), str(sp))
         if not (isinstance(summary, dict) and isinstance(summary.get("status", ""), str)):
             raise ParseError(f"{sp}: not an object with a string status")
+        if records:
+            for key, value in (("run_id", run_id), ("mode", module)):
+                if summary.get(key) != value:
+                    raise ParseError(f"{sp}: {key} {summary.get(key)!r} is not the "
+                                     f"trace's {value!r}")
         metrics["status"] = summary.get("status", "unknown")
     try:
         payloads = [r["payload"] for r in records]

@@ -197,11 +197,44 @@ def test_harder_items_get_more_of_the_budget():
 
 
 def test_run_consolidates_trace_into_store():
+    """The loop leaves only the baseline strategy; consolidating is the
+    caller's step, and adds one item per record."""
     store = KnowledgeStore(encoding_rate=1.0)
     cfg = one_item_config(target=0.3)
-    state, trace = run_acquisition(cfg, store, np.random.default_rng(0))
-    # baseline strategy plus one consolidated item per trace record
+    rng = np.random.default_rng(0)
+    state, trace = run_acquisition(cfg, store, rng)
+    assert list(store.ltm) == [acquisition.BASELINE_STRATEGY_ID]
+    assert consolidate(store, trace, rng) == len(trace)
     assert len(store.ltm) == 1 + len(trace)
+
+
+def test_one_experience_vector_per_record(monkeypatch):
+    """Each record's vector is the only one built for its item, plus one a
+    cycle for the strategy choice."""
+    made = []
+    init = ExperienceVector.__post_init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(ExperienceVector, "__post_init__", counting)
+    cfg = AcquisitionConfig(
+        target_performance=0.9, retention_discount=0.0, total_resources_per_cycle=2.0,
+        items=[LearnItem(i, 0.2 + 0.05 * i) for i in range(8)], max_cycles=12)
+    state, trace = run_acquisition(cfg, KnowledgeStore(), np.random.default_rng(3))
+    assert state.cycle > 1 and len(trace) > state.cycle
+    assert len(trace) <= len(made) <= len(trace) + state.cycle
+
+
+def test_bad_feel_prob_is_rejected_before_any_draw():
+    cfg = one_item_config(target=0.3)
+    cfg.feel_prob = 1.5
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="feel_prob"):
+        run_acquisition(cfg, KnowledgeStore(), rng)
+    assert rng.bit_generator.state == before
 
 
 def test_jols_fill_experience_secondary():
@@ -334,7 +367,6 @@ def scalar_draw_acquisition(config, store, rng):
         state.active_items = {j for j in active if state.jols[j] < norm}
         state.cycle = cycle + 1
     state.active_history.append(frozenset(state.active_items))
-    consolidate(store, state.trace, rng)
     return state, list(state.trace)
 
 

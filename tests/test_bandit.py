@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
                         run_bandit_episodes, sample_vocs, thompson_select,
                         update_gamma, voc_estimate)
+from mgv.config import validate_config
 from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
-from mgv.errors import DimensionMismatch
+from mgv.errors import DimensionMismatch, ValidationError
 
 
 def oracle_update(mean, cov, noise, f, y):
@@ -123,6 +124,17 @@ def test_observe_rejects_a_bad_outcome_before_any_change(field, bad):
     assert state_bytes(state) == before
 
 
+@pytest.mark.parametrize("strategy", [-1, 2])
+def test_observe_rejects_a_strategy_out_of_range_before_any_change(strategy):
+    """A negative index would wrap to another arm; one past the end has no arm."""
+    state = BanditState.create(2, 1)
+    observe(state, 1, np.ones(1), utility=0.5, elapsed=1.0)
+    before = state_bytes(state)
+    with pytest.raises(ValueError, match=rf"strategy {strategy} is not in range\(2\)"):
+        observe(state, strategy, np.ones(1), utility=1.0, elapsed=1.0)
+    assert state_bytes(state) == before
+
+
 def test_posterior_validation():
     with pytest.raises(ValueError):
         WeightPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -167,6 +179,26 @@ def test_voc_estimate_dimension_mismatch():
 def test_gamma_prior_smoothing_before_data():
     state = BanditState.create(2, 1, gamma_prior=(1.0, 2.0))
     assert state.gamma == pytest.approx(0.5)
+
+
+NON_FINITE_PRIORS = [prior for bad in (math.nan, math.inf, -math.inf)
+                     for prior in ((bad, 1.0), (0.0, bad))]
+
+
+@pytest.mark.parametrize("prior", NON_FINITE_PRIORS, ids=str)
+def test_gamma_prior_must_be_finite(prior):
+    posteriors = [WeightPosterior.standard(1)]
+    for make in (lambda: BanditState(posteriors, posteriors, gamma_prior=prior),
+                 lambda: BanditState.create(2, 1, gamma_prior=prior)):
+        with pytest.raises(ValidationError) as raised:
+            make()
+        assert raised.value.field == "gamma_prior"
+    doc = {"mode": "bandit", "seed": 2,
+           "params": {"episodes": 5, "utilities": [0.8, 0.2], "times": [1.0, 1.0],
+                      "gamma_prior": list(prior)}}
+    with pytest.raises(ValidationError) as raised:
+        validate_config(doc)
+    assert raised.value.field.startswith("params.gamma_prior")
 
 
 def test_update_gamma_accumulates():

@@ -6,6 +6,8 @@ import warnings
 import pytest
 
 from mgv.cli import main
+from mgv.config import validate_config
+from mgv.runner import run
 
 
 def write_json(path, doc):
@@ -388,6 +390,30 @@ def _undecodable_summary_report(tmp_path):
     return _report_on(tmp_path, PLAN_RECORD, '{"status": "d\u00e9j\u00e0"}'.encode("latin-1"))
 
 
+def _flavell_trace_lines(tmp_path, name, success_threshold):
+    """The trace lines of a six-cycle flavell run, its summary beside them."""
+    doc = {**flavell_doc(tmp_path, f"{name}.jsonl"), "params": {
+        **flavell_doc(tmp_path)["params"], "success_threshold": success_threshold}}
+    run(validate_config(doc))
+    return (tmp_path / f"{name}.jsonl").read_text().splitlines()
+
+
+def _spliced_report(tmp_path):
+    """Two runs of other params, the second's tail after the first's head: a
+    killed overwrite of one run's trace by another's."""
+    new, old = (_flavell_trace_lines(tmp_path, name, threshold)
+                for name, threshold in (("new", 0.95), ("old", 0.99)))
+    return _report_on(tmp_path, "\n".join(new[:2] + old[2:]),
+                      (tmp_path / "new.summary.json").read_bytes())
+
+
+def _foreign_summary_report(tmp_path):
+    lines = _flavell_trace_lines(tmp_path, "run", 0.95)
+    _flavell_trace_lines(tmp_path, "other", 0.99)
+    return _report_on(tmp_path, "\n".join(lines),
+                      (tmp_path / "other.summary.json").read_bytes())
+
+
 def _out_in_missing_directory(tmp_path):
     config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
     return (["flavell", "--config", config, "--out",
@@ -402,8 +428,8 @@ def _out_in_missing_directory(tmp_path):
                                   _overflowing_literal_report, _huge_steps_report,
                                   _string_recalled_report, _overflowing_integer_report,
                                   _non_finite_summary_report, _list_summary_report,
-                                  _undecodable_summary_report,
-                                  _out_in_missing_directory],
+                                  _undecodable_summary_report, _spliced_report,
+                                  _foreign_summary_report, _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
     argv, error_type = case(tmp_path)
@@ -425,7 +451,9 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_overflowing_integer_report, "trace.jsonl:1:"),
                  (_non_finite_summary_report, "trace.summary.json:"),
                  (_list_summary_report, "trace.summary.json:"),
-                 (_undecodable_summary_report, "trace.summary.json:")]
+                 (_undecodable_summary_report, "trace.summary.json:"),
+                 (_spliced_report, "trace.jsonl:3: run_id"),
+                 (_foreign_summary_report, "trace.summary.json: run_id")]
 
 
 @pytest.mark.parametrize("case,named", REPORT_ERRORS,

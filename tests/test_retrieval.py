@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from mgv.envs import CueRetrievalEnvironment
 from mgv.experience import FokCounters
 from mgv.knowledge import (CalibrationRecord, KnowledgeCategory, KnowledgeItem,
-                           KnowledgeStore)
+                           KnowledgeStore, consolidate)
 from mgv.retrieval import (OutputDecision, RetrievalConfig, SearchIntensity,
                            decide_output, run_retrieval, satisficing_factor,
                            search_intensity, update_thresholds)
@@ -179,6 +180,24 @@ def test_calibrated_thresholds_come_from_store():
     result, _ = run_with(match_prob=1.0, rate=0.0, store=store)
     assert result.lambda_fok == pytest.approx(0.9)
     assert result.lambda_confidence == pytest.approx(0.95)
+
+
+def test_run_leaves_long_term_memory_as_seeded():
+    """Consolidating is the caller's step: the run adds no long-term item,
+    and ``consolidate`` afterwards encodes one per record."""
+    store = KnowledgeStore()
+    item = KnowledgeItem("memo", KnowledgeCategory.TASK, tags={"probe"})
+    item.calibration_records = [CalibrationRecord(0.9, 0.95, True)]
+    store.add(item)
+    store.add(KnowledgeItem("attend-standard-c0", KnowledgeCategory.STRATEGY,
+                            tags={"attend-standard"}, successes=2))
+    seeded = copy.deepcopy(store.ltm)
+    env = CueRetrievalEnvironment(target="answer", match_prob=0.6, min_matches=6)
+    rng = np.random.default_rng(5)
+    _, trace = run_retrieval({"probe"}, store, env, RetrievalConfig(max_cycles=8), rng)
+    assert trace and list(store.ltm.items()) == list(seeded.items())
+    assert consolidate(store, trace, rng) == len(trace)
+    assert len(store.ltm) == len(seeded) + len(trace)
 
 
 def test_run_halts_within_max_cycles():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import sys
 import tracemalloc
@@ -263,6 +264,22 @@ def test_recall_trace_matches_simulation_arrays(tmp_path_factory, drifts, episod
                       "steps": int(result.steps[e])} for e in range(episodes)]
     expected = reference_trace(run_id_for(config), "recall_mdp", payloads)
     assert (tmp_path / "recall.jsonl").read_bytes() == expected
+
+
+def test_recall_payloads_are_strings_the_garbage_collector_skips():
+    """Thousands of simulated episodes leave no object for a cyclic
+    collection to scan; the bytes are held by the test above."""
+    config = validate_config({
+        "mode": "recall_mdp", "seed": 3,
+        "params": {"drift_prior_mean": 0.2, "drift_prior_variance": 0.5,
+                   "evidence_variance": 1.0, "recall_threshold": 1.0,
+                   "recall_utility": 5.0, "search_cost": 0.02, "horizon": 6,
+                   "simulate": {"drifts": [-0.5, 0.5], "episodes": 300}}})
+    payloads, summary, _ = mgv.runner._run_recall(config, substream(3, "recall_mdp"))
+    assert type(payloads) is list and len(payloads) == 600
+    assert all(type(p) is str for p in payloads)
+    assert not any(map(gc.is_tracked, payloads))
+    assert [json.loads(p)["episode"] for p in payloads[299:301]] == [299, 0]
 
 
 # Control-loop record fields: plain and awkward floats, ints and bools where
