@@ -3,9 +3,8 @@
 from .acquisition import (AcquisitionConfig, AcquisitionState, LearnItem,
                           allocate_resources, compute_norm_of_study, run_acquisition)
 from .bandit import (BanditState, WeightPosterior, observe, posterior_update,
-                     run_bandit_episodes, sample_vocs, thompson_select,
-                     update_gamma, voc_estimate)
-from .config import RunConfig, RunMode, load_config, save_config, validate_config
+                     run_bandit_episodes, sample_vocs, update_gamma, voc_estimate)
+from .config import RunConfig, RunMode, validate_config
 from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                    StationaryBanditEnvironment, SyntheticTaskEnvironment)
 from .errors import (DimensionMismatch, MgvError, MissingFile,
@@ -13,7 +12,7 @@ from .errors import (DimensionMismatch, MgvError, MissingFile,
                      NodeNotOnFrontier, NonMonotonePolicy, ParseError,
                      ValidationError)
 from .experience import (ExperienceMode, ExperienceTuple, ExperienceVector,
-                         FokCounters, fok_dual, generate_experience)
+                         FokCounters, fok_dual)
 from .flavell import (AbandonReason, CycleState, CycleStatus, EvaluativeSignal,
                       FlavellConfig, GoalSpec, MetaStrategyKind,
                       check_termination, classify_evaluative_signal, run_cycle,
@@ -30,7 +29,6 @@ from .recall import (PolicyTable, RecallMdpConfig, RecallSimResult,
 from .retrieval import (OutputDecision, RetrievalConfig, RetrievalResult,
                         SearchIntensity, decide_output, run_retrieval,
                         satisficing_factor, search_intensity, update_thresholds)
-from .rewards import ram_reward
 from .runner import report, run, run_repeated, substream
 
 __version__ = "0.1.0"

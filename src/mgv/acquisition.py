@@ -160,11 +160,9 @@ def run_acquisition(config: AcquisitionConfig, store: KnowledgeStore,
         # Generate: split the budget, study each item.
         allocation = allocate_resources(signals, config.total_resources_per_cycle,
                                         config.signal_floor)
-        # The store does not change within a cycle and the choice ignores the
-        # signal, so one choice serves every item.
-        strategy_id = select_cognitive_strategy(
-            ExperienceVector(channels[0][0], mode=channels[0][1]), store.stm_items(),
-            set(config.task_tags))
+        # The store does not change within a cycle, so one choice serves every
+        # item.
+        strategy_id = select_cognitive_strategy(store.stm_items(), set(config.task_tags))
         # One judgment-of-learning noise per item, drawn as one array.
         noise = (rng.normal(0.0, config.jol_noise_sigma, len(active)).tolist()
                  if config.jol_noise_sigma > 0 else None)

@@ -126,8 +126,8 @@ class BanditState:
     Each belief is held once, in arrays indexed ``[arm, k]`` where k = 0 is
     utility and 1 is time: ``means`` ``(arms, 2, d)``, ``covariances`` and
     their SVD ``factors`` ``(arms, 2, d, d)``, and ``noise`` ``(arms, 2)``.
-    ``observe`` writes the chosen arm's slices in place; ``put`` replaces a
-    posterior.  Construction factors every prior in one batched SVD.
+    ``observe`` writes the chosen arm's slices in place.  Construction
+    factors every prior in one batched SVD.
     """
 
     def __init__(self, utility_posteriors: list[WeightPosterior],
@@ -169,20 +169,6 @@ class BanditState:
         it is defined before the first observation."""
         pr, pt = self.gamma_prior
         return (self.cumulative_reward + pr) / (self.cumulative_time + pt)
-
-    def put(self, arm: int, utility: WeightPosterior | None = None,
-            time: WeightPosterior | None = None) -> None:
-        """Replace the arm's utility and/or time posterior, each of the
-        state's weight dim, and factor it."""
-        dim = self.means.shape[-1]
-        given = [(k, p) for k, p in enumerate((utility, time)) if p is not None]
-        if any(p.dim != dim for _, p in given):
-            raise DimensionMismatch(f"a posterior must have the state's weight dim {dim}")
-        for k, p in given:
-            self.means[arm, k] = p.mean
-            self.covariances[arm, k] = p.covariance
-            self.factors[arm, k] = _factor(p.covariance)
-            self.noise[arm, k] = p.noise_variance
 
 
 def _check_outcome(reward: float, elapsed: float) -> None:
@@ -236,13 +222,6 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
     w = state.means + np.matmul(z[:, :, None, :], state.factors.swapaxes(-1, -2))[:, :, 0, :]
     scores = np.matmul(w[..., None, :], f[:, None])[..., 0, 0]
     return scores[:, 0] - gamma * scores[:, 1]
-
-
-def thompson_select(state: BanditState, features: np.ndarray, gamma: float,
-                    rng) -> int:
-    """Posterior-sampling choice: argmax of one sampled value-of-computation
-    vector, first index winning ties."""
-    return int(np.argmax(sample_vocs(state, features, gamma, rng)))
 
 
 def run_bandit_episodes(env, state: BanditState, episodes: int, rng) -> list[dict]:

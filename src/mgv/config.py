@@ -1,4 +1,4 @@
-"""Run configuration: loading, validation, object construction, canonical save.
+"""Run configuration: loading, validation, object construction.
 
 A run document is ``{"mode": ..., "seed": ..., "params": {...}, "out": ...}``.
 Each mode declares its params once, as a table of fields: a name, a JSON type
@@ -8,8 +8,7 @@ fields, stores every number as a float, fills defaults and names the
 offending field (``params.priors[3].probs``) in every error.  Rules that
 relate several fields live in the library constructors; ``build`` makes a
 mode's objects from its validated params and reports those rules by field
-too.  Saving always emits canonical JSON (sorted keys) so a load/save round
-trip is byte-stable.
+too.
 """
 
 from __future__ import annotations
@@ -491,10 +490,6 @@ def read_document(path: str | Path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return validate_config(read_document(path))
-
-
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write text chunks to ``path`` as UTF-8; every file mgv writes goes here.
 
@@ -538,7 +533,3 @@ def _clean_up(exc: BaseException, action, *args) -> bool:
             exc.add_note(f"while cleaning up: {err!r}")
         return False
     return True
-
-
-def save_config(config: RunConfig, path: str | Path) -> None:
-    write_text(path, (json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",))

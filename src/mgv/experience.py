@@ -74,26 +74,17 @@ def fok_dual(match_evidence: float, mismatch_evidence: float,
     return FokCounters(base.plus + match_evidence, base.minus + mismatch_evidence)
 
 
-def generate_experience(raw_signal: float, knowledge_assessment: float | None,
-                        feel_prob: float, uniform: float) -> ExperienceVector:
-    """Produce one monitoring signal through exactly one channel.
+def experience_channel(raw_signal: float, knowledge_assessment: float | None,
+                       feel_prob: float, uniform: float) -> tuple[float, ExperienceMode]:
+    """One monitoring signal, (primary, mode), through exactly one channel.
 
     The raw task-surface signal is used as-is when ``uniform``, a draw from
     [0, 1), falls below ``feel_prob``; otherwise the knowledge-based
     assessment is used when one exists, falling back to the raw feeling when
     it does not.  The caller draws ``uniform`` on every call, so run
-    reproducibility does not depend on which branch fires.
+    reproducibility does not depend on which branch fires, and checks
+    ``feel_prob`` once per run.
     """
-    if not 0.0 <= feel_prob <= 1.0:
-        raise ValueError(f"feel_prob {feel_prob} outside [0, 1]")
-    primary, mode = experience_channel(raw_signal, knowledge_assessment, feel_prob, uniform)
-    return ExperienceVector(primary, mode=mode)
-
-
-def experience_channel(raw_signal: float, knowledge_assessment: float | None,
-                       feel_prob: float, uniform: float) -> tuple[float, ExperienceMode]:
-    """The (primary, mode) ``generate_experience`` builds its vector from,
-    for callers that check ``feel_prob`` once and build their own vector."""
     if uniform < feel_prob or knowledge_assessment is None:
         return clamp01(raw_signal), ExperienceMode.FEEL
     return clamp01(knowledge_assessment), ExperienceMode.ASSESS

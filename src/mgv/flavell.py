@@ -17,8 +17,7 @@ from math import inf
 import numpy as np
 
 from .errors import AT_LEAST_1, NONNEG, POSITIVE, SIGNED_UNIT, UNIT, NoApplicableStrategy
-from .experience import (ExperienceTuple, ExperienceVector, clamp01,
-                         generate_experience)
+from .experience import ExperienceTuple, ExperienceVector, clamp01, experience_channel
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
                         retrieve_probabilistic, update_knowledge)
 
@@ -140,14 +139,12 @@ def select_meta_strategy(signal: EvaluativeSignal) -> MetaStrategyKind:
     return _META_DISPATCH[signal]
 
 
-def select_cognitive_strategy(difficulty: ExperienceVector,
-                              stm_strategies: list[KnowledgeItem],
+def select_cognitive_strategy(stm_strategies: list[KnowledgeItem],
                               task_tags: set[str]) -> str:
     """Pick the activated strategy with the best smoothed win rate.
 
-    Candidates are first narrowed to strategies sharing at least one task tag;
-    the difficulty signal rides along as diagnostic context.  Ties break to
-    the lexicographically smallest id so runs are reproducible.
+    Candidates are first narrowed to strategies sharing at least one task tag.
+    Ties break to the lexicographically smallest id so runs are reproducible.
     """
     candidates = [it for it in stm_strategies
                   if it.category is KnowledgeCategory.STRATEGY and it.tags & task_tags]
@@ -195,11 +192,13 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
     ``env`` must provide ``execute(strategy_id, resources, rng) -> (outcome,
     completeness)`` and ``meta_evaluate(outcome, kind) -> float``.  Knowledge
     is revised in place every cycle; meta-strategies accrue their own win/loss
-    record under ``meta-<kind>`` ids.
+    record under ``meta-<kind>`` ids.  ``config.feel_prob`` is checked once,
+    before the store or ``rng`` is touched.
     """
     if rng is None:
         raise ValueError("need an rng")
     config = config or FlavellConfig()
+    feel_prob = UNIT.check("feel_prob", config.feel_prob)
     state = CycleState(task_tags=set(task_tags), goal=goal)
     prev_outcome: float | None = None
     prev_strategy: str | None = None
@@ -221,11 +220,11 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
         raw = 0.5 if prev_outcome is None else (1.0 - prev_outcome) / 2.0
         assessment = (1.0 - float(np.mean([it.success_rate() for it in candidates]))
                       if candidates else None)
-        difficulty = generate_experience(raw, assessment, config.feel_prob, rng.random())
+        primary, mode = experience_channel(raw, assessment, feel_prob, rng.random())
 
         # Generate: dispatch the best activated strategy.
         try:
-            strategy_id = select_cognitive_strategy(difficulty, candidates, state.task_tags)
+            strategy_id = select_cognitive_strategy(candidates, state.task_tags)
         except NoApplicableStrategy:
             state.status = CycleStatus.ABANDONED
             state.abandon_reason = AbandonReason.STRATEGY_FAILURE
@@ -236,9 +235,7 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
         signal = classify_evaluative_signal(outcome, prev_outcome, completeness)
         meta_kind = select_meta_strategy(signal)
         meta_outcome = env.meta_evaluate(outcome, meta_kind)
-        experience = ExperienceVector(primary=difficulty.primary,
-                                      secondary=clamp01((outcome + 1.0) / 2.0),
-                                      mode=difficulty.mode)
+        experience = ExperienceVector(primary, clamp01((outcome + 1.0) / 2.0), mode)
         record = ExperienceTuple(cycle=tau, experience=experience,
                                  strategy_id=strategy_id,
                                  resources=config.resources_per_cycle,

@@ -47,9 +47,6 @@ class DiscretePrior:
     def mean(self) -> float:
         return self._mean
 
-    def to_dict(self) -> dict:
-        return {"support": list(self.support), "probs": list(self.probs)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "DiscretePrior":
         return cls(tuple(d["support"]), tuple(d["probs"]))

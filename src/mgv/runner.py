@@ -307,11 +307,15 @@ def run_repeated(config: RunConfig, repeat: int,
     """Fan a run out over independent substreams.
 
     Repeat i runs under stream name ``<mode>/<i>`` with its output files
-    suffixed ``.<i>``; a single repeat runs the plain stream with paths
-    unchanged.
+    suffixed ``.<i>`` before the extension; a single repeat runs the plain
+    stream with paths unchanged.  Several repeats need an ``out`` with an
+    extension: ``t.0`` and ``t.1`` would share the summary ``t.summary.json``.
     """
     if repeat < 1:
         raise ValidationError("repeat", "must be at least 1")
+    if repeat > 1 and config.out and not Path(config.out).suffix:
+        raise ValidationError("out", "needs an extension when repeat is more than 1, "
+                                     "so each repeat gets its own summary")
     if repeat == 1:
         return [run(config, emit_policy, emit_threshold)]
     summaries = []
@@ -363,6 +367,25 @@ def _read_trace(path: str | Path) -> list[dict]:
     return records
 
 
+# Each mode's summary field that counts its trace records, and its value when
+# the trace is empty.
+_NO_RECORDS = {"flavell": ("cycles", 0), "acquire": ("cycles", 0),
+               "retrieve": ("cycles", 0), "bandit": ("episodes", 0),
+               "plan": ("expansions", 0), "recall_mdp": ("simulated", None)}
+
+
+def _check_empty_trace_summary(sp: Path, summary: dict) -> None:
+    """An empty trace's summary must name a run mode and count no records."""
+    mode = summary.get("mode")
+    if not (isinstance(mode, str) and mode in _NO_RECORDS):
+        raise ParseError(f"{sp}: mode {mode!r} is not a run mode")
+    field, none = _NO_RECORDS[mode]
+    value = summary.get(field, "missing")
+    if type(value) is not type(none) or value != none:
+        raise ParseError(f"{sp}: {field} {value!r} is not {canonical_json(none)}, "
+                         f"but the trace is empty")
+
+
 def _metrics_for(path: Path, records: list[dict]) -> dict:
     module = records[0]["module"] if records else "unknown"
     run_id = records[0]["run_id"] if records else "-"
@@ -379,6 +402,8 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
                 if summary.get(key) != value:
                     raise ParseError(f"{sp}: {key} {summary.get(key)!r} is not the "
                                      f"trace's {value!r}")
+        else:
+            _check_empty_trace_summary(sp, summary)
         metrics["status"] = summary.get("status", "unknown")
     try:
         payloads = [r["payload"] for r in records]

@@ -15,7 +15,7 @@ import pytest
 from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
                              compute_norm_of_study, run_acquisition)
 from mgv.bandit import (BanditState, WeightPosterior, posterior_update,
-                        run_bandit_episodes, thompson_select, voc_estimate)
+                        run_bandit_episodes, sample_vocs, voc_estimate)
 from mgv.config import validate_config
 from mgv.envs import CueRetrievalEnvironment, StationaryBanditEnvironment
 from mgv.knowledge import KnowledgeStore
@@ -25,7 +25,6 @@ from mgv.recall import (RecallMdpConfig, recall_transition, simulate_recall,
                         solve_recall_mdp)
 from mgv.retrieval import (RetrievalConfig, SearchIntensity, run_retrieval,
                            search_intensity)
-from mgv.rewards import ram_reward
 from mgv.runner import run
 from mgv.experience import FokCounters
 
@@ -299,18 +298,19 @@ def test_08_thompson_argmax_identity_and_two_arm_convergence():
     for trial in range(1000):
         arms = int(rng.integers(2, 6))
         dim = int(rng.integers(1, 4))
-        state = BanditState.create(arms, dim)
+        # Collapsed posteriors: every sample is the mean.
+        utility, time = [], []
         for arm in range(arms):
-            state.put(arm,
-                      utility=WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))),
-                      time=WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
+            utility.append(WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
+            time.append(WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
+        state = BanditState(utility, time)
         feats = rng.normal(size=dim)
         gamma = float(rng.uniform(0.0, 2.0))
         greedy = int(np.argmax([
-            voc_estimate(state.means[a, 0], state.means[a, 1], feats,
+            voc_estimate(utility[a].mean, time[a].mean, feats,
                          gamma) for a in range(arms)]))
-        assert thompson_select(state, feats, gamma,
-                               np.random.default_rng(trial)) == greedy
+        assert int(np.argmax(sample_vocs(state, feats, gamma,
+                                         np.random.default_rng(trial)))) == greedy
 
     for seed in range(5):
         env = StationaryBanditEnvironment(utilities=[0.8, 0.2],
@@ -391,9 +391,8 @@ def test_10_traces_are_byte_identical_across_reruns(tmp_path):
 
 # -- 11 ----------------------------------------------------------------------
 
-def test_11_reasoning_reward_worked_value_and_costless_limits():
-    assert ram_reward(-1.0, -3.0, chain_length=10, token_cost=0.1) == 1.0
-    for lp_with, lp_without in ((-0.5, -4.0), (-2.0, -2.0), (0.0, -7.5)):
-        assert ram_reward(lp_with, lp_without, 25, 0.0) == lp_with - lp_without
+def test_11_value_of_computation_worked_values():
     assert voc_estimate([0.7, -0.2], [5.0, 5.0], [1.0, 1.0], gamma=0.0) == \
         pytest.approx(0.5)
+    assert voc_estimate([0.7, -0.2], [5.0, 5.0], [1.0, 1.0], gamma=0.1) == \
+        pytest.approx(-0.5)

@@ -9,7 +9,7 @@ from mgv import acquisition
 from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
                              compute_norm_of_study, run_acquisition)
 from mgv.errors import NoApplicableStrategy
-from mgv.experience import ExperienceTuple, ExperienceVector, clamp01, generate_experience
+from mgv.experience import ExperienceTuple, ExperienceVector, clamp01, experience_channel
 from mgv.flavell import select_cognitive_strategy
 from mgv.knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore, consolidate,
                            retrieve_probabilistic)
@@ -209,8 +209,7 @@ def test_run_consolidates_trace_into_store():
 
 
 def test_one_experience_vector_per_record(monkeypatch):
-    """Each record's vector is the only one built for its item, plus one a
-    cycle for the strategy choice."""
+    """Each record's vector is the only one built for its item."""
     made = []
     init = ExperienceVector.__post_init__
 
@@ -224,7 +223,7 @@ def test_one_experience_vector_per_record(monkeypatch):
         items=[LearnItem(i, 0.2 + 0.05 * i) for i in range(8)], max_cycles=12)
     state, trace = run_acquisition(cfg, KnowledgeStore(), np.random.default_rng(3))
     assert state.cycle > 1 and len(trace) > state.cycle
-    assert len(trace) <= len(made) <= len(trace) + state.cycle
+    assert made == [t.experience for t in trace]
 
 
 def test_bad_feel_prob_is_rejected_before_any_draw():
@@ -337,19 +336,18 @@ def scalar_draw_acquisition(config, store, rng):
         active = sorted(state.active_items)
         state.active_history.append(frozenset(active))
         retrieve_probabilistic(store, set(config.task_tags), rng)
-        vectors = {}
+        channels = {}
         for j in active:
             if cycle == 0:
-                vectors[j] = generate_experience(1.0 - difficulty[j], None,
+                channels[j] = experience_channel(1.0 - difficulty[j], None,
                                                  config.feel_prob, rng.random())
             else:
-                vectors[j] = generate_experience(state.mastery[j], state.jols.get(j),
+                channels[j] = experience_channel(state.mastery[j], state.jols.get(j),
                                                  config.feel_prob, rng.random())
-        allocation = allocate_resources({j: vectors[j].primary for j in active},
+        allocation = allocate_resources({j: channels[j][0] for j in active},
                                         config.total_resources_per_cycle,
                                         config.signal_floor)
-        strategy_id = select_cognitive_strategy(vectors[active[0]], store.stm_items(),
-                                                set(config.task_tags))
+        strategy_id = select_cognitive_strategy(store.stm_items(), set(config.task_tags))
         for j in active:
             before = state.mastery[j]
             mastery = min(1.0, before + config.mastery_gain
@@ -359,7 +357,7 @@ def scalar_draw_acquisition(config, store, rng):
                 jol = clamp01(jol + rng.normal(0.0, config.jol_noise_sigma))
             state.trace.append(ExperienceTuple(
                 cycle=cycle,
-                experience=ExperienceVector(vectors[j].primary, jol, vectors[j].mode),
+                experience=ExperienceVector(channels[j][0], jol, channels[j][1]),
                 strategy_id=strategy_id, resources=allocation[j],
                 outcome_quality=min(1.0, mastery - before)))
             state.jols[j] = jol

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
-                        run_bandit_episodes, sample_vocs, thompson_select,
-                        update_gamma, voc_estimate)
+                        run_bandit_episodes, sample_vocs, update_gamma, voc_estimate)
 from mgv.config import validate_config
 from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
 from mgv.errors import DimensionMismatch, ValidationError
@@ -252,16 +251,16 @@ def test_zero_covariance_reduces_to_greedy_argmax():
     rng_out = np.random.default_rng(42)
     for trial in range(200):
         k, d = int(rng_out.integers(2, 6)), int(rng_out.integers(1, 4))
-        state = BanditState.create(k, d)
         feats = rng_out.normal(size=d)
+        utility, time = [], []
         for arm in range(k):
-            state.put(arm, utility=WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))),
-                      time=WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
+            utility.append(WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
+            time.append(WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
+        state = BanditState(utility, time)
         gamma = float(rng_out.uniform(0, 2))
         greedy = int(np.argmax([
-            voc_estimate(state.means[a, 0], state.means[a, 1], feats, gamma)
-            for a in range(k)]))
-        chosen = thompson_select(state, feats, gamma, np.random.default_rng(trial))
+            voc_estimate(utility[a].mean, time[a].mean, feats, gamma) for a in range(k)]))
+        chosen = int(np.argmax(sample_vocs(state, feats, gamma, np.random.default_rng(trial))))
         assert chosen == greedy
 
 
@@ -333,9 +332,13 @@ def test_sample_vocs_rejects_features_of_another_size():
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_thompson_select_index_in_range(seed):
-    state = BanditState.create(3, 2)
-    idx = thompson_select(state, np.ones(2), 0.5, np.random.default_rng(seed))
-    assert 0 <= idx < 3
+    """Each episode plays the first argmax of its sampled scores."""
+    env = StationaryBanditEnvironment(utilities=[0.5, 0.5, 0.5], times=[1.0, 1.0, 1.0])
+    records = run_bandit_episodes(env, BanditState.create(3, 1), 5,
+                                  np.random.default_rng(seed))
+    for r in records:
+        assert 0 <= r["chosen"] < 3
+        assert r["chosen"] == int(np.argmax(r["sampled_vocs"]))
 
 
 # --- sampler fence ----------------------------------------------------------
@@ -399,41 +402,6 @@ def test_construction_factors_each_posterior_bit_for_bit():
             for k in (0, 1):
                 u, s, _ = np.linalg.svd(state.covariances[arm, k])
                 assert same_bits(state.factors[arm, k], u * np.sqrt(s)), (case, arm, k)
-
-
-def test_sample_vocs_follows_replaced_posteriors_bit_for_bit():
-    """Posteriors put in between calls, one side at a time or both, are what
-    the next draw samples."""
-    meta = np.random.default_rng(2025)
-    for case in range(20):
-        arms, d = int(meta.integers(2, 9)), int(meta.integers(1, 7))
-        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
-                            [fence_posterior(meta, d) for _ in range(arms)])
-        feats, gamma = meta.normal(size=d), float(meta.uniform(0.0, 2.0))
-        for draw in range(6):
-            if draw:
-                i, j = (int(x) for x in meta.integers(arms, size=2))
-                state.put(i, utility=fence_posterior(meta, d))
-                if draw % 2:
-                    state.put(j, time=fence_posterior(meta, d))
-                if draw % 3 == 0:
-                    state.put(j, utility=fence_posterior(meta, d),
-                              time=fence_posterior(meta, d))
-            ours, ref = (np.random.default_rng([case, draw]) for _ in range(2))
-            got = sample_vocs(state, feats, gamma, ours)
-            want = reference_sample_vocs(state, feats, gamma, ref)
-            assert np.array_equal(got, want), (case, draw)
-            assert ours.bit_generator.state == ref.bit_generator.state, (case, draw)
-
-
-def test_put_rejects_a_posterior_of_another_size():
-    state = BanditState.create(3, 2)
-    before = state_bytes(state)
-    with pytest.raises(DimensionMismatch):
-        state.put(1, time=WeightPosterior.standard(3))
-    with pytest.raises(DimensionMismatch):
-        state.put(1, utility=WeightPosterior.standard(2), time=WeightPosterior.standard(1))
-    assert state_bytes(state) == before
 
 
 # --- update fence -----------------------------------------------------------

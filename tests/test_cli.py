@@ -70,6 +70,40 @@ def test_repeat_prints_one_line_per_run(tmp_path, capsys):
     assert (tmp_path / "trace.2.jsonl").exists()
 
 
+def test_repeat_gives_each_trace_its_own_summary(tmp_path, capsys):
+    config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
+    code, out, _ = run_cli(capsys, "flavell", "--config", config, "--repeat", "3")
+    assert code == 0
+    printed = [json.loads(l) for l in out.strip().splitlines()]
+    for i, summary in enumerate(printed):
+        on_disk = json.loads((tmp_path / f"trace.{i}.summary.json").read_text())
+        # Only the printed summaries carry repeat_index.
+        assert on_disk == {k: v for k, v in summary.items() if k != "repeat_index"}
+    traces = [str(tmp_path / f"trace.{i}.jsonl") for i in range(3)]
+    code, out, _ = run_cli(capsys, "report", *traces)
+    assert code == 0
+    runs = json.loads(out.splitlines()[-1])["runs"]
+    assert [(r["status"], r["extra"]["cycles"]) for r in runs] == \
+        [(s["status"], s["cycles"]) for s in printed]
+
+
+def test_repeat_with_an_out_without_extension_exits_2_naming_out(tmp_path, capsys):
+    """``t.0`` and ``t.1`` would share ``t.summary.json``."""
+    config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
+    code, out, err = run_cli(capsys, "flavell", "--config", config, "--repeat", "3",
+                             "--out", str(tmp_path / "t"))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].split(":")[0] == "out"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    # One run writes t and t.summary.json, which cannot collide.
+    code, _, _ = run_cli(capsys, "flavell", "--config", config, "--out", str(tmp_path / "t"))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "t", "t.summary.json"]
+
+
 # --- bare params blocks -----------------------------------------------------
 
 def test_bandit_accepts_bare_arm_spec(tmp_path, capsys):
@@ -414,6 +448,24 @@ def _foreign_summary_report(tmp_path):
                       (tmp_path / "other.summary.json").read_bytes())
 
 
+def _empty_trace_beside_a_bandit_summary_report(tmp_path):
+    """An empty trace beside a copy of a bandit run's summary, which counts
+    40 episodes."""
+    doc = {"mode": "bandit", "seed": 2, "out": str(tmp_path / "bandit.jsonl"),
+           "params": {"episodes": 40, "utilities": [0.9, 0.1], "times": [1.0, 1.0]}}
+    run(validate_config(doc))
+    (tmp_path / "trace.jsonl").write_bytes(b"")
+    (tmp_path / "trace.summary.json").write_bytes(
+        (tmp_path / "bandit.summary.json").read_bytes())
+    return ["report", str(tmp_path / "trace.jsonl")], "ParseError"
+
+
+def _empty_trace_beside_a_summary_without_a_mode_report(tmp_path):
+    (tmp_path / "trace.jsonl").write_bytes(b"")
+    (tmp_path / "trace.summary.json").write_bytes(b'{"status": "finished", "mode": ["plan"]}')
+    return ["report", str(tmp_path / "trace.jsonl")], "ParseError"
+
+
 def _out_in_missing_directory(tmp_path):
     config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
     return (["flavell", "--config", config, "--out",
@@ -429,7 +481,10 @@ def _out_in_missing_directory(tmp_path):
                                   _string_recalled_report, _overflowing_integer_report,
                                   _non_finite_summary_report, _list_summary_report,
                                   _undecodable_summary_report, _spliced_report,
-                                  _foreign_summary_report, _out_in_missing_directory],
+                                  _foreign_summary_report,
+                                  _empty_trace_beside_a_bandit_summary_report,
+                                  _empty_trace_beside_a_summary_without_a_mode_report,
+                                  _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
     argv, error_type = case(tmp_path)
@@ -453,7 +508,11 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_list_summary_report, "trace.summary.json:"),
                  (_undecodable_summary_report, "trace.summary.json:"),
                  (_spliced_report, "trace.jsonl:3: run_id"),
-                 (_foreign_summary_report, "trace.summary.json: run_id")]
+                 (_foreign_summary_report, "trace.summary.json: run_id"),
+                 (_empty_trace_beside_a_bandit_summary_report,
+                  "trace.summary.json: episodes"),
+                 (_empty_trace_beside_a_summary_without_a_mode_report,
+                  "trace.summary.json: mode")]
 
 
 @pytest.mark.parametrize("case,named", REPORT_ERRORS,
@@ -462,6 +521,32 @@ def test_report_errors_name_the_file(tmp_path, capsys, case, named):
     argv, _ = case(tmp_path)
     _, _, err = run_cli(capsys, *argv)
     assert json.loads(err)["error"]["message"].startswith(str(tmp_path / named))
+
+
+def test_report_accepts_an_empty_trace_whose_summary_counts_no_records(tmp_path, capsys):
+    """A retrieve run with no match evidence stops on its first glance and
+    writes an empty trace; a summary that counted a cycle would not fit it."""
+    params = write_json(tmp_path / "params.json",
+                        {"query": ["cue"], "target": "answer", "match_prob": 0,
+                         "evidence_scale": 1.0})
+    trace = str(tmp_path / "trace.jsonl")
+    code, out, _ = run_cli(capsys, "retrieve", "--config", params, "--seed", "1",
+                           "--out", trace)
+    assert code == 0 and json.loads(out)["cycles"] == 0
+    assert (tmp_path / "trace.jsonl").read_bytes() == b""
+    code, out, _ = run_cli(capsys, "report", trace)
+    assert code == 0
+    (metrics,) = json.loads(out.splitlines()[-1])["runs"]
+    assert (metrics["records"], metrics["status"]) == (0, "terminate")
+
+    summary_path = tmp_path / "trace.summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary_path.write_text(json.dumps({**summary, "cycles": 1}))
+    code, out, err = run_cli(capsys, "report", trace)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{summary_path}: cycles 1 ")
 
 
 # --- numbers JSON cannot hold ------------------------------------------------

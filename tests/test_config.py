@@ -7,8 +7,7 @@ import pytest
 
 import mgv.config as mgv_config
 from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
-                        RunMode, load_config, save_config, validate_config,
-                        validate_params)
+                        RunMode, read_document, validate_config, validate_params)
 from mgv.acquisition import compute_norm_of_study
 from mgv.errors import MissingFile, ParseError, ValidationError
 from mgv.planning import DiscretePrior
@@ -282,36 +281,18 @@ def test_counts_have_an_upper_bound_naming_the_field(mode, params, path, limit):
         assert err.value.message == f"must be at most {limit}"
 
 
-# --- file round trip --------------------------------------------------------
-
-def test_save_and_load_round_trip(tmp_path):
-    config = validate_config(minimal_doc(out=str(tmp_path / "trace.jsonl")))
-    path = tmp_path / "run.json"
-    save_config(config, path)
-    loaded = load_config(path)
-    assert loaded == config
-
+# --- reading documents ------------------------------------------------------
 
 def test_load_missing_file(tmp_path):
     with pytest.raises(MissingFile):
-        load_config(tmp_path / "nope.json")
+        read_document(tmp_path / "nope.json")
 
 
 def test_load_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
-        load_config(path)
-
-
-def test_round_trip_is_stable(tmp_path):
-    """Loading what was saved and saving again changes nothing."""
-    config = validate_config(minimal_doc())
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    save_config(config, first)
-    save_config(load_config(first), second)
-    assert first.read_bytes() == second.read_bytes()
+        read_document(path)
 
 
 def test_to_dict_matches_document_shape():

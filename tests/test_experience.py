@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgv.experience import (ExperienceMode, ExperienceTuple, ExperienceVector,
-                            FokCounters, clamp01, fok_dual, generate_experience)
+                            FokCounters, clamp01, experience_channel, fok_dual)
 
 
 def test_vector_validates_ranges():
@@ -43,51 +43,43 @@ def test_fok_dual_rejects_negative_evidence():
         fok_dual(-0.1, 0.0)
 
 
-def test_generate_experience_feel_certain():
+def test_experience_channel_feel_certain():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, 0.9, feel_prob=1.0, uniform=rng.random())
-        assert v.mode is ExperienceMode.FEEL
-        assert v.primary == 0.3
+        assert experience_channel(0.3, 0.9, feel_prob=1.0, uniform=rng.random()) == \
+            (0.3, ExperienceMode.FEEL)
 
 
-def test_generate_experience_assess_certain():
+def test_experience_channel_assess_certain():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, 0.9, feel_prob=0.0, uniform=rng.random())
-        assert v.mode is ExperienceMode.ASSESS
-        assert v.primary == 0.9
+        assert experience_channel(0.3, 0.9, feel_prob=0.0, uniform=rng.random()) == \
+            (0.9, ExperienceMode.ASSESS)
 
 
-def test_generate_experience_falls_back_to_feel_without_assessment():
+def test_experience_channel_falls_back_to_feel_without_assessment():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = generate_experience(0.3, None, feel_prob=0.0, uniform=rng.random())
-        assert v.mode is ExperienceMode.FEEL
-        assert v.primary == 0.3
+        assert experience_channel(0.3, None, feel_prob=0.0, uniform=rng.random()) == \
+            (0.3, ExperienceMode.FEEL)
 
 
-def test_generate_experience_feels_exactly_when_the_uniform_is_below_feel_prob():
+def test_experience_channel_feels_exactly_when_the_uniform_is_below_feel_prob():
     # The caller's one uniform per call picks the channel, whichever fires.
     for u in (0.0, 0.3, np.nextafter(0.5, 0.0), 0.5, 0.7, np.nextafter(1.0, 0.0)):
-        v = generate_experience(0.1, 0.9, feel_prob=0.5, uniform=float(u))
-        assert v.mode is (ExperienceMode.FEEL if u < 0.5 else ExperienceMode.ASSESS)
-        assert v.primary == (0.1 if u < 0.5 else 0.9)
+        assert experience_channel(0.1, 0.9, feel_prob=0.5, uniform=float(u)) == (
+            (0.1, ExperienceMode.FEEL) if u < 0.5 else (0.9, ExperienceMode.ASSESS))
 
 
-def test_generate_experience_clamps_out_of_range_signal():
-    assert generate_experience(1.7, None, 1.0, 0.5).primary == 1.0
-    assert generate_experience(-0.4, None, 1.0, 0.5).primary == 0.0
+def test_experience_channel_clamps_out_of_range_signal():
+    assert experience_channel(1.7, None, 1.0, 0.5)[0] == 1.0
+    assert experience_channel(-0.4, None, 1.0, 0.5)[0] == 0.0
+    assert experience_channel(0.5, 1.3, 0.0, 0.5)[0] == 1.0
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
 def test_clamp01_bounds(x):
     assert 0.0 <= clamp01(x) <= 1.0
-
-
-def test_generate_experience_rejects_bad_feel_prob():
-    with pytest.raises(ValueError):
-        generate_experience(0.5, None, 1.5, 0.0)
 
 
 def test_tuple_validation():

@@ -63,24 +63,24 @@ def test_classify_priority_order():
 
 def test_select_prefers_higher_smoothed_rate():
     items = [strategy("a", successes=1, failures=3), strategy("b", successes=3, failures=1)]
-    assert select_cognitive_strategy(ExperienceVector(0.5), items, {"t"}) == "b"
+    assert select_cognitive_strategy(items, {"t"}) == "b"
 
 
 def test_select_breaks_ties_lexicographically():
     items = [strategy("zeta"), strategy("alpha")]
-    assert select_cognitive_strategy(ExperienceVector(0.5), items, {"t"}) == "alpha"
+    assert select_cognitive_strategy(items, {"t"}) == "alpha"
 
 
 def test_select_filters_by_tag_overlap():
     items = [strategy("a", tags=("other",)), strategy("b", successes=0, failures=9)]
-    assert select_cognitive_strategy(ExperienceVector(0.5), items, {"t"}) == "b"
+    assert select_cognitive_strategy(items, {"t"}) == "b"
 
 
 def test_select_without_candidates_raises():
     with pytest.raises(NoApplicableStrategy):
-        select_cognitive_strategy(ExperienceVector(0.5), [strategy("a", tags=("x",))], {"t"})
+        select_cognitive_strategy([strategy("a", tags=("x",))], {"t"})
     with pytest.raises(NoApplicableStrategy):
-        select_cognitive_strategy(ExperienceVector(0.5), [], {"t"})
+        select_cognitive_strategy([], {"t"})
 
 
 # --- termination rules ------------------------------------------------------
@@ -291,6 +291,37 @@ def test_run_without_rng_raises_and_leaves_the_store_untouched():
     with pytest.raises(ValueError):
         run_cycle({"t"}, goal(), SyntheticTaskEnvironment({"good": 0.9}), store)
     assert store.to_json() == before
+
+
+def test_bad_feel_prob_is_rejected_before_the_store_or_rng_is_touched():
+    store = seeded_store(strategy("good"))
+    cfg = FlavellConfig()
+    cfg.feel_prob = 1.5
+    rng = np.random.default_rng(0)
+    before = store.to_json(), rng.bit_generator.state
+    with pytest.raises(ValueError, match="feel_prob"):
+        run_cycle({"t"}, goal(), SyntheticTaskEnvironment({"good": 0.9}), store,
+                  config=cfg, rng=rng)
+    assert (store.to_json(), rng.bit_generator.state) == before
+
+
+def test_one_experience_vector_per_cycle(monkeypatch):
+    """A cycle's record and its meta-strategy record share the one vector
+    the cycle builds."""
+    made = []
+    init = ExperienceVector.__post_init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(ExperienceVector, "__post_init__", counting)
+    store = seeded_store(strategy("a"), strategy("b"))
+    env = SyntheticTaskEnvironment({"a": 0.3, "b": 0.5}, noise=0.2)
+    state, trace = run_cycle({"t"}, goal(max_cycles=8, success_threshold=0.99),
+                             env, store, rng=np.random.default_rng(5))
+    assert state.cycle > 1
+    assert made == [t.experience for t in trace]
 
 
 def test_history_length_always_equals_cycle_count():

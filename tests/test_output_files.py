@@ -14,16 +14,15 @@ import pytest
 
 import mgv
 from mgv.cli import main
-from mgv.config import save_config, validate_config, write_text
+from mgv.config import validate_config, write_text
 from mgv.runner import run
 
 from test_acceptance import MODE_DOCS
 
 (RECALL_DOC,) = [d for d in MODE_DOCS if d["mode"] == "recall_mdp"]
-# The six files mgv writes: trace, summary, --emit-policy, --emit-threshold,
-# ``mgv report --out`` and ``save_config``.
-OUTPUTS = ("run.jsonl", "run.summary.json", "policy.json", "cutoffs.csv",
-           "report.json", "config.json")
+# The five files mgv writes: trace, summary, --emit-policy, --emit-threshold
+# and ``mgv report --out``.
+OUTPUTS = ("run.jsonl", "run.summary.json", "policy.json", "cutoffs.csv", "report.json")
 
 
 def write_every_output(directory: Path, monkeypatch) -> dict[str, bytes]:
@@ -33,7 +32,6 @@ def write_every_output(directory: Path, monkeypatch) -> dict[str, bytes]:
     config = validate_config({**RECALL_DOC, "out": "run.jsonl"})
     run(config, emit_policy="policy.json", emit_threshold="cutoffs.csv")
     assert main(["report", "run.jsonl", "--out", "report.json"]) == 0
-    save_config(config, "config.json")
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 

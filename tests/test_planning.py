@@ -88,11 +88,6 @@ def test_prior_rejects_a_mean_that_overflows():
     assert DiscretePrior((big,), (1.0,)).mean() == big
 
 
-def test_prior_round_trip():
-    pr = DiscretePrior((-1.0, 2.0), (0.3, 0.7))
-    assert DiscretePrior.from_dict(pr.to_dict()) == pr
-
-
 # --- state and frontier -----------------------------------------------------
 
 def chain3():
