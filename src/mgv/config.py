@@ -33,7 +33,7 @@ from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
 from .errors import (AT_LEAST_1, FINITE, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, SIGNED_UNIT,
                      UNIT, MissingFile, ParseError, ValidationError, at_most)
 from .flavell import FlavellConfig, GoalSpec
-from .knowledge import KnowledgeCategory, KnowledgeItem, KnowledgeStore
+from .knowledge import CalibrationRecord, KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from .planning import DiscretePrior, make_initial_state
 from .recall import RecallMdpConfig
 from .retrieval import RetrievalConfig
@@ -407,7 +407,10 @@ def _build_acquire(p: dict) -> tuple:
 def _build_retrieve(p: dict) -> tuple:
     store = _make(KnowledgeStore, p)
     for d in p["seed_items"]:
-        store.add(KnowledgeItem.from_dict(d), activate=d["in_stm"])
+        records = [_make(CalibrationRecord, r) for r in d["calibration_records"]]
+        store.add(_make(KnowledgeItem, d, category=KnowledgeCategory(d["category"]),
+                        tags=set(d["tags"]), features=tuple(d["features"]),
+                        calibration_records=records), activate=d["in_stm"])
     return (set(p["query"]), store, _make(CueRetrievalEnvironment, p),
             _make(RetrievalConfig, p))
 
@@ -424,7 +427,7 @@ def _build_plan(p: dict) -> tuple:
     priors = []
     for i, d in enumerate(p["priors"]):
         with _within(f"priors[{i}]"):
-            priors.append(DiscretePrior.from_dict(d))
+            priors.append(DiscretePrior(tuple(d["support"]), tuple(d["probs"])))
     return make_initial_state(p["parents"], priors), p["expansion_cost"]
 
 

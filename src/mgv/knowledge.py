@@ -9,7 +9,6 @@ items (each with probability ``encoding_rate``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import median
@@ -40,17 +39,6 @@ class CalibrationRecord:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "fok_magnitude": self.fok_magnitude,
-            "confidence": self.confidence,
-            "was_correct": self.was_correct,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationRecord":
-        return cls(d["fok_magnitude"], d["confidence"], d["was_correct"])
-
 
 @dataclass
 class KnowledgeItem:
@@ -71,31 +59,6 @@ class KnowledgeItem:
     def success_rate(self) -> float:
         """Add-one smoothed win rate; an untried item scores 0.5."""
         return (self.successes + 1) / (self.successes + self.failures + 2)
-
-    def to_dict(self, in_stm: bool = False) -> dict:
-        return {
-            "id": self.id,
-            "category": self.category.value,
-            "tags": sorted(self.tags),
-            "features": list(self.features),
-            "successes": self.successes,
-            "failures": self.failures,
-            "calibration_records": [r.to_dict() for r in self.calibration_records],
-            "in_stm": in_stm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnowledgeItem":
-        return cls(
-            id=d["id"],
-            category=KnowledgeCategory(d["category"]),
-            tags=set(d.get("tags", ())),
-            features=tuple(d.get("features", ())),
-            successes=d.get("successes", 0),
-            failures=d.get("failures", 0),
-            calibration_records=[CalibrationRecord.from_dict(r)
-                                 for r in d.get("calibration_records", ())],
-        )
 
 
 @dataclass
@@ -119,30 +82,16 @@ class KnowledgeStore:
             raise ValueError(f"stm ids not in ltm: {sorted(missing)}")
 
     def add(self, item: KnowledgeItem, activate: bool = False) -> None:
+        """Store ``item``, replacing any item with its id, membership included."""
         self.ltm[item.id] = item
         if activate:
             self.stm.add(item.id)
+        else:
+            self.stm.discard(item.id)
 
     def stm_items(self) -> list[KnowledgeItem]:
         """Working-memory items in id order (stable across runs)."""
         return [self.ltm[i] for i in sorted(self.stm)]
-
-    def to_json(self) -> str:
-        snapshot = {
-            "access_prob": self.access_prob,
-            "encoding_rate": self.encoding_rate,
-            "items": [self.ltm[i].to_dict(in_stm=i in self.stm) for i in sorted(self.ltm)],
-        }
-        return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "KnowledgeStore":
-        snapshot = json.loads(text)
-        store = cls(access_prob=snapshot["access_prob"],
-                    encoding_rate=snapshot["encoding_rate"])
-        for d in snapshot["items"]:
-            store.add(KnowledgeItem.from_dict(d), activate=d.get("in_stm", False))
-        return store
 
 
 def retrieve_probabilistic(store: KnowledgeStore, query: set[str], rng) -> set[str]:

@@ -47,10 +47,6 @@ class DiscretePrior:
     def mean(self) -> float:
         return self._mean
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscretePrior":
-        return cls(tuple(d["support"]), tuple(d["probs"]))
-
 
 @dataclass
 class PlanningState:

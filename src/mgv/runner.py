@@ -375,10 +375,12 @@ _NO_RECORDS = {"flavell": ("cycles", 0), "acquire": ("cycles", 0),
 
 
 def _check_empty_trace_summary(sp: Path, summary: dict) -> None:
-    """An empty trace's summary must name a run mode and count no records."""
+    """An empty trace's summary must name its run and mode and count no records."""
     mode = summary.get("mode")
     if not (isinstance(mode, str) and mode in _NO_RECORDS):
         raise ParseError(f"{sp}: mode {mode!r} is not a run mode")
+    if not isinstance(summary.get("run_id"), str):
+        raise ParseError(f"{sp}: run_id {summary.get('run_id')!r} is not a string")
     field, none = _NO_RECORDS[mode]
     value = summary.get(field, "missing")
     if type(value) is not type(none) or value != none:
@@ -404,6 +406,8 @@ def _metrics_for(path: Path, records: list[dict]) -> dict:
                                      f"trace's {value!r}")
         else:
             _check_empty_trace_summary(sp, summary)
+            module = metrics["module"] = summary["mode"]
+            metrics["run_id"] = summary["run_id"]
         metrics["status"] = summary.get("status", "unknown")
     try:
         payloads = [r["payload"] for r in records]

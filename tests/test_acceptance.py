@@ -17,8 +17,11 @@ from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
 from mgv.bandit import (BanditState, WeightPosterior, posterior_update,
                         run_bandit_episodes, sample_vocs, voc_estimate)
 from mgv.config import validate_config
-from mgv.envs import CueRetrievalEnvironment, StationaryBanditEnvironment
-from mgv.knowledge import KnowledgeStore
+from mgv.envs import (CueRetrievalEnvironment, StationaryBanditEnvironment,
+                      SyntheticTaskEnvironment)
+from mgv.flavell import CycleStatus, GoalSpec, run_cycle
+from mgv.knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
+                           calibrate_thresholds, consolidate)
 from mgv.planning import (DiscretePrior, frontier, make_initial_state,
                           myopic_voc, plan_value, run_myopic_planner)
 from mgv.recall import (RecallMdpConfig, recall_transition, simulate_recall,
@@ -396,3 +399,60 @@ def test_11_value_of_computation_worked_values():
         pytest.approx(0.5)
     assert voc_estimate([0.7, -0.2], [5.0, 5.0], [1.0, 1.0], gamma=0.1) == \
         pytest.approx(-0.5)
+
+
+# -- 12 ----------------------------------------------------------------------
+
+def test_12_verification_feedback_refines_later_monitoring():
+    # A store carried across runs steers strategy choice away from a failing
+    # strategy.  On a fresh store every win rate is 0.5, so the tie goes to
+    # the smallest id, "a", which fails; after three runs on one store the
+    # fourth opens with "b" and reaches the goal sooner.
+    env = SyntheticTaskEnvironment({"a": -0.3, "b": 0.8}, noise=0.2)
+    goal = GoalSpec(success_threshold=0.7, max_cycles=30)
+    first_pick_a = {"fresh": [], "carried": []}
+    cycles_to_goal = {"fresh": [], "carried": []}
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        store = KnowledgeStore()
+        for sid in ("a", "b"):
+            store.add(KnowledgeItem(sid, KnowledgeCategory.STRATEGY, tags={"t"}))
+        for run_index in range(4):
+            state, trace = run_cycle({"t"}, goal, env, store, rng=rng)
+            kind = {0: "fresh", 3: "carried"}.get(run_index)
+            if kind is not None:
+                first_pick_a[kind].append(trace[0].strategy_id == "a")
+                if state.status is CycleStatus.TERMINATED:
+                    cycles_to_goal[kind].append(state.cycle)
+    assert np.mean(first_pick_a["fresh"]) == 1.0
+    assert np.mean(first_pick_a["carried"]) <= 0.05
+    assert len(cycles_to_goal["carried"]) >= len(cycles_to_goal["fresh"]) >= 190
+    assert np.mean(cycles_to_goal["carried"]) < 0.8 * np.mean(cycles_to_goal["fresh"])
+
+    # A retrieve run's records, consolidated into its store, set the next
+    # run's starting thresholds.  With no satisficing decay a run ends on the
+    # thresholds it started from: the defaults on a fresh store, the
+    # calibrated medians once correct outputs are remembered.
+    query = {"attend-intensive", "attend-standard"}  # consolidated items' tags
+    config = RetrievalConfig(satisficing_rate=0.0)
+    defaults = (config.default_lambda_fok, config.default_lambda_confidence)
+    calibrated = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        store = KnowledgeStore()
+        first, trace = run_retrieval(query, store, CueRetrievalEnvironment("answer", 0.8),
+                                     config, rng)
+        assert (first.lambda_fok, first.lambda_confidence) == defaults
+        consolidate(store, trace, rng)
+        second, _ = run_retrieval(query, store, CueRetrievalEnvironment("answer", 0.8),
+                                  config, rng)
+        start = (second.lambda_fok, second.lambda_confidence)
+        if any(r.was_correct for item in store.ltm.values()
+               for r in item.calibration_records):
+            calibrated += 1
+            assert start == calibrate_thresholds(store)
+            # Only outputs with confidence above one half count as correct.
+            assert start[1] > defaults[1]
+        else:
+            assert start == defaults
+    assert calibrated >= 40

@@ -466,6 +466,13 @@ def _empty_trace_beside_a_summary_without_a_mode_report(tmp_path):
     return ["report", str(tmp_path / "trace.jsonl")], "ParseError"
 
 
+def _empty_trace_beside_a_summary_without_a_run_id_report(tmp_path):
+    (tmp_path / "trace.jsonl").write_bytes(b"")
+    (tmp_path / "trace.summary.json").write_bytes(
+        b'{"status": "terminate", "mode": "retrieve", "cycles": 0, "run_id": 7}')
+    return ["report", str(tmp_path / "trace.jsonl")], "ParseError"
+
+
 def _out_in_missing_directory(tmp_path):
     config = write_json(tmp_path / "run.json", flavell_doc(tmp_path))
     return (["flavell", "--config", config, "--out",
@@ -484,6 +491,7 @@ def _out_in_missing_directory(tmp_path):
                                   _foreign_summary_report,
                                   _empty_trace_beside_a_bandit_summary_report,
                                   _empty_trace_beside_a_summary_without_a_mode_report,
+                                  _empty_trace_beside_a_summary_without_a_run_id_report,
                                   _out_in_missing_directory],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_file_errors_exit_2_with_one_json_line(tmp_path, capsys, case):
@@ -512,7 +520,9 @@ REPORT_ERRORS = [(_numeric_run_id_report, "trace.jsonl:1:"),
                  (_empty_trace_beside_a_bandit_summary_report,
                   "trace.summary.json: episodes"),
                  (_empty_trace_beside_a_summary_without_a_mode_report,
-                  "trace.summary.json: mode")]
+                  "trace.summary.json: mode"),
+                 (_empty_trace_beside_a_summary_without_a_run_id_report,
+                  "trace.summary.json: run_id")]
 
 
 @pytest.mark.parametrize("case,named", REPORT_ERRORS,
@@ -525,7 +535,8 @@ def test_report_errors_name_the_file(tmp_path, capsys, case, named):
 
 def test_report_accepts_an_empty_trace_whose_summary_counts_no_records(tmp_path, capsys):
     """A retrieve run with no match evidence stops on its first glance and
-    writes an empty trace; a summary that counted a cycle would not fit it."""
+    writes an empty trace; the report names the run its summary names, and
+    a summary that counted a cycle would not fit it."""
     params = write_json(tmp_path / "params.json",
                         {"query": ["cue"], "target": "answer", "match_prob": 0,
                          "evidence_scale": 1.0})
@@ -533,11 +544,14 @@ def test_report_accepts_an_empty_trace_whose_summary_counts_no_records(tmp_path,
     code, out, _ = run_cli(capsys, "retrieve", "--config", params, "--seed", "1",
                            "--out", trace)
     assert code == 0 and json.loads(out)["cycles"] == 0
+    run_id = json.loads(out)["run_id"]
     assert (tmp_path / "trace.jsonl").read_bytes() == b""
     code, out, _ = run_cli(capsys, "report", trace)
     assert code == 0
     (metrics,) = json.loads(out.splitlines()[-1])["runs"]
-    assert (metrics["records"], metrics["status"]) == (0, "terminate")
+    assert (metrics["run_id"], metrics["module"], metrics["records"],
+            metrics["status"]) == (run_id, "retrieve", 0, "terminate")
+    assert out.splitlines()[2].split()[:3] == [run_id, "retrieve", "0"]
 
     summary_path = tmp_path / "trace.summary.json"
     summary = json.loads(summary_path.read_text())

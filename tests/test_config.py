@@ -10,6 +10,7 @@ from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
                         RunMode, read_document, validate_config, validate_params)
 from mgv.acquisition import compute_norm_of_study
 from mgv.errors import MissingFile, ParseError, ValidationError
+from mgv.knowledge import CalibrationRecord, KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from mgv.planning import DiscretePrior
 
 
@@ -206,6 +207,45 @@ def test_number_fields_store_integers_as_floats():
     assert item["successes"] == 0 and item["in_stm"] is False
     record = item["calibration_records"][0]
     assert type(record["fok_magnitude"]) is float and type(record["confidence"]) is float
+
+
+def seeded_store(seed_items: list) -> KnowledgeStore:
+    params = validate_params(RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5,
+                                                "access_prob": 0.25, "encoding_rate": 0.75,
+                                                "seed_items": seed_items})
+    _, store, _, _ = mgv_config.build(RunMode.RETRIEVE, params)
+    return store
+
+
+def test_seed_items_build_the_items_they_describe():
+    store = seeded_store([
+        {"id": "sub", "category": "strategy", "tags": ["q", "algebra", "q"],
+         "features": [1, 0.5], "successes": 3, "failures": 1, "in_stm": True,
+         "calibration_records": [
+             {"fok_magnitude": 0.5, "confidence": 0.8, "was_correct": True},
+             {"fok_magnitude": 2, "confidence": 0, "was_correct": False}]},
+        {"id": "me", "category": "agent"},
+        {"id": "plan", "category": "meta_strategy", "tags": ["q"], "in_stm": False},
+    ])
+    expected = KnowledgeStore(access_prob=0.25, encoding_rate=0.75)
+    expected.add(KnowledgeItem(
+        "sub", KnowledgeCategory.STRATEGY, tags={"q", "algebra"}, features=(1.0, 0.5),
+        successes=3, failures=1,
+        calibration_records=[CalibrationRecord(0.5, 0.8, True),
+                             CalibrationRecord(2.0, 0.0, False)]), activate=True)
+    expected.add(KnowledgeItem("me", KnowledgeCategory.AGENT))
+    expected.add(KnowledgeItem("plan", KnowledgeCategory.META_STRATEGY, tags={"q"}))
+    assert store == expected
+    assert [type(x) for x in store.ltm["sub"].features] == [float, float]
+    assert type(store.ltm["sub"].calibration_records[1].fok_magnitude) is float
+
+
+@pytest.mark.parametrize("first,last", [(True, False), (False, True)])
+def test_a_later_seed_item_replaces_an_earlier_one_in_full(first, last):
+    store = seeded_store([{"id": "a", "category": "task", "in_stm": first},
+                          {"id": "a", "category": "strategy", "in_stm": last}])
+    assert store.ltm == {"a": KnowledgeItem("a", KnowledgeCategory.STRATEGY)}
+    assert store.stm == ({"a"} if last else set())
 
 
 @pytest.mark.parametrize("mode,params,field", [

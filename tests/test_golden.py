@@ -224,8 +224,8 @@ ALL_DOCS = (MODE_DOCS + INT_DOCS
 # sha256 of the JSON ``mgv report --out`` writes and of the table it prints,
 # over the traces of every golden document above.
 GOLDEN_REPORT = (
-    "15a8982cf01d21e0a37847657a7b8f1d0d5232f37591d1023dfe3e910e345372",
-    "a5740fa9f6c71afc7a9260c10810572a0ee3a544e9d5846593f0db595a0cd44e")
+    "118a20ec14657efe18868719f3968fef2ff374f0805e20987f9ef2b36ea127a2",
+    "228467425d5a339056aa598b1fdd3cfa07f949c4a6fc0665cbff31c76a9fd7a3")
 
 
 def test_report_over_every_golden_trace_matches_golden_digest(tmp_path, monkeypatch):

@@ -1,8 +1,5 @@
-import json
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mgv.errors import NoCalibrationHistory
 from mgv.experience import ExperienceTuple, ExperienceVector, FokCounters
@@ -23,38 +20,7 @@ def record(strategy="s", quality=1.0, cycle=0, fok=None, confidence=None):
                            outcome_quality=quality, fok=fok, confidence=confidence)
 
 
-# --- snapshot round trip -------------------------------------------------
-
-def test_snapshot_keys_and_round_trip():
-    store = KnowledgeStore(access_prob=0.7, encoding_rate=0.3)
-    item = make_item("alpha", {"t1", "t2"}, successes=2, failures=1)
-    item.features = (0.1, 0.9)
-    item.calibration_records.append(CalibrationRecord(0.8, 0.9, True))
-    store.add(item, activate=True)
-    store.add(make_item("beta", {"t3"}, category=KnowledgeCategory.TASK))
-    snapshot = json.loads(store.to_json())
-    assert set(snapshot) == {"access_prob", "encoding_rate", "items"}
-
-    restored = KnowledgeStore.from_json(store.to_json())
-    assert restored.access_prob == store.access_prob
-    assert restored.encoding_rate == store.encoding_rate
-    assert restored.stm == store.stm
-    assert restored.ltm == store.ltm
-    # byte-level stability of a save/load/save loop
-    assert restored.to_json() == store.to_json()
-
-
-@given(st.lists(st.tuples(st.sampled_from("abcdefgh"),
-                          st.integers(0, 5), st.integers(0, 5)),
-                max_size=8, unique_by=lambda t: t[0]))
-def test_snapshot_round_trip_property(entries):
-    store = KnowledgeStore(access_prob=0.5, encoding_rate=0.5)
-    for i, (iid, s, f) in enumerate(entries):
-        store.add(make_item(iid, {iid, "shared"}, successes=s, failures=f),
-                  activate=i % 2 == 0)
-    restored = KnowledgeStore.from_json(store.to_json())
-    assert restored.ltm == store.ltm and restored.stm == store.stm
-
+# --- store ------------------------------------------------------------------
 
 def test_store_rejects_stm_not_in_ltm():
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""Guards on what other code relies on: every name ``mgv`` exports has a
-caller outside its own definition, and every function the benchmark's
-tracer wraps still exists.  Both read source files with ``ast``; nothing
-outside ``src/mgv`` is imported or run."""
+"""Guards on what other code relies on: every name ``mgv`` exports, and
+every function, method and class ``src/mgv`` defines, has a caller outside
+its own definition, and every function the benchmark's tracer wraps still
+exists.  They read source files with ``ast``; nothing outside ``src/mgv`` is
+imported or run."""
 
 import ast
 import importlib
@@ -46,6 +47,22 @@ def test_every_exported_name_is_reached_outside_its_definition():
     assert len(exported) > 50
     reached = referenced_names(CALLERS)
     assert [name for name in exported if name not in reached] == []
+
+
+def defined_names() -> list[tuple[str, str]]:
+    """(module file, name) for every function, method and class defined in
+    ``src/mgv``, at any depth, except dunder names and ``__init__.py``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(path.name, node.name) for path in CALLERS if path.parent == PACKAGE
+            for node in ast.walk(parse(path))
+            if isinstance(node, kinds) and not node.name.startswith("__")]
+
+
+def test_every_definition_is_reached_outside_its_definition():
+    defined = defined_names()
+    assert len(defined) > 150
+    reached = referenced_names(CALLERS)
+    assert [(module, name) for module, name in defined if name not in reached] == []
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:
