@@ -14,10 +14,9 @@ from enum import Enum
 from itertools import islice
 from math import inf
 
-import numpy as np
-
 from .errors import AT_LEAST_1, NONNEG, POSITIVE, SIGNED_UNIT, UNIT, NoApplicableStrategy
 from .experience import ExperienceTuple, ExperienceVector, clamp01, experience_channel
+from .floats import mean
 from .knowledge import (KnowledgeCategory, KnowledgeItem, KnowledgeStore,
                         retrieve_probabilistic, update_knowledge)
 
@@ -218,7 +217,7 @@ def run_cycle(task_tags: set[str], goal: GoalSpec, env, store: KnowledgeStore,
         candidates = [it for it in store.stm_items()
                       if it.category is KnowledgeCategory.STRATEGY and it.tags & state.task_tags]
         raw = 0.5 if prev_outcome is None else (1.0 - prev_outcome) / 2.0
-        assessment = (1.0 - float(np.mean([it.success_rate() for it in candidates]))
+        assessment = (1.0 - float(mean([it.success_rate() for it in candidates]))
                       if candidates else None)
         primary, mode = experience_channel(raw, assessment, feel_prob, rng.random())
 

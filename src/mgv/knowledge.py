@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from statistics import median
 
-from .errors import UNIT, NoCalibrationHistory
+from .errors import NONEMPTY, NONNEG, UNIT, NoCalibrationHistory, ValidationError
 from .experience import ExperienceTuple
 
 
@@ -34,10 +34,8 @@ class CalibrationRecord:
     was_correct: bool
 
     def __post_init__(self):
-        if self.fok_magnitude < 0:
-            raise ValueError("fok_magnitude must be nonnegative")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        NONNEG.check("fok_magnitude", self.fok_magnitude)
+        UNIT.check("confidence", self.confidence)
 
 
 @dataclass
@@ -51,10 +49,12 @@ class KnowledgeItem:
     calibration_records: list[CalibrationRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("item id must be non-empty")
-        if self.successes < 0 or self.failures < 0:
-            raise ValueError("counters must be nonnegative")
+        NONEMPTY.check("id", self.id)
+        # Retrieval intersects tags with a query set; a string is not a set.
+        if not isinstance(self.tags, (set, frozenset)):
+            raise ValidationError("tags", "must be a set")
+        NONNEG.check("successes", self.successes)
+        NONNEG.check("failures", self.failures)
 
     def success_rate(self) -> float:
         """Add-one smoothed win rate; an untried item scores 0.5."""

@@ -7,6 +7,11 @@ Gaussian, so the progress transition marginalizes in closed form and the
 finite-horizon policy comes out of exact backward induction on a progress
 grid.  The solved policy searches above a time-varying progress cutoff and
 stops below it.
+
+numpy's fixed cost per call is most of a small solve, so the solver builds
+the transition rows of a block of steps in one call, the cutoffs come from
+one pass over the action table, and the simulation carries only the
+episodes still searching.
 """
 
 from __future__ import annotations
@@ -17,8 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AT_LEAST_1, FINITE, NONNEG, POSITIVE, NonMonotonePolicy, ValidationError
+from .floats import mean
 
 MAX_GRID_CELLS = 1001  # each solver step holds a (cells - 1) x cells array
+
+# Transition masses one solver call builds at most, unless one step alone
+# holds more.  A 16-cell grid (240 masses a step) gets 17 steps a call, so a
+# small solve pays numpy's fixed cost per call once; from 46 cells up each
+# call holds one step, as a per-step loop would.  A call's transient arrays
+# and its list of Python floats for ``math.erf`` thus stay within about
+# 4 096 entries each (a few hundred kB) of what a single step needs.
+BLOCK_MASSES = 1 << 12
 
 
 @dataclass
@@ -62,24 +76,32 @@ class RecallMdpConfig:
         return np.linspace(self.z_min, self.recall_threshold, n)
 
 
-def recall_posterior(t: int, z: float, prior_mean: float, prior_variance: float,
-                     evidence_variance: float) -> tuple[float, float]:
+def recall_posterior(t: int | np.ndarray, z: float | np.ndarray, prior_mean: float,
+                     prior_variance: float, evidence_variance: float) -> tuple:
     """Drift belief after t steps summing to progress z.
 
     Standard conjugate form: precisions add, the mean is the precision-weighted
-    blend of prior mean and average observed increment.
+    blend of prior mean and average observed increment.  An array of steps
+    gives one belief per step, broadcast against z, each the scalar call's.
     """
-    if t < 0:
+    steps = np.asarray(t)
+    if steps.min() < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
+    if not steps.ndim and t == 0:
         return prior_mean, prior_variance
     precision = 1.0 / prior_variance + t / evidence_variance
     variance = 1.0 / precision
     mean = (prior_mean / prior_variance + z / evidence_variance) * variance
+    if steps.ndim and not steps.all():
+        # Step 0 is the prior exactly, as in the scalar call.
+        prior = steps == 0
+        mean = np.where(prior, prior_mean, mean)
+        variance = np.where(prior, prior_variance, variance)
     return mean, variance
 
 
-def recall_transition(t: int, z: float | np.ndarray, config: RecallMdpConfig) -> np.ndarray:
+def recall_transition(t: int | np.ndarray, z: float | np.ndarray,
+                      config: RecallMdpConfig) -> np.ndarray:
     """Distribution of next-step progress over grid cells after one search.
 
     The increment marginalizes the drift belief: next progress is Gaussian
@@ -87,14 +109,19 @@ def recall_transition(t: int, z: float | np.ndarray, config: RecallMdpConfig) ->
     masses integrate that Gaussian between cell midpoints, with the bottom
     cell catching the left tail and the absorbing top cell catching all mass
     at or above the threshold.  Masses sum to one.  An array of progress
-    values gives one row per value.
+    values gives one row per value, and a 1-D array of steps one block of
+    such rows per step, each bit for bit the single step's call.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z >= config.recall_threshold):
         raise ValueError("transition undefined from the absorbed state")
+    steps = np.asarray(t)
+    if steps.ndim:
+        t = steps.reshape(steps.shape + (1,) * z.ndim)  # each step spans z
     mu, var = recall_posterior(t, z, config.drift_prior_mean,
                                config.drift_prior_variance, config.evidence_variance)
-    sigma = math.sqrt(config.evidence_variance + var)
+    # np.sqrt and math.sqrt both round correctly, so they give the same bits.
+    sigma = np.sqrt(config.evidence_variance + var)[..., None]
     grid = config.grid()
     edges = (grid[:-1] + grid[1:]) / 2.0  # right edge of each non-absorbing cell
     edges[-1] = config.recall_threshold  # top non-absorbing cell ends at the threshold
@@ -136,23 +163,26 @@ def solve_recall_mdp(config: RecallMdpConfig) -> PolicyTable:
     At the horizon only stopping (worth 0) remains.  Earlier, searching is
     worth the expected next-step value minus the search cost; the policy
     searches exactly where that beats stopping, ties resolving to stop.
+    One ``recall_transition`` call builds the rows of a block of steps, at
+    most ``BLOCK_MASSES`` masses unless one step alone holds more.
     """
     grid = config.grid()
     k = grid.size
     horizon = config.horizon
     values = np.zeros((horizon + 1, k))
-    actions = np.zeros((horizon + 1, k - 1), dtype=np.int8)
     values[:, -1] = config.recall_utility
+    per_block = max(1, BLOCK_MASSES // ((k - 1) * k))
 
-    for t in range(horizon - 1, -1, -1):
-        rows = recall_transition(t, grid[:-1], config)
-        # One dot product per row, in one batched call: a 2-D matrix product
-        # sums in another order and moves the last bit of the values.
-        expected = np.matmul(rows[:, None, :], values[t + 1][:, None])[:, 0, 0]
-        q_search = -config.search_cost + expected
-        search = q_search > 0.0
-        values[t, :-1][search] = q_search[search]
-        actions[t] = search
+    for top in range(horizon - 1, -1, -per_block):
+        block = np.arange(top, max(top - per_block, -1), -1)
+        for t, rows in zip(block.tolist(), recall_transition(block, grid[:-1], config)):
+            # One dot product per row, in one batched call: a 2-D matrix
+            # product sums in another order and moves the last bit of the values.
+            expected = np.matmul(rows[:, None, :], values[t + 1][:, None])[:, 0, 0]
+            q_search = -config.search_cost + expected
+            values[t, :-1] = np.where(q_search > 0.0, q_search, 0.0)
+    # A cell searches exactly where searching beat stopping's 0.
+    actions = (values[:, :-1] > 0.0).astype(np.int8)
     return PolicyTable(grid, values, actions, config.recall_utility, horizon)
 
 
@@ -161,20 +191,17 @@ def stopping_threshold(policy: PolicyTable) -> dict[int, float | None]:
 
     None marks steps where it stops everywhere.  Raises when a step's actions
     are not stop-below / search-above, which signals a grid too coarse for
-    the configuration.
+    the configuration; the error names the first such step.  One pass over
+    the whole action table finds every step's cutoff.
     """
-    out: dict[int, float | None] = {}
-    for t in range(policy.horizon + 1):
-        row = policy.actions[t]
-        searching = np.flatnonzero(row == 1)
-        if searching.size == 0:
-            out[t] = None
-            continue
-        lo = int(searching[0])
-        if not np.all(row[lo:] == 1):
-            raise NonMonotonePolicy(f"actions at step {t} are not a single cutoff")
-        out[t] = float(policy.z_values[lo])
-    return out
+    searching = np.asarray(policy.actions) == 1
+    # A search followed by a stop anywhere in a row breaks the single cutoff.
+    broken = np.flatnonzero((searching[:, :-1] > searching[:, 1:]).any(axis=1))
+    if broken.size:
+        raise NonMonotonePolicy(f"actions at step {int(broken[0])} are not a single cutoff")
+    cutoffs = np.asarray(policy.z_values)[searching.argmax(axis=1)].tolist()
+    return {t: z if any_search else None
+            for t, (z, any_search) in enumerate(zip(cutoffs, searching.any(axis=1).tolist()))}
 
 
 @dataclass
@@ -187,18 +214,18 @@ class RecallSimResult:
 
     @property
     def recall_rate(self) -> float:
-        return float(np.mean(self.recalled))
+        return float(mean(self.recalled))
 
     def mean_recall_time(self) -> float | None:
         if not self.recalled.any():
             return None
-        return float(np.mean(self.steps[self.recalled]))
+        return float(mean(self.steps[self.recalled]))
 
     def mean_giveup_time(self) -> float | None:
         failed = ~self.recalled
         if not failed.any():
             return None
-        return float(np.mean(self.steps[failed]))
+        return float(mean(self.steps[failed]))
 
 
 def simulate_recall(policy: PolicyTable, config: RecallMdpConfig, drift: float,
@@ -207,37 +234,37 @@ def simulate_recall(policy: PolicyTable, config: RecallMdpConfig, drift: float,
 
     Progress stays continuous; the policy is read at the nearest grid cell.
     Episodes end by crossing the threshold (recalled), by the policy stopping,
-    or by the horizon forcing a stop.
+    or by the horizon forcing a stop.  Only the episodes still searching are
+    carried from step to step, as their indices and progress, and the moving
+    ones draw their increments in index order.
     """
-    z = np.full(episodes, float(start))
+    FINITE.check("drift", drift)
+    FINITE.check("start", start)
+    AT_LEAST_1.check("episodes", episodes)
     steps = np.zeros(episodes, dtype=int)
     recalled = np.zeros(episodes, dtype=bool)
-    active = np.ones(episodes, dtype=bool)
+    idx = np.arange(episodes)  # the episodes still searching, ascending
+    z = np.full(episodes, float(start))  # their progress
     sigma = math.sqrt(config.evidence_variance)
-    cells = policy.z_values.size
+    z_min, z_step, threshold = config.z_min, config.z_step, config.recall_threshold
+    top_cell = policy.z_values.size - 2
+    searches = policy.actions != 0
 
     for t in range(config.horizon + 1):
-        crossed = active & (z >= config.recall_threshold)
-        recalled[crossed] = True
-        steps[crossed] = t
-        active &= ~crossed
-        if not active.any():
-            break
+        # A searching episode is not recalled yet, and each leaves at the
+        # step last written to it.
+        crossed = z >= threshold
+        recalled[idx] = crossed
+        steps[idx] = t
         if t == config.horizon:
-            steps[active] = t
-            active[:] = False
             break
-        idx = np.flatnonzero(active)
         # Clip before the cast: a float beyond int64's range has no defined
         # integer, and rounding commutes with clipping to whole bounds.
-        progress = np.clip((z[idx] - config.z_min) / config.z_step, 0, cells - 2)
-        cell = np.rint(progress).astype(int)
-        stop = policy.actions[t, cell] == 0
-        stopped = idx[stop]
-        steps[stopped] = t
-        active[stopped] = False
-        moving = idx[~stop]
-        if moving.size:
-            z[moving] += rng.normal(drift, sigma, size=moving.size)
-            steps[moving] = t + 1
+        # np.minimum and np.maximum clip as np.clip does, for less overhead.
+        cell = np.rint(np.minimum(np.maximum((z - z_min) / z_step, 0), top_cell)).astype(int)
+        moving = ~crossed & searches[t][cell]
+        idx = idx[moving]
+        if not idx.size:
+            break
+        z = z[moving] + rng.normal(drift, sigma, size=idx.size)
     return RecallSimResult(drift, recalled, steps)

@@ -439,6 +439,7 @@ CONSTRUCTOR_CHECKS = {
     "RecallMdpConfig": {"drift_prior_variance", "evidence_variance", "recall_threshold",
                         "search_cost", "horizon", "z_step"},
     "KnowledgeStore": {"access_prob", "encoding_rate"},
+    "KnowledgeItem": {"successes", "failures"},
     "CueRetrievalEnvironment": {"match_prob", "cue_samples", "evidence_scale",
                                 "min_matches", "confidence_gain"},
     "StationaryBanditEnvironment": {"times[0]", "reward_noise", "time_noise"},

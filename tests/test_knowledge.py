@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgv.errors import NoCalibrationHistory
+from mgv.errors import NoCalibrationHistory, ValidationError
 from mgv.experience import ExperienceTuple, ExperienceVector, FokCounters
 from mgv.knowledge import (CalibrationRecord, KnowledgeCategory, KnowledgeItem,
                            KnowledgeStore, calibrate_thresholds, consolidate,
@@ -313,3 +313,35 @@ def test_calibrate_ignores_items_outside_stm():
 def test_calibrate_without_history_raises():
     with pytest.raises(NoCalibrationHistory):
         calibrate_thresholds(KnowledgeStore())
+
+
+# --- record and item checks ---------------------------------------------------
+
+@pytest.mark.parametrize("fok, confidence, field", [
+    (float("nan"), 0.9, "fok_magnitude"), (-0.1, 0.9, "fok_magnitude"),
+    (0.5, float("nan"), "confidence"), (0.5, 1.1, "confidence"), (0.5, -0.1, "confidence")])
+def test_calibration_record_rejects_nan_and_out_of_range(fok, confidence, field):
+    with pytest.raises(ValidationError) as exc:
+        CalibrationRecord(fok, confidence, True)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(id=""), "id"), (dict(tags="abc"), "tags"), (dict(tags=["a"]), "tags"),
+    (dict(successes=float("nan")), "successes"), (dict(failures=float("nan")), "failures"),
+    (dict(successes=-1), "successes")])
+def test_knowledge_item_rejects_bad_fields(kwargs, field):
+    args = dict(id="a", category=KnowledgeCategory.STRATEGY, tags={"t"}) | kwargs
+    with pytest.raises(ValidationError) as exc:
+        KnowledgeItem(**args)
+    assert exc.value.field == field
+
+
+def test_calibrated_thresholds_stay_finite_for_library_callers():
+    store = KnowledgeStore()
+    item = make_item("memo", ["q"])
+    item.calibration_records = [CalibrationRecord(0.2, 0.4, True)]
+    store.add(item, activate=True)
+    with pytest.raises(ValidationError):
+        item.calibration_records.append(CalibrationRecord(float("nan"), 0.9, True))
+    assert calibrate_thresholds(store) == (0.2, 0.4)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from mgv.errors import NonMonotonePolicy
-from mgv.recall import (PolicyTable, RecallMdpConfig, recall_posterior,
+from mgv.recall import (MAX_GRID_CELLS, PolicyTable, RecallMdpConfig, recall_posterior,
                         recall_transition, simulate_recall, solve_recall_mdp,
                         stopping_threshold)
 
@@ -206,6 +206,55 @@ def test_threshold_rejects_scattered_actions():
         stopping_threshold(table)
 
 
+def per_step_cutoffs(policy):
+    """``stopping_threshold`` one step at a time, stopping at the first
+    non-monotone step."""
+    out = {}
+    for t in range(policy.horizon + 1):
+        row = policy.actions[t]
+        searching = np.flatnonzero(row == 1)
+        if searching.size == 0:
+            out[t] = None
+            continue
+        lo = int(searching[0])
+        if not np.all(row[lo:] == 1):
+            raise NonMonotonePolicy(f"actions at step {t} are not a single cutoff")
+        out[t] = float(policy.z_values[lo])
+    return out
+
+
+def action_tables():
+    """Seeded action tables: single cutoffs, all-stop and all-search rows,
+    and tables with one or more scattered rows."""
+    rng = np.random.default_rng(707)
+    for _ in range(300):
+        steps, cells = int(rng.integers(1, 12)), int(rng.integers(1, 20))
+        cutoffs = rng.integers(0, cells + 1, size=steps)
+        actions = (np.arange(cells) >= cutoffs[:, None]).astype(np.int8)
+        for _ in range(int(rng.integers(0, 3))):
+            actions[rng.integers(steps), rng.integers(cells)] ^= 1
+        z_values = np.sort(rng.uniform(-3.0, 1.0, size=cells + 1))
+        yield PolicyTable(z_values, np.zeros((steps, cells + 1)), actions, 1.0, steps - 1)
+
+
+def test_one_pass_cutoffs_match_the_per_step_loop():
+    outcomes = set()
+    for policy in action_tables():
+        try:
+            expected = per_step_cutoffs(policy)
+        except NonMonotonePolicy as exc:
+            with pytest.raises(NonMonotonePolicy) as got:
+                stopping_threshold(policy)
+            assert str(got.value) == str(exc)
+            outcomes.add("raised")
+            continue
+        got = stopping_threshold(policy)
+        assert got == expected
+        assert all(type(v) in (float, type(None)) for v in got.values())
+        outcomes.add("cutoffs")
+    assert outcomes == {"raised", "cutoffs"}
+
+
 # --- simulation -------------------------------------------------------------
 
 def solved_pair(**overrides):
@@ -265,6 +314,21 @@ def test_summary_statistics():
     assert result.mean_giveup_time() == pytest.approx(6.0)
     empty = RecallSimResult(0.1, np.zeros(2, bool), np.array([1, 1]))
     assert empty.mean_recall_time() is None
+
+
+@pytest.mark.parametrize("bad", [dict(drift=math.nan), dict(drift=math.inf),
+                                 dict(drift=-math.inf), dict(start=math.nan),
+                                 dict(start=math.inf), dict(episodes=0),
+                                 dict(episodes=-3)],
+                         ids=lambda d: f"{next(iter(d))}={next(iter(d.values()))}")
+def test_simulation_rejects_bad_arguments_before_any_draw(bad):
+    config, table = solved_pair()
+    args = dict(drift=0.2, episodes=10, start=0.0) | bad
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        simulate_recall(table, config, args["drift"], args["episodes"], rng, start=args["start"])
+    assert rng.bit_generator.state == before
 
 
 # --- bit-exact fence ----------------------------------------------------------
@@ -350,17 +414,34 @@ def test_transition_rows_equal_the_scalar_calls(config):
             assert np.array_equal(row, recall_transition(t, float(grid[cell]), config))
 
 
-def test_solver_builds_one_transition_per_step(monkeypatch):
+def count_transition_calls(monkeypatch, config):
+    """Steps of each ``recall_transition`` call one solve makes."""
     import mgv.recall
     calls = []
 
     def counting(t, z, config):
-        calls.append(t)
+        calls.append(np.asarray(t).tolist())
         return recall_transition(t, z, config)
 
     monkeypatch.setattr(mgv.recall, "recall_transition", counting)
-    solve_recall_mdp(small_config(horizon=7))
-    assert calls == list(range(6, -1, -1))
+    solve_recall_mdp(config)
+    return calls
+
+
+def test_solver_builds_one_transition_call_per_block(monkeypatch):
+    # 5 and 16 cells: every step fits in one block of BLOCK_MASSES masses.
+    assert count_transition_calls(monkeypatch, small_config(horizon=7)) == [[6, 5, 4, 3, 2, 1, 0]]
+    sweep = small_config(horizon=8, z_min=-2.75, z_step=0.25)
+    assert sweep.grid().size == 16
+    assert count_transition_calls(monkeypatch, sweep) == [list(range(7, -1, -1))]
+    # 41 cells (1 640 masses a step): two steps a block, the last one alone.
+    wide = small_config(horizon=5, z_min=-1.0, z_step=0.05)
+    assert wide.grid().size == 41
+    assert count_transition_calls(monkeypatch, wide) == [[4, 3], [2, 1], [0]]
+    # The 1001-cell limit: one step a block, as a per-step loop.
+    limit = small_config(horizon=3, z_min=-1.0, z_step=0.002)
+    assert limit.grid().size == MAX_GRID_CELLS
+    assert count_transition_calls(monkeypatch, limit) == [[2], [1], [0]]
 
 
 def flat_transition(t, z, config):
@@ -426,6 +507,81 @@ def test_batched_row_products_match_the_per_row_loop_bit_for_bit(config):
         for z in (grid[:-1], float(grid[0]), float(grid[-2])):
             assert (recall_transition(t, z, config).tobytes()
                     == flat_transition(t, z, config).tobytes())
+
+
+@pytest.mark.parametrize("config", FENCE_CONFIGS[::4] + ROW_FENCE_CONFIGS[:40:8],
+                         ids=lambda c: f"{c.grid().size}cells-h{c.horizon}")
+def test_step_array_transitions_equal_the_scalar_calls(config):
+    grid = config.grid()
+    horizon = config.horizon
+    for steps in (np.arange(horizon - 1, -1, -1), np.array([horizon, 0, horizon // 2])):
+        for z in (grid[:-1], float(grid[0])):
+            block = recall_transition(steps, z, config)
+            assert block.shape == (steps.size, *np.shape(z), grid.size)
+            for t, rows in zip(steps.tolist(), block):
+                assert rows.tobytes() == recall_transition(t, z, config).tobytes()
+
+
+def test_step_array_posterior_gives_each_step_the_scalar_belief():
+    z = np.linspace(-1.0, 0.9, 7)
+    steps = np.array([3, 0, 1])
+    means, variances = recall_posterior(steps[:, None], z, 0.2, 0.5, 1.5)
+    for t, mean, variance in zip(steps.tolist(), means, variances):
+        scalar_mean, scalar_variance = recall_posterior(t, z, 0.2, 0.5, 1.5)
+        assert np.broadcast_to(scalar_mean, z.shape).tobytes() == mean.tobytes()
+        assert float(variance[0]) == scalar_variance
+    with pytest.raises(ValueError):
+        recall_posterior(np.array([[2], [-1]]), z, 0.2, 0.5, 1.5)
+
+
+def masked_simulate(policy, config, drift, episodes, rng, start=0.0):
+    """``simulate_recall`` over full-size masks of every episode, one pass
+    per step."""
+    z = np.full(episodes, float(start))
+    steps = np.zeros(episodes, dtype=int)
+    recalled = np.zeros(episodes, dtype=bool)
+    active = np.ones(episodes, dtype=bool)
+    sigma = math.sqrt(config.evidence_variance)
+    cells = policy.z_values.size
+    for t in range(config.horizon + 1):
+        crossed = active & (z >= config.recall_threshold)
+        recalled[crossed] = True
+        steps[crossed] = t
+        active &= ~crossed
+        if not active.any():
+            break
+        if t == config.horizon:
+            steps[active] = t
+            active[:] = False
+            break
+        idx = np.flatnonzero(active)
+        progress = np.clip((z[idx] - config.z_min) / config.z_step, 0, cells - 2)
+        cell = np.rint(progress).astype(int)
+        stop = policy.actions[t, cell] == 0
+        stopped = idx[stop]
+        steps[stopped] = t
+        active[stopped] = False
+        moving = idx[~stop]
+        if moving.size:
+            z[moving] += rng.normal(drift, sigma, size=moving.size)
+            steps[moving] = t + 1
+    return recalled, steps
+
+
+@pytest.mark.parametrize("config", FENCE_CONFIGS[::2],
+                         ids=lambda c: f"{c.grid().size}cells-h{c.horizon}")
+def test_compacted_simulation_matches_the_masked_loop(config):
+    policy = solve_recall_mdp(config)
+    theta = config.recall_threshold
+    for i, (drift, episodes, start) in enumerate([
+            (0.3, 30, 0.0), (-0.4, 200, 0.0), (1.5, 57, config.z_min),
+            (0.0, 1, theta), (0.2, 40, theta - 1e-9), (-50.0, 25, -1e3)]):
+        ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+        result = simulate_recall(policy, config, drift, episodes, ours, start=start)
+        recalled, steps = masked_simulate(policy, config, drift, episodes, theirs, start=start)
+        assert result.recalled.tobytes() == recalled.tobytes()
+        assert result.steps.tobytes() == steps.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # --- numerical guards on fine grids -------------------------------------------
