@@ -36,8 +36,12 @@ class WeightPosterior:
         if c.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"covariance {c.shape} does not fit mean of size {mean.size}")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        if not np.isfinite(c).all():
+            raise ValueError("covariance must be finite")
         # The exact test spares the tolerance check for the exactly
-        # symmetric matrices posterior_update makes; a NaN fails both.
+        # symmetric matrices posterior_update makes.
         if not (np.array_equal(c, c.T) or np.allclose(c, c.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
         if not 0 < self.noise_variance < math.inf:  # NaN fails too
@@ -127,7 +131,8 @@ class BanditState:
     utility and 1 is time: ``means`` ``(arms, 2, d)``, ``covariances`` and
     their SVD ``factors`` ``(arms, 2, d, d)``, and ``noise`` ``(arms, 2)``.
     ``observe`` writes the chosen arm's slices in place.  Construction
-    factors every prior in one batched SVD.
+    from posterior lists factors every prior in one batched SVD; ``create``
+    factors its one prior once.
     """
 
     def __init__(self, utility_posteriors: list[WeightPosterior],
@@ -141,12 +146,18 @@ class BanditState:
         pairs = list(zip(utility_posteriors, time_posteriors))
         if len({p.dim for pair in pairs for p in pair}) != 1:
             raise DimensionMismatch("every posterior must have the same weight dim")
-        NONNEG.check("cumulative_time", cumulative_time)
-        GAMMA_PRIOR.check("gamma_prior", gamma_prior)
+        self._start_totals(cumulative_reward, cumulative_time, gamma_prior)
         self.means = np.array([[u.mean, t.mean] for u, t in pairs])
         self.covariances = np.array([[u.covariance, t.covariance] for u, t in pairs])
         self.factors = _factor(self.covariances)
         self.noise = np.array([[u.noise_variance, t.noise_variance] for u, t in pairs])
+
+    def _start_totals(self, cumulative_reward: float, cumulative_time: float,
+                      gamma_prior: tuple[float, float]) -> None:
+        NONNEG.check("cumulative_time", cumulative_time)
+        GAMMA_PRIOR.check("gamma_prior", gamma_prior)
+        FINITE.check("cumulative_reward", cumulative_reward)
+        FINITE.check("cumulative_time", cumulative_time)
         self.cumulative_reward = cumulative_reward
         self.cumulative_time = cumulative_time
         self.gamma_prior = gamma_prior
@@ -155,9 +166,30 @@ class BanditState:
     def create(cls, num_strategies: int, feature_dim: int, prior_variance: float = 1.0,
                noise_variance: float = 1.0,
                gamma_prior: tuple[float, float] = (0.0, 1.0)) -> "BanditState":
-        make = lambda: WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
-        return cls([make() for _ in range(num_strategies)],
-                   [make() for _ in range(num_strategies)], gamma_prior=gamma_prior)
+        """Every strategy's two beliefs start at one standard prior.
+
+        The prior is built and factored once, and its mean, covariance,
+        factor and noise are copied to every arm and belief: the state
+        equals one built from a list of such posteriors bit for bit, since a
+        stacked SVD factors each item as a single matrix.  The errors come
+        in the same order too: too few strategies, the prior, then
+        ``gamma_prior``."""
+        if num_strategies < 1:
+            raise ValueError("a bandit needs at least one strategy")
+        prior = WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
+        state = cls.__new__(cls)
+        state._start_totals(0.0, 0.0, gamma_prior)
+
+        def copies(a):
+            out = np.empty((num_strategies, 2) + np.shape(a))
+            out[...] = a
+            return out
+
+        state.means = copies(prior.mean)
+        state.covariances = copies(prior.covariance)
+        state.factors = copies(_factor(prior.covariance))
+        state.noise = copies(prior.noise_variance)
+        return state
 
     @property
     def num_strategies(self) -> int:
@@ -191,18 +223,24 @@ def observe(state: BanditState, strategy: int, features: np.ndarray,
     opportunity cost.  Returns the refreshed gamma.
 
     Both beliefs update in one batched call and are factored in one batched
-    SVD, each item bit for bit the single-matrix result.  Every check comes
-    before the state changes; a ``strategy`` outside ``range(num_strategies)``
-    raises ValueError rather than wrapping to another arm."""
+    SVD, each item bit for bit the single-matrix result.  The covariance
+    update never reads the observation, so two beliefs that share a
+    covariance and a noise level stay byte-equal (``create`` makes every
+    pair so); such a pair is factored as one matrix, written to both.
+    Every check comes before the state changes: the strategy, the
+    features, then the outcome, which ``update_gamma`` checks once before
+    it adds it.  A ``strategy`` outside ``range(num_strategies)`` raises
+    ValueError rather than wrapping to another arm."""
     if strategy not in range(state.num_strategies):
         raise ValueError(f"strategy {strategy!r} is not in range({state.num_strategies})")
-    _check_outcome(utility, elapsed)
     means, covs = _rank_one_updates(state.means[strategy], state.covariances[strategy],
                                     state.noise[strategy], features, (utility, elapsed))
-    state.factors[strategy] = _factor(covs)
+    factors = _factor(covs[:1] if covs[0].tobytes() == covs[1].tobytes() else covs)
+    gamma = update_gamma(state, utility, elapsed)
+    state.factors[strategy] = factors
     state.means[strategy] = means
     state.covariances[strategy] = covs
-    return update_gamma(state, utility, elapsed)
+    return gamma
 
 
 def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
@@ -227,32 +265,39 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
 def run_bandit_episodes(env, state: BanditState, episodes: int, rng) -> list[dict]:
     """Play the environment for a number of episodes, learning as we go.
 
-    Each record carries the sampled scores, the chosen strategy, the observed
-    payoff and duration, the refreshed gamma, and the true net values of the
-    chosen and best strategies (under the pre-choice gamma) so regret can be
-    read straight off the trace.
+    Each record carries the sampled scores, the chosen strategy (the first
+    best score), the observed payoff and duration, the refreshed gamma, and
+    the true net values of the chosen and best strategies (under the
+    pre-choice gamma) so regret can be read straight off the trace.  No
+    decision reads the true values, so one ``env.true_vocs`` call over the
+    stacked features and pre-choice gammas takes them after the last
+    episode.
     """
     if env.num_arms != state.num_strategies:
         raise DimensionMismatch(
             f"{state.num_strategies} strategies cannot play {env.num_arms} arms")
-    records = []
+    records, seen, gammas = [], [], []
     for episode in range(episodes):
         feats = env.features(rng)
         gamma = state.gamma
-        vocs = sample_vocs(state, feats, gamma, rng)
-        chosen = int(np.argmax(vocs))
+        vocs = sample_vocs(state, feats, gamma, rng).tolist()
+        chosen = vocs.index(max(vocs))
         reward, elapsed = env.pull(chosen, feats, rng)
-        true_vocs = env.true_vocs(feats, gamma).tolist()
         gamma_after = observe(state, chosen, feats, reward, elapsed)
+        seen.append(feats)
+        gammas.append(gamma)
         records.append({
             "episode": episode,
             "features": np.atleast_1d(feats).astype(float, copy=False).tolist(),
-            "sampled_vocs": vocs.tolist(),
+            "sampled_vocs": vocs,
             "chosen": chosen,
             "reward": float(reward),
             "elapsed": float(elapsed),
             "gamma": float(gamma_after),
-            "true_voc_chosen": true_vocs[chosen],
-            "true_voc_best": max(true_vocs),
         })
+    if records:
+        for record, row in zip(records, env.true_vocs(np.array(seen), np.array(gammas))):
+            true_vocs = row.tolist()
+            record["true_voc_chosen"] = true_vocs[record["chosen"]]
+            record["true_voc_best"] = max(true_vocs)
     return records

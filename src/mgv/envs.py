@@ -138,8 +138,11 @@ class StationaryBanditEnvironment:
     def true_voc(self, arm: int, feats: np.ndarray, gamma: float) -> float:
         return self.utilities[arm] - gamma * self.times[arm]
 
-    def true_vocs(self, feats: np.ndarray, gamma: float) -> np.ndarray:
-        """``true_voc`` of every arm, bit for bit."""
+    def true_vocs(self, feats: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+        """``true_voc`` of every arm, bit for bit: ``(arms,)`` for one
+        ``gamma``, or ``(E, arms)`` for a stack of E gammas (``feats`` is
+        ignored, as ``true_voc`` ignores it)."""
+        gamma = np.asarray(gamma, dtype=float)[..., None]
         return np.asarray(self.utilities, dtype=float) - gamma * np.asarray(
             self.times, dtype=float)
 
@@ -172,7 +175,8 @@ class FeatureBanditEnvironment:
         return self.utility_weights.shape[1]
 
     def features(self, rng) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=self.feature_dim)
+        # The same doubles and stream position as ``uniform(0.0, 1.0, d)``.
+        return rng.random(self.feature_dim)
 
     def pull(self, arm: int, feats: np.ndarray, rng) -> tuple[float, float]:
         utility = float(self.utility_weights[arm] @ feats)
@@ -186,12 +190,16 @@ class FeatureBanditEnvironment:
         elapsed = max(self.time_floor, float(self.time_weights[arm] @ feats))
         return utility - gamma * elapsed
 
-    def true_vocs(self, feats: np.ndarray, gamma: float) -> np.ndarray:
-        """``true_voc`` of every arm, bit for bit: one vector product per arm
-        and weight row, as ``true_voc`` makes (a matrix-vector product sums
-        in another order), and the floor applied as ``max`` applies it."""
-        f = np.asarray(feats, dtype=float)[:, None]
-        utility = np.matmul(self.utility_weights[:, None, :], f)[:, 0, 0]
-        elapsed = np.matmul(self.time_weights[:, None, :], f)[:, 0, 0]
+    def true_vocs(self, feats: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+        """``true_voc`` of every arm, bit for bit: ``(arms,)`` for one
+        feature vector ``(d,)`` and gamma, or ``(E, arms)`` for a stack of E
+        vectors ``(E, d)`` and gammas ``(E,)``.  Both weight matrices go
+        through one ``matmul`` whose every item is the ``(1, d) @ (d, 1)``
+        vector product ``true_voc`` makes (a matrix-vector product sums in
+        another order), and the floor is applied as ``max`` applies it."""
+        f = np.asarray(feats, dtype=float)[..., None, None, :, None]
+        weights = np.stack((self.utility_weights, self.time_weights))[:, :, None, :]
+        products = np.matmul(weights, f)[..., 0, 0]
+        utility, elapsed = products[..., 0, :], products[..., 1, :]
         elapsed = np.where(elapsed > self.time_floor, elapsed, self.time_floor)
-        return utility - gamma * elapsed
+        return utility - np.asarray(gamma, dtype=float)[..., None] * elapsed

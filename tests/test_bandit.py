@@ -95,9 +95,12 @@ def test_update_rejects_a_non_finite_observation(bad):
         posterior_update(post, [1.0, 0.5], bad)
 
 
+def state_arrays(state):
+    return state.means, state.covariances, state.factors, state.noise
+
+
 def state_bytes(state):
-    return ([a.tobytes() for a in (state.means, state.covariances, state.factors,
-                                   state.noise)],
+    return ([a.tobytes() for a in state_arrays(state)],
             state.cumulative_reward, state.cumulative_time)
 
 
@@ -140,6 +143,23 @@ def test_posterior_validation():
     for noise_variance in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             WeightPosterior(np.zeros(1), np.eye(1), noise_variance=noise_variance)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_posterior_rejects_a_non_finite_mean(bad):
+    with pytest.raises(ValueError, match="mean must be finite"):
+        WeightPosterior(np.array([0.0, bad]), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_posterior_rejects_a_non_finite_covariance(where, bad):
+    """An infinite entry passes the symmetry check when its mirror is
+    infinite too; it must fail before any sampler sees it."""
+    cov = np.eye(2)
+    cov[where] = cov[where[::-1]] = bad
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        WeightPosterior(np.zeros(2), cov)
 
 
 def test_posterior_is_frozen():
@@ -200,6 +220,27 @@ def test_gamma_prior_must_be_finite(prior):
     assert raised.value.field.startswith("params.gamma_prior")
 
 
+@pytest.mark.parametrize("field, bad", [("cumulative_reward", math.nan),
+                                        ("cumulative_reward", math.inf),
+                                        ("cumulative_reward", -math.inf),
+                                        ("cumulative_time", math.inf)])
+def test_state_rejects_non_finite_totals(field, bad):
+    """A NaN or infinite total would make gamma read NaN, inf or 0.0.  (A
+    NaN or negative time already fails as not nonnegative.)"""
+    posteriors = [WeightPosterior.standard(1)]
+    with pytest.raises(ValidationError) as raised:
+        BanditState(posteriors, posteriors, **{field: bad})
+    assert (raised.value.field, raised.value.message) == (field, "must be finite")
+
+
+def test_state_checks_its_totals_after_the_gamma_prior():
+    posteriors = [WeightPosterior.standard(1)]
+    with pytest.raises(ValidationError) as raised:
+        BanditState(posteriors, posteriors, cumulative_reward=math.nan,
+                    gamma_prior=(0.0, 0.0))
+    assert raised.value.field == "gamma_prior"
+
+
 def test_update_gamma_accumulates():
     state = BanditState.create(1, 1)
     g = update_gamma(state, reward=3.0, elapsed=2.0)
@@ -230,6 +271,57 @@ def test_state_rejects_zero_strategies():
         BanditState.create(0, 2)
     with pytest.raises(ValueError, match="at least one strategy"):
         BanditState([], [])
+
+
+def reference_create(num_strategies, feature_dim, prior_variance=1.0, noise_variance=1.0,
+                     gamma_prior=(0.0, 1.0)):
+    """``create`` as one state from a list of fresh standard posteriors."""
+    make = lambda: WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
+    return BanditState([make() for _ in range(num_strategies)],
+                       [make() for _ in range(num_strategies)], gamma_prior=gamma_prior)
+
+
+@pytest.mark.parametrize("arms", [1, 2, 8])
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
+def test_create_matches_per_posterior_construction_bit_for_bit(arms, d):
+    for prior_variance in (1.0, 0.37, 2.5, 1e-8, 1e6):
+        for noise_variance in (1.0, 0.2, 3.7):
+            args = (arms, d, prior_variance, noise_variance, (0.3, 2.0))
+            got, want = BanditState.create(*args), reference_create(*args)
+            assert state_bytes(got) == state_bytes(want), args
+            assert all(a.shape == b.shape and a.dtype == b.dtype
+                       for a, b in zip(state_arrays(got), state_arrays(want))), args
+            assert got.gamma_prior == want.gamma_prior
+            assert all(a.flags.writeable and a.flags.c_contiguous
+                       for a in state_arrays(got)), args
+
+
+BAD_CREATE_ARGS = [
+    (0, 2, 1.0, 1.0, (0.0, 1.0)),
+    (-1, 2, 1.0, 1.0, (0.0, 1.0)),
+    (0, 2, math.nan, 0.0, (0.0, 0.0)),  # too few strategies comes first
+    (2, -1, 1.0, 1.0, (0.0, 1.0)),
+    (2, 2, math.nan, 1.0, (0.0, 1.0)),
+    (2, 2, math.inf, 1.0, (0.0, 1.0)),
+    (2, 2, 1.0, 0.0, (0.0, 1.0)),
+    (2, 2, 1.0, math.nan, (0.0, 1.0)),
+    (2, 2, 1.0, math.inf, (0.0, 1.0)),
+    (2, 2, 1.0, 0.0, (0.0, 0.0)),  # the prior before gamma_prior
+    (2, 2, 1.0, 1.0, (0.0, 0.0)),
+    (2, 2, 1.0, 1.0, (math.nan, 1.0)),
+    (2, 2, 1.0, 1.0, (0.0,)),
+    (2.5, 2, 1.0, 1.0, (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("args", BAD_CREATE_ARGS, ids=str)
+def test_create_raises_what_per_posterior_construction_raises(args):
+    with pytest.raises(Exception) as want:
+        reference_create(*args)
+    with pytest.raises(want.type) as got:
+        BanditState.create(*args)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "field", None) == getattr(want.value, "field", None)
 
 
 def test_state_rejects_posteriors_of_mixed_dims():
@@ -304,24 +396,84 @@ def test_episodes_reject_a_state_for_another_number_of_arms():
         run_bandit_episodes(env, BanditState.create(2, 1), 1, np.random.default_rng(0))
 
 
-def test_episodes_factor_each_posterior_once(monkeypatch):
-    """Only the chosen arm's two posteriors change per episode, and each
-    posterior is factored once: all the priors in one batched call at
-    construction, then each episode's updated pair in one batched call."""
+def svd_shapes(monkeypatch):
+    """The shape of every ``np.linalg.svd`` argument, in call order."""
     svd = np.linalg.svd
-    calls = []
+    shapes = []
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
+        shapes.append(a.shape)
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+def feature_env(rng, arms, d):
+    return FeatureBanditEnvironment(rng.uniform(size=(arms, d)),
+                                    rng.uniform(0.1, 1.0, size=(arms, d)))
+
+
+def test_episodes_factor_each_posterior_once(monkeypatch):
+    """Only the chosen arm's two beliefs change per episode.  ``create``
+    factors its one prior once, and a pair built from it stays byte-equal,
+    so each episode factors one matrix for both beliefs."""
+    shapes = svd_shapes(monkeypatch)
     rng = np.random.default_rng(3)
     arms, d, episodes = 3, 4, 25
-    env = FeatureBanditEnvironment(rng.uniform(size=(arms, d)),
-                                   rng.uniform(0.1, 1.0, size=(arms, d)))
-    run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
-    assert calls == [(arms, 2, d, d)] + [(2, d, d)] * episodes
+    env = feature_env(rng, arms, d)
+    state = BanditState.create(arms, d)
+    run_bandit_episodes(env, state, episodes, rng)
+    assert shapes == [(d, d)] + [(1, d, d)] * episodes
+    assert all(c[0].tobytes() == c[1].tobytes() for c in state.covariances)
+    assert all(f[0].tobytes() == f[1].tobytes() for f in state.factors)
+
+
+def test_episodes_factor_a_pair_of_different_posteriors_as_two_matrices(monkeypatch):
+    """Posteriors that differ are factored in one batched call at
+    construction and as two matrices in every episode."""
+    shapes = svd_shapes(monkeypatch)
+    rng = np.random.default_rng(4)
+    arms, d, episodes = 3, 4, 25
+    env = feature_env(rng, arms, d)
+    state = BanditState([WeightPosterior.standard(d, 1.0) for _ in range(arms)],
+                        [WeightPosterior.standard(d, 2.0) for _ in range(arms)])
+    run_bandit_episodes(env, state, episodes, rng)
+    assert shapes == [(arms, 2, d, d)] + [(2, d, d)] * episodes
+
+
+def test_episodes_take_every_true_value_in_one_call_after_the_last_episode():
+    """No decision reads the true values: one stacked ``true_vocs`` call
+    after the loop gives each record the values of one call per episode."""
+    calls = []
+
+    class Recording(FeatureBanditEnvironment):
+        def true_vocs(self, feats, gamma):
+            calls.append((np.array(feats), np.array(gamma)))
+            return super().true_vocs(feats, gamma)
+
+    rng = np.random.default_rng(5)
+    arms, d, episodes = 4, 3, 30
+    env = Recording(rng.uniform(size=(arms, d)), rng.uniform(0.1, 1.0, size=(arms, d)))
+    records = run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
+    ((feats, gammas),) = calls
+    assert feats.shape == (episodes, d) and gammas.shape == (episodes,)
+    pre_choice = [BanditState.create(arms, d).gamma] + [r["gamma"] for r in records[:-1]]
+    assert gammas.tolist() == pre_choice
+    for r, f, g in zip(records, feats, gammas):
+        assert r["features"] == f.tolist()
+        true_vocs = FeatureBanditEnvironment.true_vocs(env, f, float(g)).tolist()
+        assert r["true_voc_chosen"] == true_vocs[r["chosen"]]
+        assert r["true_voc_best"] == max(true_vocs)
+        assert list(r)[-2:] == ["true_voc_chosen", "true_voc_best"]
+
+
+def test_zero_episodes_make_no_records():
+    """With no episode there is no stack of features to take true values of."""
+    rng = np.random.default_rng(6)
+    state = BanditState.create(2, 3)
+    assert run_bandit_episodes(feature_env(rng, 2, 3), state, 0, rng) == []
+    assert state.gamma == 0.0
 
 
 def test_sample_vocs_rejects_features_of_another_size():
@@ -435,28 +587,43 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_observe_matches_per_posterior_updates_bit_for_bit():
+def check_observe_fence(meta, state, arms, d, case):
+    """Observe a few steps and hold each against the per-posterior update."""
+    for step in range(int(meta.integers(1, 5))):
+        arm, f = int(meta.integers(arms)), fence_features(meta, d)
+        utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
+        old = [WeightPosterior(state.means[arm, k].copy(),
+                               state.covariances[arm, k].copy(),
+                               float(state.noise[arm, k])) for k in (0, 1)]
+        others = [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)]
+        observe(state, arm, f, utility, elapsed)
+        for k, (before, y) in enumerate(zip(old, (utility, elapsed))):
+            mean, cov, factor = reference_update(before, f, y)
+            assert same_bits(state.means[arm, k], mean), (case, step)
+            assert same_bits(state.covariances[arm, k], cov), (case, step)
+            assert same_bits(state.factors[arm, k], factor), (case, step)
+            assert state.noise[arm, k] == before.noise_variance
+            single = posterior_update(before, f, y)
+            assert same_bits(single.mean, mean), (case, step)
+            assert same_bits(single.covariance, cov), (case, step)
+        assert [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)] == others
+
+
+def test_observe_matches_per_posterior_updates_bit_for_bit(monkeypatch):
     meta = np.random.default_rng(2026)
     for case in range(300):
         arms, d = int(meta.integers(1, 5)), int(meta.integers(1, 8))
         state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
                             [fence_posterior(meta, d) for _ in range(arms)])
-        for step in range(int(meta.integers(1, 5))):
-            arm, f = int(meta.integers(arms)), fence_features(meta, d)
-            utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
-            arrays = lambda: (state.means, state.covariances, state.factors, state.noise)
-            old = [WeightPosterior(state.means[arm, k].copy(),
-                                   state.covariances[arm, k].copy(),
-                                   float(state.noise[arm, k])) for k in (0, 1)]
-            others = [np.delete(a, arm, axis=0).tobytes() for a in arrays()]
-            observe(state, arm, f, utility, elapsed)
-            for k, (before, y) in enumerate(zip(old, (utility, elapsed))):
-                mean, cov, factor = reference_update(before, f, y)
-                assert same_bits(state.means[arm, k], mean), (case, step)
-                assert same_bits(state.covariances[arm, k], cov), (case, step)
-                assert same_bits(state.factors[arm, k], factor), (case, step)
-                assert state.noise[arm, k] == before.noise_variance
-                single = posterior_update(before, f, y)
-                assert same_bits(single.mean, mean), (case, step)
-                assert same_bits(single.covariance, cov), (case, step)
-            assert [np.delete(a, arm, axis=0).tobytes() for a in arrays()] == others
+        check_observe_fence(meta, state, arms, d, case)
+    # Equal pairs, as ``create`` makes them: each is factored as one matrix.
+    shapes = svd_shapes(monkeypatch)
+    meta = np.random.default_rng(2027)
+    for case in range(150):
+        arms, d = int(meta.integers(1, 5)), int(meta.integers(1, 8))
+        pairs = [fence_posterior(meta, d) for _ in range(arms)]
+        state = BanditState(pairs, pairs)
+        del shapes[:]
+        check_observe_fence(meta, state, arms, d, case)
+        # The reference factors each (d, d) matrix alone; observe's calls are stacks.
+        assert {shape for shape in shapes if len(shape) == 3} == {(1, d, d)}, case

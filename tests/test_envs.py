@@ -96,6 +96,18 @@ def test_feature_env_features_are_unit_interval():
     assert ((feats >= 0) & (feats <= 1)).all()
 
 
+def test_feature_env_features_draw_what_uniform_draws():
+    """``features`` takes ``rng.random(d)``: the doubles and the stream
+    position of ``uniform(0.0, 1.0, d)``, on which the pinned traces rest."""
+    for d in (1, 2, 5, 8, 13):
+        env = FeatureBanditEnvironment(np.ones((2, d)), np.ones((2, d)))
+        for seed in range(200):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = env.features(ours), ref.uniform(0.0, 1.0, size=d)
+            assert got.tobytes() == want.tobytes(), (d, seed)
+            assert ours.bit_generator.state == ref.bit_generator.state, (d, seed)
+
+
 def test_feature_env_shape_validation():
     with pytest.raises(ValueError):
         FeatureBanditEnvironment(np.ones((2, 3)), np.ones((2, 2)))
@@ -151,3 +163,32 @@ def test_stationary_true_vocs_match_per_arm_true_voc_bit_for_bit():
         gamma = float(rng.uniform(-1.0, 3.0))
         got = env.true_vocs(np.ones(1), gamma)
         assert np.array_equal(got, per_arm_true_vocs(env, np.ones(1), gamma)), case
+
+
+def test_feature_true_vocs_of_a_stack_match_one_call_per_episode_bit_for_bit():
+    """``run_bandit_episodes`` takes every episode's true values in one call
+    over the stacked features and gammas; each row is the single call's."""
+    rng = np.random.default_rng(79)
+    for case in range(300):
+        arms, d, episodes = (int(rng.integers(1, 10)), int(rng.integers(1, 9)),
+                             int(rng.integers(1, 40)))
+        env = FeatureBanditEnvironment(rng.normal(size=(arms, d)),
+                                       rng.normal(0.3, 0.6, size=(arms, d)),
+                                       time_floor=float(rng.uniform(0.01, 0.5)))
+        feats = rng.uniform(0.0, 1.0, size=(episodes, d))
+        gammas = rng.uniform(-1.0, 3.0, size=episodes)
+        got = env.true_vocs(feats, gammas)
+        want = np.array([env.true_vocs(f, float(g)) for f, g in zip(feats, gammas)])
+        assert got.shape == (episodes, arms) and got.tobytes() == want.tobytes(), case
+
+
+def test_stationary_true_vocs_of_a_stack_match_one_call_per_episode_bit_for_bit():
+    rng = np.random.default_rng(80)
+    for case in range(100):
+        arms, episodes = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+        env = StationaryBanditEnvironment(rng.normal(size=arms).tolist(),
+                                          rng.uniform(0.1, 2.0, size=arms).tolist())
+        gammas = rng.uniform(-1.0, 3.0, size=episodes)
+        got = env.true_vocs(np.ones((episodes, 1)), gammas)
+        want = np.array([env.true_vocs(np.ones(1), float(g)) for g in gammas])
+        assert got.shape == (episodes, arms) and got.tobytes() == want.tobytes(), case
