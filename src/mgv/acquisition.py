@@ -45,7 +45,7 @@ def allocate_resources(signals: dict[int, float], total: float,
     the whole budget.  The allocations sum to ``total`` exactly up to float
     rounding.
     """
-    if total < 0:
+    if not total >= 0:  # NaN fails too
         raise ValueError("total must be nonnegative")
     if not signals:
         return {}

@@ -46,6 +46,9 @@ class WeightPosterior:
             raise ValueError("covariance must be symmetric")
         if not 0 < self.noise_variance < math.inf:  # NaN fails too
             raise ValueError("noise_variance must be positive and finite")
+        # posterior_update's rounding residue stays above this floor over long runs.
+        if c.size and np.linalg.eigvalsh(c).min() < -1e-12 * max(1.0, float(np.trace(c))):
+            raise ValueError("covariance must be positive semidefinite")
 
     @property
     def dim(self) -> int:
@@ -54,6 +57,10 @@ class WeightPosterior:
     @classmethod
     def standard(cls, dim: int, prior_variance: float = 1.0,
                  noise_variance: float = 1.0) -> "WeightPosterior":
+        """Zero mean and ``prior_variance`` times the identity, once both
+        variances pass the params table's rules."""
+        for field, v in (("prior_variance", prior_variance), ("noise_variance", noise_variance)):
+            POSITIVE.check(field, FINITE.check(field, v))
         return cls(np.zeros(dim), np.eye(dim) * prior_variance, noise_variance)
 
 
@@ -67,15 +74,15 @@ def _factor(covariances: np.ndarray) -> np.ndarray:
     return u * np.sqrt(s)[..., None, :]
 
 
-def _rank_one_updates(means: np.ndarray, covariances: np.ndarray, noise: np.ndarray,
+def _rank_one_updates(means: np.ndarray, covariance: np.ndarray, noise: float,
                       features: np.ndarray, observations) -> tuple[np.ndarray, np.ndarray]:
-    """Condition k beliefs, ``means`` ``(k, d)`` and ``covariances``
-    ``(k, d, d)`` under ``noise`` ``(k,)``, on the same features and each on
-    its own observation: the new means and covariances.
+    """Condition k beliefs, ``means`` ``(k, d)`` that share ``covariance``
+    ``(d, d)`` and ``noise``, on the same features and each on its own
+    observation: the new means and the one new covariance.
 
-    Each item of the batched products is the vector product one belief alone
-    would make (``C @ f``, ``f @ sf``, ``np.outer``), so the results match a
-    per-belief update bit for bit.  Checks come before any work.
+    Each product is the vector product one belief alone would make
+    (``C @ f``, ``f @ sf``, ``np.outer``), so the results match a per-belief
+    update bit for bit.  Checks come before any work.
     """
     f = np.asarray(features, dtype=float)
     if f.shape != means.shape[1:]:
@@ -83,13 +90,12 @@ def _rank_one_updates(means: np.ndarray, covariances: np.ndarray, noise: np.ndar
             f"features shape {f.shape} does not match weight dim {means.shape[1:]}")
     if not np.isfinite(f).all():
         raise ValueError("features must be finite")
-    sf = np.matmul(covariances, f)
-    denom = noise + np.matmul(sf[:, None, :], f[:, None])[:, 0, 0]
-    gain = sf / denom[:, None]
+    sf = covariance @ f
+    gain = sf / (noise + np.matmul(sf[None], f[:, None])[0, 0])
     predicted = np.matmul(means[:, None, :], f[:, None])[:, 0, 0]
     mean = means + gain * (np.asarray(observations, dtype=float) - predicted)[:, None]
-    cov = covariances - gain[:, :, None] * sf[:, None, :]
-    return mean, (cov + cov.swapaxes(1, 2)) / 2.0
+    cov = covariance - gain[:, None] * sf
+    return mean, (cov + cov.T) / 2.0
 
 
 def posterior_update(posterior: WeightPosterior, features: np.ndarray,
@@ -102,10 +108,9 @@ def posterior_update(posterior: WeightPosterior, features: np.ndarray,
     """
     if not math.isfinite(observation):
         raise ValueError("observation must be finite")
-    mean, cov = _rank_one_updates(np.array([posterior.mean]), np.array([posterior.covariance]),
-                                  np.array([posterior.noise_variance]), features,
-                                  (observation,))
-    return WeightPosterior(mean[0], cov[0], posterior.noise_variance)
+    mean, cov = _rank_one_updates(np.array([posterior.mean]), posterior.covariance,
+                                  posterior.noise_variance, features, (observation,))
+    return WeightPosterior(mean[0], cov, posterior.noise_variance)
 
 
 def voc_estimate(utility_weights: np.ndarray, time_weights: np.ndarray,
@@ -127,12 +132,13 @@ GAMMA_PRIOR = Rule(lambda g: len(g) == 2 and FINITE.ok(g[0]) and FINITE.ok(g[1])
 class BanditState:
     """Per-strategy payoff and time beliefs plus the running opportunity cost.
 
-    Each belief is held once, in arrays indexed ``[arm, k]`` where k = 0 is
-    utility and 1 is time: ``means`` ``(arms, 2, d)``, ``covariances`` and
-    their SVD ``factors`` ``(arms, 2, d, d)``, and ``noise`` ``(arms, 2)``.
-    ``observe`` writes the chosen arm's slices in place.  Construction
-    from posterior lists factors every prior in one batched SVD; ``create``
-    factors its one prior once.
+    ``means`` ``(arms, 2, d)`` holds each arm's utility (k = 0) and time
+    (k = 1) means.  An arm's two beliefs see the same features under one
+    noise variance, and the covariance update never reads the observation,
+    so they share one covariance: ``covariances`` and their SVD ``factors``
+    are ``(arms, d, d)``, ``noise`` is ``(arms,)``, and a pair that differs
+    in either raises ValueError.  ``observe`` writes the chosen arm's slices
+    in place; construction factors every covariance in one batched SVD.
     """
 
     def __init__(self, utility_posteriors: list[WeightPosterior],
@@ -146,11 +152,15 @@ class BanditState:
         pairs = list(zip(utility_posteriors, time_posteriors))
         if len({p.dim for pair in pairs for p in pair}) != 1:
             raise DimensionMismatch("every posterior must have the same weight dim")
+        if not all(np.array_equal(u.covariance, t.covariance)
+                   and u.noise_variance == t.noise_variance for u, t in pairs):
+            raise ValueError("a strategy's utility and time posteriors must share "
+                             "a covariance and a noise variance")
         self._start_totals(cumulative_reward, cumulative_time, gamma_prior)
         self.means = np.array([[u.mean, t.mean] for u, t in pairs])
-        self.covariances = np.array([[u.covariance, t.covariance] for u, t in pairs])
+        self.covariances = np.array([u.covariance for u, _ in pairs])
         self.factors = _factor(self.covariances)
-        self.noise = np.array([[u.noise_variance, t.noise_variance] for u, t in pairs])
+        self.noise = np.array([u.noise_variance for u, _ in pairs])
 
     def _start_totals(self, cumulative_reward: float, cumulative_time: float,
                       gamma_prior: tuple[float, float]) -> None:
@@ -168,27 +178,21 @@ class BanditState:
                gamma_prior: tuple[float, float] = (0.0, 1.0)) -> "BanditState":
         """Every strategy's two beliefs start at one standard prior.
 
-        The prior is built and factored once, and its mean, covariance,
-        factor and noise are copied to every arm and belief: the state
-        equals one built from a list of such posteriors bit for bit, since a
-        stacked SVD factors each item as a single matrix.  The errors come
-        in the same order too: too few strategies, the prior, then
-        ``gamma_prior``."""
+        The prior is built and factored once, and its mean is copied to
+        every arm and belief, its covariance, factor and noise to every arm:
+        the state equals one built from a list of such posteriors bit for
+        bit, since a stacked SVD factors each item as a single matrix.  The
+        errors come in the same order too: too few strategies, the prior,
+        then ``gamma_prior``."""
         if num_strategies < 1:
             raise ValueError("a bandit needs at least one strategy")
         prior = WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
         state = cls.__new__(cls)
         state._start_totals(0.0, 0.0, gamma_prior)
-
-        def copies(a):
-            out = np.empty((num_strategies, 2) + np.shape(a))
-            out[...] = a
-            return out
-
-        state.means = copies(prior.mean)
-        state.covariances = copies(prior.covariance)
-        state.factors = copies(_factor(prior.covariance))
-        state.noise = copies(prior.noise_variance)
+        state.means = np.full((num_strategies, 2, feature_dim), prior.mean)
+        state.covariances = np.full((num_strategies, *prior.covariance.shape), prior.covariance)
+        state.factors = np.full(state.covariances.shape, _factor(prior.covariance))
+        state.noise = np.full(num_strategies, prior.noise_variance)
         return state
 
     @property
@@ -203,15 +207,11 @@ class BanditState:
         return (self.cumulative_reward + pr) / (self.cumulative_time + pt)
 
 
-def _check_outcome(reward: float, elapsed: float) -> None:
+def update_gamma(state: BanditState, reward: float, elapsed: float) -> float:
     if not math.isfinite(reward):
         raise ValueError("reward must be finite")
     if not 0 < elapsed < math.inf:  # NaN fails too
         raise ValueError("elapsed must be positive and finite")
-
-
-def update_gamma(state: BanditState, reward: float, elapsed: float) -> float:
-    _check_outcome(reward, elapsed)
     state.cumulative_reward += reward
     state.cumulative_time += elapsed
     return state.gamma
@@ -222,24 +222,22 @@ def observe(state: BanditState, strategy: int, features: np.ndarray,
     """Fold one play's outcome into the strategy's beliefs and the
     opportunity cost.  Returns the refreshed gamma.
 
-    Both beliefs update in one batched call and are factored in one batched
-    SVD, each item bit for bit the single-matrix result.  The covariance
-    update never reads the observation, so two beliefs that share a
-    covariance and a noise level stay byte-equal (``create`` makes every
-    pair so); such a pair is factored as one matrix, written to both.
-    Every check comes before the state changes: the strategy, the
-    features, then the outcome, which ``update_gamma`` checks once before
-    it adds it.  A ``strategy`` outside ``range(num_strategies)`` raises
-    ValueError rather than wrapping to another arm."""
+    Both means update in one call against the arm's one covariance, and
+    the new covariance is factored by one SVD, each bit for bit what a
+    single belief's update would give.  Every check comes before the state
+    changes: the strategy, the features, then the outcome, which
+    ``update_gamma`` checks once before it adds it.  A ``strategy`` outside
+    ``range(num_strategies)`` raises ValueError rather than wrapping to
+    another arm."""
     if strategy not in range(state.num_strategies):
         raise ValueError(f"strategy {strategy!r} is not in range({state.num_strategies})")
-    means, covs = _rank_one_updates(state.means[strategy], state.covariances[strategy],
-                                    state.noise[strategy], features, (utility, elapsed))
-    factors = _factor(covs[:1] if covs[0].tobytes() == covs[1].tobytes() else covs)
+    means, cov = _rank_one_updates(state.means[strategy], state.covariances[strategy],
+                                   state.noise[strategy], features, (utility, elapsed))
+    factor = _factor(cov)
     gamma = update_gamma(state, utility, elapsed)
-    state.factors[strategy] = factors
+    state.factors[strategy] = factor
     state.means[strategy] = means
-    state.covariances[strategy] = covs
+    state.covariances[strategy] = cov
     return gamma
 
 
@@ -248,16 +246,17 @@ def sample_vocs(state: BanditState, features: np.ndarray, gamma: float,
     """One posterior sample of the value of computation for every strategy.
 
     All the normals come from one call, in the order per-posterior draws
-    would take them: arm by arm, utility before time.  Each item of the
-    batched products is the vector product
-    ``rng.multivariate_normal(method="svd")`` and ``voc_estimate`` make, so
-    the scores match theirs bit for bit.
+    would take them: arm by arm, utility before time.  Each arm's one factor
+    serves both its beliefs, and each item of the batched products is the
+    vector product ``rng.multivariate_normal(method="svd")`` and
+    ``voc_estimate`` make, so the scores match theirs bit for bit.
     """
     f = np.asarray(features, dtype=float)
     if f.shape != state.means.shape[-1:]:
         raise DimensionMismatch("weights and features must share a shape")
     z = rng.standard_normal(state.means.shape)
-    w = state.means + np.matmul(z[:, :, None, :], state.factors.swapaxes(-1, -2))[:, :, 0, :]
+    w = state.means + np.matmul(z[:, :, None, :],
+                                state.factors[:, None].swapaxes(-1, -2))[:, :, 0, :]
     scores = np.matmul(w[..., None, :], f[:, None])[..., 0, 0]
     return scores[:, 0] - gamma * scores[:, 1]
 

@@ -54,7 +54,7 @@ class FokCounters:
     minus: float = 0.0
 
     def __post_init__(self):
-        if self.plus < 0 or self.minus < 0:
+        if not (self.plus >= 0 and self.minus >= 0):  # NaN fails too
             raise ValueError("counters must be nonnegative")
 
     @property
@@ -68,7 +68,7 @@ class FokCounters:
 def fok_dual(match_evidence: float, mismatch_evidence: float,
              counters: FokCounters | None = None) -> FokCounters:
     """Accumulate one glance of cue evidence into (a copy of) the counters."""
-    if match_evidence < 0 or mismatch_evidence < 0:
+    if not (match_evidence >= 0 and mismatch_evidence >= 0):  # NaN fails too
         raise ValueError("evidence must be nonnegative")
     base = counters or FokCounters()
     return FokCounters(base.plus + match_evidence, base.minus + mismatch_evidence)
@@ -103,9 +103,9 @@ class ExperienceTuple:
     confidence: float | None = None
 
     def __post_init__(self):
-        if self.cycle < 0:
+        if not self.cycle >= 0:  # NaN fails too
             raise ValueError("cycle must be nonnegative")
-        if self.resources < 0:
+        if not self.resources >= 0:  # NaN fails too
             raise ValueError("resources must be nonnegative")
         if not -1.0 <= self.outcome_quality <= 1.0:
             raise ValueError(f"outcome_quality {self.outcome_quality} outside [-1, 1]")

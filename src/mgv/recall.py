@@ -81,23 +81,19 @@ def recall_posterior(t: int | np.ndarray, z: float | np.ndarray, prior_mean: flo
     """Drift belief after t steps summing to progress z.
 
     Standard conjugate form: precisions add, the mean is the precision-weighted
-    blend of prior mean and average observed increment.  An array of steps
-    gives one belief per step, broadcast against z, each the scalar call's.
+    blend of prior mean and average observed increment; step 0 is the prior
+    exactly.  A scalar step and an array of steps take the same path, so an
+    array gives one belief per step, broadcast against z, each bit for bit
+    the scalar call's.
     """
     steps = np.asarray(t)
     if steps.min() < 0:
         raise ValueError("t must be nonnegative")
-    if not steps.ndim and t == 0:
-        return prior_mean, prior_variance
     precision = 1.0 / prior_variance + t / evidence_variance
     variance = 1.0 / precision
     mean = (prior_mean / prior_variance + z / evidence_variance) * variance
-    if steps.ndim and not steps.all():
-        # Step 0 is the prior exactly, as in the scalar call.
-        prior = steps == 0
-        mean = np.where(prior, prior_mean, mean)
-        variance = np.where(prior, prior_variance, variance)
-    return mean, variance
+    prior = steps == 0
+    return np.where(prior, prior_mean, mean)[()], np.where(prior, prior_variance, variance)[()]
 
 
 def recall_transition(t: int | np.ndarray, z: float | np.ndarray,
@@ -110,14 +106,14 @@ def recall_transition(t: int | np.ndarray, z: float | np.ndarray,
     cell catching the left tail and the absorbing top cell catching all mass
     at or above the threshold.  Masses sum to one.  An array of progress
     values gives one row per value, and a 1-D array of steps one block of
-    such rows per step, each bit for bit the single step's call.
+    such rows per step; a scalar step is a 0-d array on the same path, so
+    each block is bit for bit the single step's call.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z >= config.recall_threshold):
         raise ValueError("transition undefined from the absorbed state")
     steps = np.asarray(t)
-    if steps.ndim:
-        t = steps.reshape(steps.shape + (1,) * z.ndim)  # each step spans z
+    t = steps.reshape(steps.shape + (1,) * z.ndim)  # each step spans z
     mu, var = recall_posterior(t, z, config.drift_prior_mean,
                                config.drift_prior_variance, config.evidence_variance)
     # np.sqrt and math.sqrt both round correctly, so they give the same bits.

@@ -90,9 +90,9 @@ def search_intensity(fok: FokCounters, lambda_fok: float) -> SearchIntensity:
 
 def satisficing_factor(cycle: int, failed_attempts: int, rate: float) -> float:
     """exp(-rate * burden) where burden counts cycles plus failed attempts."""
-    if cycle < 0 or failed_attempts < 0:
+    if not (cycle >= 0 and failed_attempts >= 0):  # NaN fails too
         raise ValueError("cycle and failed_attempts must be nonnegative")
-    if rate < 0:
+    if not rate >= 0:  # NaN fails too
         raise ValueError("rate must be nonnegative")
     return math.exp(-rate * (cycle + failed_attempts))
 

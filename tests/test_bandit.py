@@ -162,6 +162,36 @@ def test_posterior_rejects_a_non_finite_covariance(where, bad):
         WeightPosterior(np.zeros(2), cov)
 
 
+@pytest.mark.parametrize("cov", [-0.5 * np.eye(2), [[1.0, 2.0], [2.0, 1.0]],
+                                 [[1.0, 0.0], [0.0, -1e-6]]], ids=str)
+def test_posterior_rejects_a_covariance_that_is_not_psd(cov):
+    """A negative eigenvalue below the rounding floor would sample as if it
+    were positive and divide by a residue on the next update."""
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        WeightPosterior(np.zeros(2), cov)
+
+
+def test_posterior_keeps_psd_covariances_within_rounding():
+    v = np.array([0.3, -1.7, 2.9])
+    for cov in (np.zeros((0, 0)), np.zeros((2, 2)), np.outer(v, v),
+                [[1.0, 0.0], [0.0, -1e-13]]):
+        WeightPosterior(np.zeros(len(cov)), cov)
+
+
+@pytest.mark.parametrize("field", ["prior_variance", "noise_variance"])
+@pytest.mark.parametrize("bad, message", [(-0.5, "must be positive"),
+                                          (math.inf, "must be finite")])
+def test_standard_prior_checks_its_variances_with_the_table_rules(field, bad, message):
+    """``create`` builds its prior here: a negative or infinite variance
+    would make a non-PSD or NaN covariance (tests/test_config.py holds NaN
+    and the range to the params table)."""
+    for build in (lambda: WeightPosterior.standard(2, **{field: bad}),
+                  lambda: BanditState.create(2, 2, **{field: bad})):
+        with pytest.raises(ValidationError) as raised:
+            build()
+        assert (raised.value.field, raised.value.message) == (field, message)
+
+
 def test_posterior_is_frozen():
     post = WeightPosterior.standard(2)
     with pytest.raises(AttributeError):
@@ -337,6 +367,18 @@ def test_state_rejects_unaligned_posterior_lists():
         BanditState([WeightPosterior.standard(2)] * 2, [WeightPosterior.standard(2)])
 
 
+@pytest.mark.parametrize("time", [WeightPosterior.standard(2, prior_variance=2.0),
+                                  WeightPosterior.standard(2, noise_variance=0.5),
+                                  WeightPosterior(np.zeros(2), [[1.0, 1e-9], [1e-9, 1.0]])],
+                         ids=["covariance", "noise", "off-diagonal"])
+def test_state_rejects_a_pair_that_does_not_share_its_covariance_and_noise(time):
+    """An arm holds one covariance and one noise variance for both beliefs."""
+    utility = WeightPosterior.standard(2)
+    BanditState([utility, utility], [utility, WeightPosterior(np.ones(2), np.eye(2))])
+    with pytest.raises(ValueError, match="must share a covariance and a noise variance"):
+        BanditState([utility, utility], [utility, time])
+
+
 # --- Thompson selection -----------------------------------------------------
 
 def test_zero_covariance_reduces_to_greedy_argmax():
@@ -415,31 +457,18 @@ def feature_env(rng, arms, d):
 
 
 def test_episodes_factor_each_posterior_once(monkeypatch):
-    """Only the chosen arm's two beliefs change per episode.  ``create``
-    factors its one prior once, and a pair built from it stays byte-equal,
-    so each episode factors one matrix for both beliefs."""
+    """Only the chosen arm's covariance changes per episode.  ``create``
+    factors its one prior once, and each episode factors the chosen arm's
+    one covariance, which its two beliefs share."""
     shapes = svd_shapes(monkeypatch)
     rng = np.random.default_rng(3)
     arms, d, episodes = 3, 4, 25
     env = feature_env(rng, arms, d)
     state = BanditState.create(arms, d)
     run_bandit_episodes(env, state, episodes, rng)
-    assert shapes == [(d, d)] + [(1, d, d)] * episodes
-    assert all(c[0].tobytes() == c[1].tobytes() for c in state.covariances)
-    assert all(f[0].tobytes() == f[1].tobytes() for f in state.factors)
-
-
-def test_episodes_factor_a_pair_of_different_posteriors_as_two_matrices(monkeypatch):
-    """Posteriors that differ are factored in one batched call at
-    construction and as two matrices in every episode."""
-    shapes = svd_shapes(monkeypatch)
-    rng = np.random.default_rng(4)
-    arms, d, episodes = 3, 4, 25
-    env = feature_env(rng, arms, d)
-    state = BanditState([WeightPosterior.standard(d, 1.0) for _ in range(arms)],
-                        [WeightPosterior.standard(d, 2.0) for _ in range(arms)])
-    run_bandit_episodes(env, state, episodes, rng)
-    assert shapes == [(arms, 2, d, d)] + [(2, d, d)] * episodes
+    assert shapes == [(d, d)] * (episodes + 1)
+    assert state.covariances.shape == state.factors.shape == (arms, d, d)
+    assert state.noise.shape == (arms,)
 
 
 def test_episodes_take_every_true_value_in_one_call_after_the_last_episode():
@@ -500,7 +529,7 @@ def reference_sample_vocs(state, features, gamma, rng):
     draw per posterior, utility before time, arm by arm."""
     vocs = np.empty(state.num_strategies)
     for i in range(state.num_strategies):
-        wu, wt = (rng.multivariate_normal(state.means[i, k], state.covariances[i, k],
+        wu, wt = (rng.multivariate_normal(state.means[i, k], state.covariances[i],
                                           check_valid="ignore", method="svd")
                   for k in (0, 1))
         vocs[i] = voc_estimate(wu, wt, features, gamma)
@@ -527,12 +556,20 @@ def fence_posterior(rng, d):
     return WeightPosterior(rng.normal(size=d), cov)
 
 
+def fence_state(rng, arms, d):
+    """Arms whose two beliefs share a fence covariance and noise variance
+    and have different means."""
+    utility = [fence_posterior(rng, d) for _ in range(arms)]
+    time = [WeightPosterior(rng.normal(size=d), u.covariance, u.noise_variance)
+            for u in utility]
+    return BanditState(utility, time)
+
+
 def fence_cases():
     meta = np.random.default_rng(2024)
     for case in range(60):
         arms, d = int(meta.integers(1, 9)), int(meta.integers(1, 7))
-        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
-                            [fence_posterior(meta, d) for _ in range(arms)])
+        state = fence_state(meta, arms, d)
         yield case, state, meta.normal(size=d), float(meta.uniform(0.0, 2.0))
 
 
@@ -551,9 +588,8 @@ def test_construction_factors_each_posterior_bit_for_bit():
     single-matrix SVD gives it."""
     for case, state, _, _ in fence_cases():
         for arm in range(state.num_strategies):
-            for k in (0, 1):
-                u, s, _ = np.linalg.svd(state.covariances[arm, k])
-                assert same_bits(state.factors[arm, k], u * np.sqrt(s)), (case, arm, k)
+            u, s, _ = np.linalg.svd(state.covariances[arm])
+            assert same_bits(state.factors[arm], u * np.sqrt(s)), (case, arm)
 
 
 # --- update fence -----------------------------------------------------------
@@ -592,38 +628,24 @@ def check_observe_fence(meta, state, arms, d, case):
     for step in range(int(meta.integers(1, 5))):
         arm, f = int(meta.integers(arms)), fence_features(meta, d)
         utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
-        old = [WeightPosterior(state.means[arm, k].copy(),
-                               state.covariances[arm, k].copy(),
-                               float(state.noise[arm, k])) for k in (0, 1)]
+        old = [WeightPosterior(state.means[arm, k].copy(), state.covariances[arm].copy(),
+                               float(state.noise[arm])) for k in (0, 1)]
         others = [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)]
         observe(state, arm, f, utility, elapsed)
         for k, (before, y) in enumerate(zip(old, (utility, elapsed))):
             mean, cov, factor = reference_update(before, f, y)
             assert same_bits(state.means[arm, k], mean), (case, step)
-            assert same_bits(state.covariances[arm, k], cov), (case, step)
-            assert same_bits(state.factors[arm, k], factor), (case, step)
-            assert state.noise[arm, k] == before.noise_variance
+            assert same_bits(state.covariances[arm], cov), (case, step)
+            assert same_bits(state.factors[arm], factor), (case, step)
+            assert state.noise[arm] == before.noise_variance
             single = posterior_update(before, f, y)
             assert same_bits(single.mean, mean), (case, step)
             assert same_bits(single.covariance, cov), (case, step)
         assert [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)] == others
 
 
-def test_observe_matches_per_posterior_updates_bit_for_bit(monkeypatch):
+def test_observe_matches_per_posterior_updates_bit_for_bit():
     meta = np.random.default_rng(2026)
     for case in range(300):
         arms, d = int(meta.integers(1, 5)), int(meta.integers(1, 8))
-        state = BanditState([fence_posterior(meta, d) for _ in range(arms)],
-                            [fence_posterior(meta, d) for _ in range(arms)])
-        check_observe_fence(meta, state, arms, d, case)
-    # Equal pairs, as ``create`` makes them: each is factored as one matrix.
-    shapes = svd_shapes(monkeypatch)
-    meta = np.random.default_rng(2027)
-    for case in range(150):
-        arms, d = int(meta.integers(1, 5)), int(meta.integers(1, 8))
-        pairs = [fence_posterior(meta, d) for _ in range(arms)]
-        state = BanditState(pairs, pairs)
-        del shapes[:]
-        check_observe_fence(meta, state, arms, d, case)
-        # The reference factors each (d, d) matrix alone; observe's calls are stacks.
-        assert {shape for shape in shapes if len(shape) == 3} == {(1, d, d)}, case
+        check_observe_fence(meta, fence_state(meta, arms, d), arms, d, case)

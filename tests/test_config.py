@@ -444,7 +444,7 @@ CONSTRUCTOR_CHECKS = {
                                 "min_matches", "confidence_gain"},
     "StationaryBanditEnvironment": {"times[0]", "reward_noise", "time_noise"},
     "FeatureBanditEnvironment": {"reward_noise"},
-    "BanditState.create": {"gamma_prior"},
+    "BanditState.create": {"gamma_prior", "prior_variance", "noise_variance"},
     "DiscretePrior": {"probs[0]"},
 }
 # The number fields with no range rule that a constructor checks are finite.

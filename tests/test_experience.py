@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mgv.acquisition import allocate_resources
 from mgv.experience import (ExperienceMode, ExperienceTuple, ExperienceVector,
                             FokCounters, clamp01, experience_channel, fok_dual)
+from mgv.retrieval import satisficing_factor
 
 
 def test_vector_validates_ranges():
@@ -89,3 +93,27 @@ def test_tuple_validation():
     with pytest.raises(ValueError):
         ExperienceTuple(cycle=0, experience=ExperienceVector(0.5),
                         strategy_id="s", resources=1.0, outcome_quality=1.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: FokCounters(x, 0.0),
+    lambda x: FokCounters(0.0, x),
+    lambda x: fok_dual(x, 0.0),
+    lambda x: fok_dual(0.0, x),
+    lambda x: ExperienceTuple(cycle=x, experience=ExperienceVector(0.5), strategy_id="s",
+                              resources=0.0, outcome_quality=0.0),
+    lambda x: ExperienceTuple(cycle=0, experience=ExperienceVector(0.5), strategy_id="s",
+                              resources=x, outcome_quality=0.0),
+    lambda x: allocate_resources({1: 0.5}, x),
+    lambda x: satisficing_factor(x, 0, 0.0),
+    lambda x: satisficing_factor(0, x, 0.0),
+    lambda x: satisficing_factor(1, 0, x),
+], ids=["plus", "minus", "match", "mismatch", "cycle", "resources", "total",
+        "satisficing-cycle", "failed-attempts", "rate"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_nonnegative_guards_reject_nan(call, bad):
+    """Each guard states what a valid value meets, so NaN fails as a
+    negative value does."""
+    call(0.0)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(bad)

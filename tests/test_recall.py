@@ -534,6 +534,29 @@ def test_step_array_posterior_gives_each_step_the_scalar_belief():
         recall_posterior(np.array([[2], [-1]]), z, 0.2, 0.5, 1.5)
 
 
+def test_scalar_calls_are_the_step_array_rows_and_step_0_is_the_prior():
+    """A scalar step takes the step-array path: its belief and its rows are
+    that step's entry of an array call bit for bit, and at step 0 the belief
+    is the prior exactly."""
+    config = small_config(horizon=5)
+    prior = (config.drift_prior_mean, config.drift_prior_variance)
+    grid = config.grid()
+    steps = np.arange(config.horizon + 1)
+    for z in (grid[:-1], float(grid[0]), float(grid[-2])):
+        column = steps.reshape(steps.shape + (1,) * np.ndim(z))
+        means, variances = recall_posterior(column, z, *prior, config.evidence_variance)
+        block = recall_transition(steps, z, config)
+        for t in steps.tolist():
+            mean, variance = recall_posterior(t, z, *prior, config.evidence_variance)
+            assert np.shape(mean) == np.shape(z) and np.shape(variance) == ()
+            assert np.asarray(mean).tobytes() == means[t].tobytes()
+            assert np.broadcast_to(variance, np.shape(z)).tobytes() == (
+                np.broadcast_to(variances[t], np.shape(z)).tobytes())
+            if t == 0:
+                assert np.all(mean == prior[0]) and variance == prior[1]
+            assert recall_transition(t, z, config).tobytes() == block[t].tobytes()
+
+
 def masked_simulate(policy, config, drift, episodes, rng, start=0.0):
     """``simulate_recall`` over full-size masks of every episode, one pass
     per step."""
