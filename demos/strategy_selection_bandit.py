@@ -16,7 +16,7 @@ from mgv import BanditState, StationaryBanditEnvironment, run_bandit_episodes
 env = StationaryBanditEnvironment(utilities=[0.9, 0.8, 0.2],
                                   times=[1.0, 3.0, 1.0],
                                   reward_noise=0.15)
-state = BanditState.create(num_strategies=3, feature_dim=1)
+state = BanditState(num_strategies=3, feature_dim=1)
 records = run_bandit_episodes(env, state, episodes=600,
                               rng=np.random.default_rng(3))
 

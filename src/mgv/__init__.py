@@ -2,8 +2,8 @@
 
 from .acquisition import (AcquisitionConfig, AcquisitionState, LearnItem,
                           allocate_resources, compute_norm_of_study, run_acquisition)
-from .bandit import (BanditState, WeightPosterior, observe, posterior_update,
-                     run_bandit_episodes, sample_vocs, update_gamma, voc_estimate)
+from .bandit import (BanditState, observe, posterior_update, run_bandit_episodes,
+                     sample_vocs, update_gamma)
 from .config import RunConfig, RunMode, validate_config
 from .envs import (CueRetrievalEnvironment, FeatureBanditEnvironment,
                    StationaryBanditEnvironment, SyntheticTaskEnvironment)

@@ -418,7 +418,7 @@ def _build_retrieve(p: dict) -> tuple:
 def _build_bandit(p: dict) -> tuple:
     env = _make(StationaryBanditEnvironment if p["env"] == "stationary"
                 else FeatureBanditEnvironment, p)
-    state = _make(BanditState.create, p, num_strategies=env.num_arms,
+    state = _make(BanditState, p, num_strategies=env.num_arms,
                   feature_dim=env.feature_dim, gamma_prior=tuple(p["gamma_prior"]))
     return env, state, p["episodes"]
 

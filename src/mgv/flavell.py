@@ -115,7 +115,7 @@ class CycleState:
         if not (known is history and len(history) >= counted
                 and (counted == 0 or history[counted - 1] is last)):
             counted, total = 0, 0
-        for t in islice(history, counted, None):
+        for t in history[counted:]:
             total += t.resources
         self._spent = (history, len(history), history[-1] if history else None, total)
         return total

@@ -14,8 +14,8 @@ import pytest
 
 from mgv.acquisition import (AcquisitionConfig, LearnItem, allocate_resources,
                              compute_norm_of_study, run_acquisition)
-from mgv.bandit import (BanditState, WeightPosterior, posterior_update,
-                        run_bandit_episodes, sample_vocs, voc_estimate)
+from mgv.bandit import (BanditState, posterior_update, run_bandit_episodes,
+                        sample_vocs)
 from mgv.config import validate_config
 from mgv.envs import (CueRetrievalEnvironment, StationaryBanditEnvironment,
                       SyntheticTaskEnvironment)
@@ -296,29 +296,34 @@ def test_07_planning_voc_oracle_cost_cutoff_and_free_search_dominance():
 
 # -- 8 -----------------------------------------------------------------------
 
+def collapsed_bandit(means):
+    """A constructed state whose beliefs, ``means`` ``(arms, 2, dim)``
+    (utility, then time), have zero covariances and factors: every sample
+    is the mean."""
+    state = BanditState(len(means), len(means[0][0]))
+    state.means[:] = means
+    state.covariances[:] = 0.0
+    state.factors[:] = 0.0
+    return state
+
+
 def test_08_thompson_argmax_identity_and_two_arm_convergence():
     rng = np.random.default_rng(88)
     for trial in range(1000):
         arms = int(rng.integers(2, 6))
         dim = int(rng.integers(1, 4))
-        # Collapsed posteriors: every sample is the mean.
-        utility, time = [], []
-        for arm in range(arms):
-            utility.append(WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
-            time.append(WeightPosterior(rng.normal(size=dim), np.zeros((dim, dim))))
-        state = BanditState(utility, time)
+        state = collapsed_bandit(rng.normal(size=(arms, 2, dim)))
         feats = rng.normal(size=dim)
         gamma = float(rng.uniform(0.0, 2.0))
-        greedy = int(np.argmax([
-            voc_estimate(utility[a].mean, time[a].mean, feats,
-                         gamma) for a in range(arms)]))
+        greedy = int(np.argmax([u @ feats - gamma * (t @ feats)
+                                for u, t in state.means]))
         assert int(np.argmax(sample_vocs(state, feats, gamma,
                                          np.random.default_rng(trial)))) == greedy
 
     for seed in range(5):
         env = StationaryBanditEnvironment(utilities=[0.8, 0.2],
                                           times=[1.0, 1.0], reward_noise=0.1)
-        state = BanditState.create(2, 1)
+        state = BanditState(2, 1)
         records = run_bandit_episodes(env, state, 500,
                                       np.random.default_rng(seed))
         wins = sum(r["chosen"] == 0 for r in records[-100:])
@@ -328,22 +333,23 @@ def test_08_thompson_argmax_identity_and_two_arm_convergence():
 # -- 9 -----------------------------------------------------------------------
 
 def test_09_conjugate_update_worked_values_and_variance_contraction():
-    post = posterior_update(WeightPosterior.standard(1), [1.0], 1.0)
-    assert abs(post.mean[0] - 0.5) <= 1e-12
-    assert abs(post.covariance[0, 0] - 0.5) <= 1e-12
+    # One belief: means (1, dim), its covariance and the noise variance.
+    mean, cov = posterior_update(np.zeros((1, 1)), np.eye(1), 1.0, [1.0], [1.0])
+    assert abs(mean[0, 0] - 0.5) <= 1e-12
+    assert abs(cov[0, 0] - 0.5) <= 1e-12
 
     rng = np.random.default_rng(99)
     for _ in range(100):
         dim = int(rng.integers(1, 5))
-        post = WeightPosterior.standard(
-            dim, prior_variance=float(rng.uniform(0.2, 2.0)),
-            noise_variance=float(rng.uniform(0.2, 2.0)))
+        mean = np.zeros((1, dim))
+        cov = np.eye(dim) * float(rng.uniform(0.2, 2.0))
+        noise = float(rng.uniform(0.2, 2.0))
         for _ in range(int(rng.integers(1, 9))):
             feats = rng.normal(size=dim)
-            before = post.covariance
-            post = posterior_update(post, feats, float(rng.normal()))
+            before = cov
+            mean, cov = posterior_update(mean, cov, noise, feats, [float(rng.normal())])
             for probe in (feats, rng.normal(size=dim), rng.normal(size=dim)):
-                assert (probe @ post.covariance @ probe
+                assert (probe @ cov @ probe
                         <= probe @ before @ probe + 1e-12)
 
 
@@ -395,10 +401,11 @@ def test_10_traces_are_byte_identical_across_reruns(tmp_path):
 # -- 11 ----------------------------------------------------------------------
 
 def test_11_value_of_computation_worked_values():
-    assert voc_estimate([0.7, -0.2], [5.0, 5.0], [1.0, 1.0], gamma=0.0) == \
-        pytest.approx(0.5)
-    assert voc_estimate([0.7, -0.2], [5.0, 5.0], [1.0, 1.0], gamma=0.1) == \
-        pytest.approx(-0.5)
+    # A collapsed belief scores its mean weights exactly.
+    state = collapsed_bandit([[[0.7, -0.2], [5.0, 5.0]]])
+    voc = lambda gamma: sample_vocs(state, [1.0, 1.0], gamma, np.random.default_rng(11))[0]
+    assert voc(0.0) == pytest.approx(0.5)
+    assert voc(0.1) == pytest.approx(-0.5)
 
 
 # -- 12 ----------------------------------------------------------------------

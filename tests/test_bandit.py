@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgv.bandit import (BanditState, WeightPosterior, observe, posterior_update,
-                        run_bandit_episodes, sample_vocs, update_gamma, voc_estimate)
+import mgv.bandit
+from mgv.bandit import (GAMMA_PRIOR, BanditState, observe, posterior_update,
+                        run_bandit_episodes, sample_vocs, update_gamma)
 from mgv.config import validate_config
 from mgv.envs import FeatureBanditEnvironment, StationaryBanditEnvironment
-from mgv.errors import DimensionMismatch, ValidationError
+from mgv.errors import FINITE, POSITIVE, DimensionMismatch, ValidationError
 
 
 def oracle_update(mean, cov, noise, f, y):
@@ -22,55 +23,61 @@ def oracle_update(mean, cov, noise, f, y):
 
 # --- conjugate update -------------------------------------------------------
 
+def update_one(mean, cov, noise, f, y):
+    """``posterior_update`` on a single belief: its new mean and covariance."""
+    means, cov = posterior_update(np.array([mean]), cov, noise, f, (y,))
+    return means[0], cov
+
+
 def test_worked_scalar_update():
-    post = posterior_update(WeightPosterior.standard(1), [1.0], 1.0)
-    assert post.mean[0] == pytest.approx(0.5, abs=1e-12)
-    assert post.covariance[0, 0] == pytest.approx(0.5, abs=1e-12)
+    mean, cov = update_one(np.zeros(1), np.eye(1), 1.0, [1.0], 1.0)
+    assert mean[0] == pytest.approx(0.5, abs=1e-12)
+    assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_update_matches_precision_form_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
         d = int(rng.integers(1, 5))
-        post = WeightPosterior.standard(d, prior_variance=float(rng.uniform(0.5, 2.0)),
-                                        noise_variance=float(rng.uniform(0.5, 2.0)))
-        mean, cov = post.mean.copy(), post.covariance.copy()
+        prior_variance = float(rng.uniform(0.5, 2.0))
+        noise = float(rng.uniform(0.5, 2.0))
+        post = (np.zeros(d), np.eye(d) * prior_variance)
+        mean, cov = post
         for _ in range(int(rng.integers(1, 6))):
             f = rng.normal(size=d)
             y = float(rng.normal())
-            post = posterior_update(post, f, y)
-            mean, cov = oracle_update(mean, cov, post.noise_variance, f, y)
-        assert np.allclose(post.mean, mean, atol=1e-9)
-        assert np.allclose(post.covariance, cov, atol=1e-9)
+            post = update_one(*post, noise, f, y)
+            mean, cov = oracle_update(mean, cov, noise, f, y)
+        assert np.allclose(post[0], mean, atol=1e-9)
+        assert np.allclose(post[1], cov, atol=1e-9)
 
 
 def test_zero_features_leave_posterior_unchanged():
-    post = WeightPosterior.standard(3)
-    out = posterior_update(post, [0.0, 0.0, 0.0], 5.0)
-    assert np.array_equal(out.mean, post.mean)
-    assert np.array_equal(out.covariance, post.covariance)
+    means, cov = np.zeros((2, 3)), np.eye(3)
+    out_means, out_cov = posterior_update(means, cov, 1.0, [0.0, 0.0, 0.0], (5.0, -2.0))
+    assert np.array_equal(out_means, means)
+    assert np.array_equal(out_cov, cov)
 
 
 def test_variance_never_increases_along_any_direction():
     rng = np.random.default_rng(1)
     for _ in range(100):
         d = int(rng.integers(1, 4))
-        post = WeightPosterior.standard(d)
+        mean, cov = np.zeros(d), np.eye(d)
         for _ in range(int(rng.integers(1, 8))):
-            before = post.covariance.copy()
-            post = posterior_update(post, rng.normal(size=d), float(rng.normal()))
+            before = cov.copy()
+            mean, cov = update_one(mean, cov, 1.0, rng.normal(size=d), float(rng.normal()))
             for _ in range(5):
                 v = rng.normal(size=d)
-                assert v @ post.covariance @ v <= v @ before @ v + 1e-12
+                assert v @ cov @ v <= v @ before @ v + 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 5, 8])
 def test_covariance_stays_exactly_symmetric_psd_over_long_runs(d):
     rng = np.random.default_rng(d)
-    post = WeightPosterior.standard(d)
+    mean, cov = np.zeros(d), np.eye(d)
     for step in range(10_000):
-        post = posterior_update(post, rng.normal(size=d), float(rng.normal()))
-        cov = post.covariance
+        mean, cov = update_one(mean, cov, 1.0, rng.normal(size=d), float(rng.normal()))
         assert np.array_equal(cov, cov.T), step
         floor = -1e-12 * max(1.0, float(np.trace(cov)))
         assert np.linalg.eigvalsh(cov).min() >= floor, step
@@ -78,21 +85,22 @@ def test_covariance_stays_exactly_symmetric_psd_over_long_runs(d):
 
 def test_update_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        posterior_update(WeightPosterior.standard(2), [1.0], 0.0)
+        posterior_update(np.zeros((1, 2)), np.eye(2), 1.0, [1.0], (0.0,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_update_rejects_non_finite_features(bad):
-    post = WeightPosterior.standard(2)
+    """The features come first: a bad observation beside them is not named."""
     with pytest.raises(ValueError, match="features must be finite"):
-        posterior_update(post, [1.0, bad], 0.0)
+        posterior_update(np.zeros((2, 2)), np.eye(2), 1.0, [1.0, bad], (0.0, bad))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_update_rejects_a_non_finite_observation(bad):
-    post = WeightPosterior.standard(2)
-    with pytest.raises(ValueError, match="observation must be finite"):
-        posterior_update(post, [1.0, 0.5], bad)
+    for observations in ((bad,), (0.0, bad), (bad, 1.0)):
+        means = np.zeros((len(observations), 2))
+        with pytest.raises(ValueError, match="observations must be finite"):
+            posterior_update(means, np.eye(2), 1.0, [1.0, 0.5], observations)
 
 
 def state_arrays(state):
@@ -106,7 +114,7 @@ def state_bytes(state):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_observe_rejects_non_finite_features_before_any_change(bad):
-    state = BanditState.create(2, 2)
+    state = BanditState(2, 2)
     observe(state, 1, np.ones(2), utility=0.5, elapsed=1.0)
     before = state_bytes(state)
     with pytest.raises(ValueError, match="features must be finite"):
@@ -118,7 +126,7 @@ def test_observe_rejects_non_finite_features_before_any_change(bad):
                                         for bad in (math.nan, math.inf, -math.inf)]
                          + [("elapsed", 0.0), ("elapsed", -1.0)])
 def test_observe_rejects_a_bad_outcome_before_any_change(field, bad):
-    state = BanditState.create(2, 2)
+    state = BanditState(2, 2)
     observe(state, 1, np.ones(2), utility=0.5, elapsed=1.0)
     before = state_bytes(state)
     with pytest.raises(ValueError, match="must be (positive and )?finite"):
@@ -129,7 +137,7 @@ def test_observe_rejects_a_bad_outcome_before_any_change(field, bad):
 @pytest.mark.parametrize("strategy", [-1, 2])
 def test_observe_rejects_a_strategy_out_of_range_before_any_change(strategy):
     """A negative index would wrap to another arm; one past the end has no arm."""
-    state = BanditState.create(2, 1)
+    state = BanditState(2, 1)
     observe(state, 1, np.ones(1), utility=0.5, elapsed=1.0)
     before = state_bytes(state)
     with pytest.raises(ValueError, match=rf"strategy {strategy} is not in range\(2\)"):
@@ -137,96 +145,40 @@ def test_observe_rejects_a_strategy_out_of_range_before_any_change(strategy):
     assert state_bytes(state) == before
 
 
-def test_posterior_validation():
-    with pytest.raises(ValueError):
-        WeightPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-    for noise_variance in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            WeightPosterior(np.zeros(1), np.eye(1), noise_variance=noise_variance)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_posterior_rejects_a_non_finite_mean(bad):
-    with pytest.raises(ValueError, match="mean must be finite"):
-        WeightPosterior(np.array([0.0, bad]), np.eye(2))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-def test_posterior_rejects_a_non_finite_covariance(where, bad):
-    """An infinite entry passes the symmetry check when its mirror is
-    infinite too; it must fail before any sampler sees it."""
-    cov = np.eye(2)
-    cov[where] = cov[where[::-1]] = bad
-    with pytest.raises(ValueError, match="covariance must be finite"):
-        WeightPosterior(np.zeros(2), cov)
-
-
-@pytest.mark.parametrize("cov", [-0.5 * np.eye(2), [[1.0, 2.0], [2.0, 1.0]],
-                                 [[1.0, 0.0], [0.0, -1e-6]]], ids=str)
-def test_posterior_rejects_a_covariance_that_is_not_psd(cov):
-    """A negative eigenvalue below the rounding floor would sample as if it
-    were positive and divide by a residue on the next update."""
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        WeightPosterior(np.zeros(2), cov)
-
-
-def test_posterior_keeps_psd_covariances_within_rounding():
-    v = np.array([0.3, -1.7, 2.9])
-    for cov in (np.zeros((0, 0)), np.zeros((2, 2)), np.outer(v, v),
-                [[1.0, 0.0], [0.0, -1e-13]]):
-        WeightPosterior(np.zeros(len(cov)), cov)
-
-
 @pytest.mark.parametrize("field", ["prior_variance", "noise_variance"])
 @pytest.mark.parametrize("bad, message", [(-0.5, "must be positive"),
                                           (math.inf, "must be finite")])
 def test_standard_prior_checks_its_variances_with_the_table_rules(field, bad, message):
-    """``create`` builds its prior here: a negative or infinite variance
-    would make a non-PSD or NaN covariance (tests/test_config.py holds NaN
-    and the range to the params table)."""
-    for build in (lambda: WeightPosterior.standard(2, **{field: bad}),
-                  lambda: BanditState.create(2, 2, **{field: bad})):
-        with pytest.raises(ValidationError) as raised:
-            build()
-        assert (raised.value.field, raised.value.message) == (field, message)
+    """The constructor builds its prior from these: a negative or infinite
+    variance would make a non-PSD or NaN covariance (tests/test_config.py
+    holds NaN and the range to the params table)."""
+    with pytest.raises(ValidationError) as raised:
+        BanditState(2, 2, **{field: bad})
+    assert (raised.value.field, raised.value.message) == (field, message)
 
 
-def test_posterior_is_frozen():
-    post = WeightPosterior.standard(2)
-    with pytest.raises(AttributeError):
-        post.covariance = np.zeros((2, 2))
+def collapsed_state(means):
+    """A state whose beliefs, ``means`` ``(arms, 2, d)``, have zero
+    covariances and factors: every sample is the mean."""
+    state = BanditState(*np.shape(means)[::2])
+    state.means[:] = means
+    state.covariances[:] = 0.0
+    state.factors[:] = 0.0
+    return state
 
 
 def test_collapsed_posterior_samples_its_mean():
-    collapsed = WeightPosterior(np.array([1.5, -2.0]), np.zeros((2, 2)))
-    state = BanditState([collapsed], [WeightPosterior(np.zeros(2), np.zeros((2, 2)))])
-    for i, want in enumerate(collapsed.mean):
+    state = collapsed_state([[[1.5, -2.0], [0.0, 0.0]]])
+    for i, want in enumerate([1.5, -2.0]):
         samples = {float(sample_vocs(state, np.eye(2)[i], 0.0,
                                      np.random.default_rng(s))[0]) for s in range(5)}
         assert samples == {want}
 
 
-# --- value of computation ---------------------------------------------------
-
-def test_voc_estimate_formula():
-    voc = voc_estimate([1.0, 2.0], [0.5, 0.5], [1.0, 1.0], gamma=2.0)
-    assert voc == pytest.approx(3.0 - 2.0 * 1.0)
-
-
-def test_voc_estimate_zero_gamma_is_pure_utility():
-    assert voc_estimate([0.7], [9.9], [1.0], 0.0) == pytest.approx(0.7)
-
-
-def test_voc_estimate_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        voc_estimate([1.0, 2.0], [0.5], [1.0], 1.0)
-
-
 # --- opportunity cost -------------------------------------------------------
 
 def test_gamma_prior_smoothing_before_data():
-    state = BanditState.create(2, 1, gamma_prior=(1.0, 2.0))
+    state = BanditState(2, 1, gamma_prior=(1.0, 2.0))
     assert state.gamma == pytest.approx(0.5)
 
 
@@ -236,12 +188,9 @@ NON_FINITE_PRIORS = [prior for bad in (math.nan, math.inf, -math.inf)
 
 @pytest.mark.parametrize("prior", NON_FINITE_PRIORS, ids=str)
 def test_gamma_prior_must_be_finite(prior):
-    posteriors = [WeightPosterior.standard(1)]
-    for make in (lambda: BanditState(posteriors, posteriors, gamma_prior=prior),
-                 lambda: BanditState.create(2, 1, gamma_prior=prior)):
-        with pytest.raises(ValidationError) as raised:
-            make()
-        assert raised.value.field == "gamma_prior"
+    with pytest.raises(ValidationError) as raised:
+        BanditState(2, 1, gamma_prior=prior)
+    assert raised.value.field == "gamma_prior"
     doc = {"mode": "bandit", "seed": 2,
            "params": {"episodes": 5, "utilities": [0.8, 0.2], "times": [1.0, 1.0],
                       "gamma_prior": list(prior)}}
@@ -250,29 +199,8 @@ def test_gamma_prior_must_be_finite(prior):
     assert raised.value.field.startswith("params.gamma_prior")
 
 
-@pytest.mark.parametrize("field, bad", [("cumulative_reward", math.nan),
-                                        ("cumulative_reward", math.inf),
-                                        ("cumulative_reward", -math.inf),
-                                        ("cumulative_time", math.inf)])
-def test_state_rejects_non_finite_totals(field, bad):
-    """A NaN or infinite total would make gamma read NaN, inf or 0.0.  (A
-    NaN or negative time already fails as not nonnegative.)"""
-    posteriors = [WeightPosterior.standard(1)]
-    with pytest.raises(ValidationError) as raised:
-        BanditState(posteriors, posteriors, **{field: bad})
-    assert (raised.value.field, raised.value.message) == (field, "must be finite")
-
-
-def test_state_checks_its_totals_after_the_gamma_prior():
-    posteriors = [WeightPosterior.standard(1)]
-    with pytest.raises(ValidationError) as raised:
-        BanditState(posteriors, posteriors, cumulative_reward=math.nan,
-                    gamma_prior=(0.0, 0.0))
-    assert raised.value.field == "gamma_prior"
-
-
 def test_update_gamma_accumulates():
-    state = BanditState.create(1, 1)
+    state = BanditState(1, 1)
     g = update_gamma(state, reward=3.0, elapsed=2.0)
     assert g == pytest.approx(3.0 / 3.0)  # (3 + 0) / (2 + 1)
     g = update_gamma(state, reward=1.0, elapsed=1.0)
@@ -281,13 +209,13 @@ def test_update_gamma_accumulates():
 
 def test_update_gamma_rejects_nonpositive_time():
     with pytest.raises(ValueError):
-        update_gamma(BanditState.create(1, 1), 1.0, 0.0)
+        update_gamma(BanditState(1, 1), 1.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["reward", "elapsed"])
 def test_update_gamma_rejects_a_non_finite_outcome_before_any_change(field, bad):
-    state = BanditState.create(1, 1)
+    state = BanditState(1, 1)
     update_gamma(state, 1.0, 2.0)
     with pytest.raises(ValueError, match="finite"):
         update_gamma(state, **{"reward": 1.0, "elapsed": 1.0, field: bad})
@@ -298,17 +226,29 @@ def test_update_gamma_rejects_a_non_finite_outcome_before_any_change(field, bad)
 
 def test_state_rejects_zero_strategies():
     with pytest.raises(ValueError, match="at least one strategy"):
-        BanditState.create(0, 2)
-    with pytest.raises(ValueError, match="at least one strategy"):
-        BanditState([], [])
+        BanditState(0, 2)
+
+
+def svd_factor(cov):
+    """The factor ``Generator.multivariate_normal(method="svd")`` builds."""
+    u, s, _ = np.linalg.svd(cov)
+    return u * np.sqrt(s)
 
 
 def reference_create(num_strategies, feature_dim, prior_variance=1.0, noise_variance=1.0,
                      gamma_prior=(0.0, 1.0)):
-    """``create`` as one state from a list of fresh standard posteriors."""
-    make = lambda: WeightPosterior.standard(feature_dim, prior_variance, noise_variance)
-    return BanditState([make() for _ in range(num_strategies)],
-                       [make() for _ in range(num_strategies)], gamma_prior=gamma_prior)
+    """The state's arrays built one posterior at a time, each from a fresh
+    prior with its own single-matrix SVD, after the checks in their
+    documented order: too few strategies, the variances, then gamma_prior."""
+    if num_strategies < 1:
+        raise ValueError("a bandit needs at least one strategy")
+    for field, v in (("prior_variance", prior_variance), ("noise_variance", noise_variance)):
+        POSITIVE.check(field, FINITE.check(field, v))
+    covariances = [np.eye(feature_dim) * prior_variance for _ in range(num_strategies)]
+    GAMMA_PRIOR.check("gamma_prior", gamma_prior)
+    return (np.array([[np.zeros(feature_dim)] * 2 for _ in covariances]),
+            np.array(covariances), np.array([svd_factor(c) for c in covariances]),
+            np.array([noise_variance for _ in covariances]))
 
 
 @pytest.mark.parametrize("arms", [1, 2, 8])
@@ -317,11 +257,11 @@ def test_create_matches_per_posterior_construction_bit_for_bit(arms, d):
     for prior_variance in (1.0, 0.37, 2.5, 1e-8, 1e6):
         for noise_variance in (1.0, 0.2, 3.7):
             args = (arms, d, prior_variance, noise_variance, (0.3, 2.0))
-            got, want = BanditState.create(*args), reference_create(*args)
-            assert state_bytes(got) == state_bytes(want), args
-            assert all(a.shape == b.shape and a.dtype == b.dtype
-                       for a, b in zip(state_arrays(got), state_arrays(want))), args
-            assert got.gamma_prior == want.gamma_prior
+            got, want = BanditState(*args), reference_create(*args)
+            assert all(same_bits(a, b) and a.dtype == b.dtype
+                       for a, b in zip(state_arrays(got), want)), args
+            assert (got.cumulative_reward, got.cumulative_time, got.gamma_prior) == \
+                (0.0, 0.0, (0.3, 2.0))
             assert all(a.flags.writeable and a.flags.c_contiguous
                        for a in state_arrays(got)), args
 
@@ -349,34 +289,9 @@ def test_create_raises_what_per_posterior_construction_raises(args):
     with pytest.raises(Exception) as want:
         reference_create(*args)
     with pytest.raises(want.type) as got:
-        BanditState.create(*args)
+        BanditState(*args)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "field", None) == getattr(want.value, "field", None)
-
-
-def test_state_rejects_posteriors_of_mixed_dims():
-    with pytest.raises(DimensionMismatch):
-        BanditState([WeightPosterior.standard(2)], [WeightPosterior.standard(3)])
-    with pytest.raises(DimensionMismatch):
-        BanditState([WeightPosterior.standard(2), WeightPosterior.standard(1)],
-                    [WeightPosterior.standard(2), WeightPosterior.standard(2)])
-
-
-def test_state_rejects_unaligned_posterior_lists():
-    with pytest.raises(ValueError, match="must align"):
-        BanditState([WeightPosterior.standard(2)] * 2, [WeightPosterior.standard(2)])
-
-
-@pytest.mark.parametrize("time", [WeightPosterior.standard(2, prior_variance=2.0),
-                                  WeightPosterior.standard(2, noise_variance=0.5),
-                                  WeightPosterior(np.zeros(2), [[1.0, 1e-9], [1e-9, 1.0]])],
-                         ids=["covariance", "noise", "off-diagonal"])
-def test_state_rejects_a_pair_that_does_not_share_its_covariance_and_noise(time):
-    """An arm holds one covariance and one noise variance for both beliefs."""
-    utility = WeightPosterior.standard(2)
-    BanditState([utility, utility], [utility, WeightPosterior(np.ones(2), np.eye(2))])
-    with pytest.raises(ValueError, match="must share a covariance and a noise variance"):
-        BanditState([utility, utility], [utility, time])
 
 
 # --- Thompson selection -----------------------------------------------------
@@ -386,27 +301,22 @@ def test_zero_covariance_reduces_to_greedy_argmax():
     for trial in range(200):
         k, d = int(rng_out.integers(2, 6)), int(rng_out.integers(1, 4))
         feats = rng_out.normal(size=d)
-        utility, time = [], []
-        for arm in range(k):
-            utility.append(WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
-            time.append(WeightPosterior(rng_out.normal(size=d), np.zeros((d, d))))
-        state = BanditState(utility, time)
+        state = collapsed_state(rng_out.normal(size=(k, 2, d)))
         gamma = float(rng_out.uniform(0, 2))
-        greedy = int(np.argmax([
-            voc_estimate(utility[a].mean, time[a].mean, feats, gamma) for a in range(k)]))
+        greedy = int(np.argmax([u @ feats - gamma * (t @ feats) for u, t in state.means]))
         chosen = int(np.argmax(sample_vocs(state, feats, gamma, np.random.default_rng(trial))))
         assert chosen == greedy
 
 
 def test_sampled_vocs_vary_under_uncertainty():
-    state = BanditState.create(2, 1)
+    state = BanditState(2, 1)
     draws = {tuple(sample_vocs(state, np.ones(1), 0.0, np.random.default_rng(s)))
              for s in range(5)}
     assert len(draws) == 5
 
 
 def test_observe_updates_both_posteriors_and_gamma():
-    state = BanditState.create(2, 1)
+    state = BanditState(2, 1)
     g = observe(state, 0, np.ones(1), utility=1.0, elapsed=2.0)
     assert state.means[0, 0, 0] == pytest.approx(0.5)
     assert state.means[0, 1, 0] == pytest.approx(1.0)
@@ -417,7 +327,7 @@ def test_observe_updates_both_posteriors_and_gamma():
 def test_two_arm_learning_prefers_the_better_arm():
     env = StationaryBanditEnvironment(utilities=[0.8, 0.2], times=[1.0, 1.0],
                                       reward_noise=0.1)
-    state = BanditState.create(2, 1)
+    state = BanditState(2, 1)
     records = run_bandit_episodes(env, state, 500, np.random.default_rng(0))
     last = [r["chosen"] for r in records[-100:]]
     assert last.count(0) > 80
@@ -425,7 +335,7 @@ def test_two_arm_learning_prefers_the_better_arm():
 
 def test_episode_records_expose_regret_terms():
     env = StationaryBanditEnvironment(utilities=[1.0, 0.0], times=[1.0, 1.0])
-    state = BanditState.create(2, 1)
+    state = BanditState(2, 1)
     (rec,) = run_bandit_episodes(env, state, 1, np.random.default_rng(0))
     assert rec["true_voc_best"] >= rec["true_voc_chosen"]
     assert set(rec) >= {"episode", "chosen", "reward", "elapsed", "gamma",
@@ -435,7 +345,7 @@ def test_episode_records_expose_regret_terms():
 def test_episodes_reject_a_state_for_another_number_of_arms():
     env = StationaryBanditEnvironment(utilities=[1.0, 0.0, 0.5], times=[1.0, 1.0, 1.0])
     with pytest.raises(DimensionMismatch):
-        run_bandit_episodes(env, BanditState.create(2, 1), 1, np.random.default_rng(0))
+        run_bandit_episodes(env, BanditState(2, 1), 1, np.random.default_rng(0))
 
 
 def svd_shapes(monkeypatch):
@@ -457,18 +367,37 @@ def feature_env(rng, arms, d):
 
 
 def test_episodes_factor_each_posterior_once(monkeypatch):
-    """Only the chosen arm's covariance changes per episode.  ``create``
-    factors its one prior once, and each episode factors the chosen arm's
+    """Only the chosen arm's covariance changes per episode.  The
+    constructor factors its one prior once, and each episode factors the chosen arm's
     one covariance, which its two beliefs share."""
     shapes = svd_shapes(monkeypatch)
     rng = np.random.default_rng(3)
     arms, d, episodes = 3, 4, 25
     env = feature_env(rng, arms, d)
-    state = BanditState.create(arms, d)
+    state = BanditState(arms, d)
     run_bandit_episodes(env, state, episodes, rng)
     assert shapes == [(d, d)] * (episodes + 1)
     assert state.covariances.shape == state.factors.shape == (arms, d, d)
     assert state.noise.shape == (arms,)
+
+
+def test_episodes_update_once_each_through_the_module_posterior_update(monkeypatch):
+    """A wrapper set on ``mgv.bandit`` sees every episode's update, and
+    changes no record."""
+    rng = np.random.default_rng(8)
+    arms, d, episodes = 3, 2, 40
+    env = feature_env(rng, arms, d)
+    want = run_bandit_episodes(env, BanditState(arms, d), episodes, np.random.default_rng(9))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return posterior_update(*args)
+
+    monkeypatch.setattr(mgv.bandit, "posterior_update", counting)
+    got = run_bandit_episodes(env, BanditState(arms, d), episodes, np.random.default_rng(9))
+    assert len(calls) == episodes
+    assert repr(got) == repr(want)
 
 
 def test_episodes_take_every_true_value_in_one_call_after_the_last_episode():
@@ -484,10 +413,10 @@ def test_episodes_take_every_true_value_in_one_call_after_the_last_episode():
     rng = np.random.default_rng(5)
     arms, d, episodes = 4, 3, 30
     env = Recording(rng.uniform(size=(arms, d)), rng.uniform(0.1, 1.0, size=(arms, d)))
-    records = run_bandit_episodes(env, BanditState.create(arms, d), episodes, rng)
+    records = run_bandit_episodes(env, BanditState(arms, d), episodes, rng)
     ((feats, gammas),) = calls
     assert feats.shape == (episodes, d) and gammas.shape == (episodes,)
-    pre_choice = [BanditState.create(arms, d).gamma] + [r["gamma"] for r in records[:-1]]
+    pre_choice = [BanditState(arms, d).gamma] + [r["gamma"] for r in records[:-1]]
     assert gammas.tolist() == pre_choice
     for r, f, g in zip(records, feats, gammas):
         assert r["features"] == f.tolist()
@@ -500,14 +429,14 @@ def test_episodes_take_every_true_value_in_one_call_after_the_last_episode():
 def test_zero_episodes_make_no_records():
     """With no episode there is no stack of features to take true values of."""
     rng = np.random.default_rng(6)
-    state = BanditState.create(2, 3)
+    state = BanditState(2, 3)
     assert run_bandit_episodes(feature_env(rng, 2, 3), state, 0, rng) == []
     assert state.gamma == 0.0
 
 
 def test_sample_vocs_rejects_features_of_another_size():
     with pytest.raises(DimensionMismatch):
-        sample_vocs(BanditState.create(2, 3), np.ones(2), 0.0, np.random.default_rng(0))
+        sample_vocs(BanditState(2, 3), np.ones(2), 0.0, np.random.default_rng(0))
 
 
 @given(st.integers(0, 10_000))
@@ -515,7 +444,7 @@ def test_sample_vocs_rejects_features_of_another_size():
 def test_thompson_select_index_in_range(seed):
     """Each episode plays the first argmax of its sampled scores."""
     env = StationaryBanditEnvironment(utilities=[0.5, 0.5, 0.5], times=[1.0, 1.0, 1.0])
-    records = run_bandit_episodes(env, BanditState.create(3, 1), 5,
+    records = run_bandit_episodes(env, BanditState(3, 1), 5,
                                   np.random.default_rng(seed))
     for r in records:
         assert 0 <= r["chosen"] < 3
@@ -532,19 +461,21 @@ def reference_sample_vocs(state, features, gamma, rng):
         wu, wt = (rng.multivariate_normal(state.means[i, k], state.covariances[i],
                                           check_valid="ignore", method="svd")
                   for k in (0, 1))
-        vocs[i] = voc_estimate(wu, wt, features, gamma)
+        f = np.asarray(features, dtype=float)
+        vocs[i] = float(wu @ f - gamma * (wt @ f))
     return vocs
 
 
-def fence_posterior(rng, d):
-    """A posterior whose covariance is full rank, rank one or zero."""
+def fence_covariance(rng, d):
+    """A PSD covariance that is full rank, rank one or zero, and a noise
+    variance."""
     kind = int(rng.integers(4))
     if kind == 0:  # a belief after some conjugate updates
-        post = WeightPosterior.standard(d, prior_variance=float(rng.uniform(0.2, 3.0)),
-                                        noise_variance=float(rng.uniform(0.2, 2.0)))
+        mean, cov = np.zeros(d), np.eye(d) * float(rng.uniform(0.2, 3.0))
+        noise = float(rng.uniform(0.2, 2.0))
         for _ in range(int(rng.integers(0, 12))):
-            post = posterior_update(post, rng.normal(size=d), float(rng.normal()))
-        return post
+            mean, cov = update_one(mean, cov, noise, rng.normal(size=d), float(rng.normal()))
+        return cov, noise
     if kind == 1:  # full rank, symmetric only up to rounding
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.1 * np.eye(d)
@@ -553,16 +484,18 @@ def fence_posterior(rng, d):
         cov = np.outer(v, v)
     else:
         cov = np.zeros((d, d))
-    return WeightPosterior(rng.normal(size=d), cov)
+    return cov, 1.0
 
 
 def fence_state(rng, arms, d):
-    """Arms whose two beliefs share a fence covariance and noise variance
-    and have different means."""
-    utility = [fence_posterior(rng, d) for _ in range(arms)]
-    time = [WeightPosterior(rng.normal(size=d), u.covariance, u.noise_variance)
-            for u in utility]
-    return BanditState(utility, time)
+    """A constructed state with random means, whose arms each hold a fence
+    covariance, its single-matrix SVD factor and a noise variance."""
+    state = BanditState(arms, d)
+    for arm in range(arms):
+        cov, state.noise[arm] = fence_covariance(rng, d)
+        state.covariances[arm], state.factors[arm] = cov, svd_factor(cov)
+    state.means[:] = rng.normal(size=state.means.shape)
+    return state
 
 
 def fence_cases():
@@ -584,28 +517,29 @@ def test_sample_vocs_matches_multivariate_normal_bit_for_bit():
 
 
 def test_construction_factors_each_posterior_bit_for_bit():
-    """The batched SVD at construction gives each posterior the factor a
-    single-matrix SVD gives it."""
-    for case, state, _, _ in fence_cases():
-        for arm in range(state.num_strategies):
-            u, s, _ = np.linalg.svd(state.covariances[arm])
-            assert same_bits(state.factors[arm], u * np.sqrt(s)), (case, arm)
+    """Construction gives each arm the factor a single-matrix SVD gives its
+    covariance."""
+    meta = np.random.default_rng(2025)
+    for case in range(60):
+        arms, d = int(meta.integers(1, 9)), int(meta.integers(1, 7))
+        state = BanditState(arms, d, prior_variance=float(meta.uniform(1e-3, 1e3)))
+        for arm in range(arms):
+            assert same_bits(state.factors[arm], svd_factor(state.covariances[arm])), case
 
 
 # --- update fence -----------------------------------------------------------
 
-def reference_update(post, features, observation):
-    """One posterior's update and SVD factor with the vector products
-    ``posterior_update`` made before ``observe`` batched them."""
+def reference_update(mean, covariance, noise, features, observation):
+    """One belief's update and SVD factor, with one belief's vector
+    products."""
     f = np.asarray(features, dtype=float)
-    sf = post.covariance @ f
-    denom = post.noise_variance + f @ sf
+    sf = covariance @ f
+    denom = noise + f @ sf
     gain = sf / denom
-    mean = post.mean + gain * (observation - f @ post.mean)
-    cov = post.covariance - np.outer(gain, sf)
+    mean = mean + gain * (observation - f @ mean)
+    cov = covariance - np.outer(gain, sf)
     cov = (cov + cov.T) / 2.0
-    u, s, _ = np.linalg.svd(cov)
-    return mean, cov, u * np.sqrt(s)
+    return mean, cov, svd_factor(cov)
 
 
 def fence_features(rng, d):
@@ -628,19 +562,19 @@ def check_observe_fence(meta, state, arms, d, case):
     for step in range(int(meta.integers(1, 5))):
         arm, f = int(meta.integers(arms)), fence_features(meta, d)
         utility, elapsed = float(meta.normal()), float(meta.uniform(0.1, 3.0))
-        old = [WeightPosterior(state.means[arm, k].copy(), state.covariances[arm].copy(),
-                               float(state.noise[arm])) for k in (0, 1)]
+        old = [(state.means[arm, k].copy(), state.covariances[arm].copy(),
+                float(state.noise[arm])) for k in (0, 1)]
         others = [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)]
         observe(state, arm, f, utility, elapsed)
         for k, (before, y) in enumerate(zip(old, (utility, elapsed))):
-            mean, cov, factor = reference_update(before, f, y)
+            mean, cov, factor = reference_update(*before, f, y)
             assert same_bits(state.means[arm, k], mean), (case, step)
             assert same_bits(state.covariances[arm], cov), (case, step)
             assert same_bits(state.factors[arm], factor), (case, step)
-            assert state.noise[arm] == before.noise_variance
-            single = posterior_update(before, f, y)
-            assert same_bits(single.mean, mean), (case, step)
-            assert same_bits(single.covariance, cov), (case, step)
+            assert state.noise[arm] == before[2]
+            single_mean, single_cov = update_one(*before, f, y)
+            assert same_bits(single_mean, mean), (case, step)
+            assert same_bits(single_cov, cov), (case, step)
         assert [np.delete(a, arm, axis=0).tobytes() for a in state_arrays(state)] == others
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from mgv.cli import main
 from mgv.config import validate_config
+from mgv.planning import MAX_LEAF_DEPTHS
 from mgv.runner import run
 
 
@@ -324,6 +326,17 @@ def test_oversized_recall_grid_exits_2_naming_z_step(tmp_path, capsys):
     test_malformed_input_exits_2_naming_the_field(
         tmp_path, capsys, "solve-recall", "--config",
         {**RECALL, "z_min": -1.0, "z_step": 0.0001}, [], "params.z_step")
+
+
+def test_caterpillar_tree_past_the_leaf_depth_bound_exits_2_naming_parents(tmp_path, capsys):
+    """A spine with one leaf per spine node: its leaf depths sum to
+    spine * (spine + 1) / 2, just past the bound."""
+    spine = next(m for m in itertools.count(1) if m * (m + 1) // 2 > MAX_LEAF_DEPTHS)
+    parents = [None, *range(spine - 1), *range(spine)]
+    test_malformed_input_exits_2_naming_the_field(
+        tmp_path, capsys, "plan", "--tree",
+        {**TREE, "parents": parents, "priors": TREE["priors"][:1] * len(parents)}, [],
+        "params.parents")
 
 
 # --- file errors ------------------------------------------------------------

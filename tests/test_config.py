@@ -417,7 +417,7 @@ def test_params_defaults_equal_the_constructor_defaults(monkeypatch):
     assert {name for name, _ in compared} >= {
         "KnowledgeStore", "KnowledgeItem", "SyntheticTaskEnvironment", "GoalSpec",
         "FlavellConfig", "LearnItem", "AcquisitionConfig", "CueRetrievalEnvironment",
-        "RetrievalConfig", "StationaryBanditEnvironment", "BanditState.create",
+        "RetrievalConfig", "StationaryBanditEnvironment", "BanditState",
         "RecallMdpConfig"}
 
 
@@ -444,7 +444,7 @@ CONSTRUCTOR_CHECKS = {
                                 "min_matches", "confidence_gain"},
     "StationaryBanditEnvironment": {"times[0]", "reward_noise", "time_noise"},
     "FeatureBanditEnvironment": {"reward_noise"},
-    "BanditState.create": {"gamma_prior", "prior_variance", "noise_variance"},
+    "BanditState": {"gamma_prior", "prior_variance", "noise_variance"},
     "DiscretePrior": {"probs[0]"},
 }
 # The number fields with no range rule that a constructor checks are finite.

@@ -231,6 +231,32 @@ def test_resources_spent_is_a_left_to_right_fold_however_history_changes():
     check()
 
 
+def test_resources_spent_reads_only_the_records_appended_since_the_last_call():
+    """One more record costs one more record read, however long the history:
+    a flavell run stays linear in its cycles."""
+    reads = []
+
+    class Counting(list):
+        """Counts the items its iterators yield, a slice's included."""
+
+        def __iter__(self):
+            for item in super().__iter__():
+                reads.append(item)
+                yield item
+
+        def __getitem__(self, index):
+            got = super().__getitem__(index)
+            return Counting(got) if isinstance(index, slice) else got
+
+    s = CycleState(task_tags={"t"}, goal=goal())
+    s.history = Counting(SimpleNamespace(resources=1.0) for _ in range(10**4))
+    assert s.resources_spent() == 1e4
+    reads.clear()
+    s.history.append(SimpleNamespace(resources=0.5))
+    assert s.resources_spent() == 1e4 + 0.5
+    assert len(reads) <= 1
+
+
 def test_goal_spec_validation():
     with pytest.raises(ValueError):
         GoalSpec(success_threshold=0.5, max_cycles=0)

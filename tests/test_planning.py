@@ -6,7 +6,7 @@ import pytest
 
 from mgv.errors import NodeNotOnFrontier, ValidationError
 from mgv.floats import fold_sum
-from mgv.planning import (DiscretePrior, PlanningState, frontier,
+from mgv.planning import (MAX_LEAF_DEPTHS, DiscretePrior, PlanningState, frontier,
                           make_initial_state, myopic_voc, plan_value,
                           run_myopic_planner)
 
@@ -115,6 +115,48 @@ def test_state_validation_rejects_bad_shapes():
         PlanningState([None, 2, 1], [coin()] * 3, [0.0, None, None])
     with pytest.raises(ValueError):
         make_initial_state([None, 5], [coin(), coin()])
+
+
+def reference_cycle(parents):
+    """The first node met twice by a walk to the root from each node in
+    index order, or None for a tree."""
+    for i in range(len(parents)):
+        seen, j = set(), i
+        while j != 0:
+            if j in seen:
+                return j
+            seen.add(j)
+            j = parents[j]
+    return None
+
+
+def test_every_small_parent_list_gives_the_walks_paths_or_cycle():
+    """Over every parent list of up to five nodes: a tree stores the
+    reference paths and through-lists, and a cycle names the node that the
+    per-node walks meet twice first."""
+    for n in range(2, 6):
+        for tail in itertools.product(range(n), repeat=n - 1):
+            parents = [None, *tail]
+            if any(p == i for i, p in enumerate(parents)):
+                continue
+            cycle = reference_cycle(parents)
+            if cycle is not None:
+                with pytest.raises(ValidationError, match=rf"^parents: cycle through node {cycle}$"):
+                    make_initial_state(parents, [coin()] * n)
+                continue
+            state = make_initial_state(parents, [coin()] * n)
+            assert list(state.paths) == reference_paths(parents)
+            assert state.through == tuple(
+                tuple(k for k, path in enumerate(state.paths) if i in path) for i in range(n))
+
+
+def test_trees_whose_leaf_depths_sum_past_the_bound_are_rejected():
+    chain = [None, *range(MAX_LEAF_DEPTHS)]  # one leaf, at depth MAX_LEAF_DEPTHS
+    assert len(make_initial_state(chain, [coin()] * len(chain)).paths[0]) == len(chain)
+    chain.append(MAX_LEAF_DEPTHS)
+    with pytest.raises(ValidationError, match=rf"^parents: leaf depths sum to "
+                                              rf"{MAX_LEAF_DEPTHS + 1}, more than {MAX_LEAF_DEPTHS}$"):
+        make_initial_state(chain, [coin()] * len(chain))
 
 
 def test_plan_value_uses_prior_means_for_unexpanded():
