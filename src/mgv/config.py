@@ -204,10 +204,10 @@ class _Switch:
 # Upper bounds on the counts that size a run's trace and arrays.  A trace line
 # is the record envelope that ``runner._write_trace`` writes (about 80 bytes
 # and two counters) around the payload; over the benchmark's documents a line
-# takes 117-558 bytes, so a loop of MAX_RECORDS records, or a recall
-# simulation of MAX_RECORDS episodes per drift, writes well under 1 GiB per
-# item, drift or arm.  A recall step of the largest grid writes about 35 KB of
-# policy JSON, so MAX_HORIZON steps stay under 400 MB.
+# takes 117-558 bytes.  A run holds at most MAX_RECORDS records in all (see
+# ``_check_records``), so its trace stays well under 1 GiB; the largest
+# benchmark documents hold 4 000.  A recall step of the largest grid writes
+# about 35 KB of policy JSON, so MAX_HORIZON steps stay under 400 MB.
 MAX_RECORDS = 10**6
 MAX_HORIZON = 10**4
 # A retrieve glance draws cue_samples features, and attention up to twice as
@@ -455,13 +455,39 @@ def build(mode: RunMode, params: dict) -> tuple:
         return _MODES[mode][1](params)
 
 
+def _check_records(mode: RunMode, p: dict) -> None:
+    """Bound the records a run holds, over all its items, arms and drifts, by
+    MAX_RECORDS, naming the count that tips it: acquire's ``max_cycles`` for
+    each item, a bandit's ``episodes`` for each arm or feature, whichever are
+    more (a record holds a score per arm and the features), recall's
+    ``simulate.episodes`` for each drift.  A flavell or retrieve run holds a
+    record per cycle, and a plan run one per node at most, so their own
+    bounds already hold."""
+    if mode is RunMode.ACQUIRE:
+        path, count, per, unit = "max_cycles", p["max_cycles"], len(p["items"]), "items"
+    elif mode is RunMode.BANDIT:
+        shape = ((len(p["utilities"]), 1) if p["env"] == "stationary"
+                 else (len(p["utility_weights"]), len(p["utility_weights"][0])))
+        path, count, per, unit = "episodes", p["episodes"], max(shape), "arms or features"
+    elif mode is RunMode.RECALL_MDP and p["simulate"] is not None:
+        sim = p["simulate"]
+        path, count, per, unit = "simulate.episodes", sim["episodes"], len(sim["drifts"]), "drifts"
+    else:
+        return
+    if count * per > MAX_RECORDS:
+        raise ValidationError(f"params.{path}", f"with {per} {unit} makes {count * per} "
+                                                f"records, more than {MAX_RECORDS}")
+
+
 def validate_params(mode: RunMode, params) -> dict:
     """Check a mode's params block and return it with defaults filled in.
 
-    The mode's objects are built once, so the rules that relate several
-    fields fail here rather than mid-run.
+    The records a run would hold are bounded before anything is built.  The
+    mode's objects are built once, so the rules that relate several fields
+    fail here rather than mid-run.
     """
     clean = _MODES[mode][0].check(params, "params")
+    _check_records(mode, clean)
     build(mode, clean)
     return clean
 

@@ -2,10 +2,15 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mgv
 from mgv.cli import main
 from mgv.config import validate_config
 from mgv.planning import MAX_LEAF_DEPTHS
@@ -302,6 +307,15 @@ MALFORMED = [
                          {"support": [1.7976931348623157e308], "probs": [1.0000000005]},
                          {"support": [-1.7976931348623157e308], "probs": [1.0000000005]}]},
      [], "params.priors[1].support"),
+    # Each count is within its own bound; the records they make in all are not.
+    ("acquire", "--config",
+     {**ACQUIRE, "max_cycles": 10**6,
+      "items": [{"id": i, "latent_difficulty": 0.5} for i in range(100)]}, [],
+     "params.max_cycles"),
+    ("bandit", "--arms", {**STATIONARY, "episodes": 600_000}, [], "params.episodes"),
+    ("solve-recall", "--config",
+     {**RECALL, "simulate": {"drifts": [0.1, 0.2], "episodes": 600_000}}, [],
+     "params.simulate.episodes"),
 ]
 
 
@@ -337,6 +351,27 @@ def test_caterpillar_tree_past_the_leaf_depth_bound_exits_2_naming_parents(tmp_p
         tmp_path, capsys, "plan", "--tree",
         {**TREE, "parents": parents, "priors": TREE["priors"][:1] * len(parents)}, [],
         "params.parents")
+
+
+def test_a_document_over_the_record_bound_exits_2_in_small_memory(tmp_path):
+    """A 4 KB acquire document of 100 items and a million cycles would hold
+    10**8 records; it fails before anything is built.  The child's address
+    space is capped, so a run that got past validation would fail, not swap."""
+    doc = write_json(tmp_path / "acquire.json", {
+        **ACQUIRE, "max_cycles": 10**6,
+        "items": [{"id": i, "latent_difficulty": 0.5} for i in range(100)]})
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from mgv.cli import main\n"
+             "code = main(['acquire', '--config', sys.argv[1], '--seed', '1'])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mgv.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", child, doc], env=env,
+                            capture_output=True, text=True, timeout=120)
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 2, result.stderr
+    assert "params.max_cycles" in result.stderr
+    assert peak_kb < 200 * 1024, peak_kb  # KB on Linux
 
 
 # --- file errors ------------------------------------------------------------

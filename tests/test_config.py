@@ -285,6 +285,17 @@ RECALL_PARAMS = {"drift_prior_mean": 0.1, "drift_prior_variance": 0.5,
                  "simulate": {"drifts": [0.1], "episodes": 10}}
 
 
+def with_count(params, path, count):
+    """A copy of ``params`` with the dotted ``path`` set to ``count``."""
+    doc = copy.deepcopy(params)
+    *outer, last = path.split(".")
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    inner[last] = count
+    return doc
+
+
 BOUNDED_COUNTS = [
     (RunMode.FLAVELL, flavell_params(), "max_cycles", MAX_RECORDS),
     (RunMode.ACQUIRE, {"target_performance": 0.5, "retention_discount": 0.1,
@@ -304,21 +315,43 @@ BOUNDED_COUNTS = [
 @pytest.mark.parametrize("mode,params,path,limit", BOUNDED_COUNTS,
                          ids=[f"{c[0].value}-{c[2]}" for c in BOUNDED_COUNTS])
 def test_counts_have_an_upper_bound_naming_the_field(mode, params, path, limit):
-    def given(count):
-        doc = copy.deepcopy(params)
-        *outer, last = path.split(".")
-        inner = doc
-        for key in outer:
-            inner = inner[key]
-        inner[last] = count
-        return doc
-
-    assert validate_params(mode, given(limit))
+    assert validate_params(mode, with_count(params, path, limit))
     for count in (limit + 1, 10**12, 2**63):
         with pytest.raises(ValidationError) as err:
-            validate_params(mode, given(count))
+            validate_params(mode, with_count(params, path, count))
         assert err.value.field == f"params.{path}"
         assert err.value.message == f"must be at most {limit}"
+
+
+# Documents whose records multiply: (mode, params, the count's path, how many
+# records each unit of it holds, and what they are).
+RECORD_PRODUCTS = [
+    (RunMode.ACQUIRE, {"target_performance": 0.5, "retention_discount": 0.1,
+                       "total_resources_per_cycle": 1.0, "max_cycles": 3,
+                       "items": [{"id": i, "latent_difficulty": 0.5} for i in range(8)]},
+     "max_cycles", 8, "items"),
+    (RunMode.BANDIT, {"episodes": 3, "utilities": [0.5] * 5, "times": [1.0] * 5},
+     "episodes", 5, "arms or features"),
+    (RunMode.BANDIT, {"env": "feature", "episodes": 3, "utility_weights": [[0.5] * 4] * 2,
+                      "time_weights": [[0.5] * 4] * 2}, "episodes", 4, "arms or features"),
+    (RunMode.RECALL_MDP, {**RECALL_PARAMS, "simulate": {"drifts": [0.1, 0.2, 0.3],
+                                                        "episodes": 10}},
+     "simulate.episodes", 3, "drifts"),
+]
+
+
+@pytest.mark.parametrize("mode,params,path,per,unit", RECORD_PRODUCTS,
+                         ids=[f"{c[0].value}-{c[3]}-{c[4].split()[0]}" for c in RECORD_PRODUCTS])
+def test_the_records_a_run_holds_are_bounded_in_all(mode, params, path, per, unit):
+    """Each count is bounded alone, and its product with the items, arms,
+    features or drifts it repeats for is bounded by the same MAX_RECORDS."""
+    assert validate_params(mode, with_count(params, path, MAX_RECORDS // per))
+    for count in (MAX_RECORDS // per + 1, MAX_RECORDS):
+        with pytest.raises(ValidationError) as err:
+            validate_params(mode, with_count(params, path, count))
+        assert err.value.field == f"params.{path}"
+        assert err.value.message == (f"with {per} {unit} makes {count * per} records, "
+                                     f"more than {MAX_RECORDS}")
 
 
 # --- reading documents ------------------------------------------------------

@@ -17,7 +17,7 @@ from mgv.acquisition import allocate_resources
 from mgv.config import validate_config
 from mgv.errors import ValidationError
 from mgv.floats import fold_sum
-from mgv.planning import DiscretePrior, _path_sums
+from mgv.planning import DiscretePrior, _partial_sums
 from mgv.runner import _cumulative_regret, _resources_spent, report, run, summary_path_for
 from test_acceptance import MODE_DOCS
 
@@ -305,7 +305,8 @@ def test_each_float_sum_site_folds_left_to_right_under_a_compensated_sum():
     assert compensated_sum(weights) != left_to_right(weights)
     shares = allocate_resources({0: 1e-16, 1: 1.0, 2: 1.0}, 3.0, signal_floor=1e-20)
     assert shares == {j: 3.0 * w / left_to_right(weights) for j, w in enumerate(weights)}
-    assert _path_sums([1e16, 1.0, 1.0, 5.0], [(0, 1, 2), (3,)]) == [1e16, 5.0]
+    chain = _partial_sums((None, 0, 1), weights, (0, 1, 2), 0 + weights[0])
+    assert chain[2] == left_to_right(weights)
     terms = [2.5e15, 0.25, 0.25]
     assert compensated_sum(terms) != left_to_right(terms)
     assert DiscretePrior((1e16, 1.0, 0.5), (0.25, 0.25, 0.5)).mean() == left_to_right(terms)

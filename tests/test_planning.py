@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -131,9 +132,9 @@ def reference_cycle(parents):
 
 
 def test_every_small_parent_list_gives_the_walks_paths_or_cycle():
-    """Over every parent list of up to five nodes: a tree stores the
-    reference paths and through-lists, and a cycle names the node that the
-    per-node walks meet twice first."""
+    """Over every parent list of up to five nodes: a tree's preorder, subtree
+    slices and leaves give the reference paths, and a cycle names the node
+    that the per-node walks meet twice first."""
     for n in range(2, 6):
         for tail in itertools.product(range(n), repeat=n - 1):
             parents = [None, *tail]
@@ -145,14 +146,24 @@ def test_every_small_parent_list_gives_the_walks_paths_or_cycle():
                     make_initial_state(parents, [coin()] * n)
                 continue
             state = make_initial_state(parents, [coin()] * n)
-            assert list(state.paths) == reference_paths(parents)
-            assert state.through == tuple(
-                tuple(k for k, path in enumerate(state.paths) if i in path) for i in range(n))
+            paths = reference_paths(parents)
+            assert state.leaves == tuple(path[-1] for path in paths)
+            assert sorted(state.order) == list(range(n))
+            for i in range(n):
+                assert state.order[state.start[i]] == i
+                if i:
+                    assert state.start[parents[i]] < state.start[i]
+                # Node i's subtree: every node at or below i on a path through i.
+                below = {j for path in paths if i in path for j in path[path.index(i):]}
+                assert state.size[i] == len(below)
+                assert set(state.order[state.start[i]:state.start[i] + state.size[i]]) == below
 
 
 def test_trees_whose_leaf_depths_sum_past_the_bound_are_rejected():
     chain = [None, *range(MAX_LEAF_DEPTHS)]  # one leaf, at depth MAX_LEAF_DEPTHS
-    assert len(make_initial_state(chain, [coin()] * len(chain)).paths[0]) == len(chain)
+    state = make_initial_state(chain, [coin()] * len(chain))
+    assert state.leaves == (MAX_LEAF_DEPTHS,)
+    assert state.order == tuple(range(len(chain))) and state.size[0] == len(chain)
     chain.append(MAX_LEAF_DEPTHS)
     with pytest.raises(ValidationError, match=rf"^parents: leaf depths sum to "
                                               rf"{MAX_LEAF_DEPTHS + 1}, more than {MAX_LEAF_DEPTHS}$"):
@@ -451,98 +462,236 @@ def test_voc_keeps_full_rescoring_choice_among_nan_path_sums():
             reference_voc(parents, priors, state.values, node, 0.0))
 
 
-def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
-        monkeypatch):
+def counting_partial_sums(monkeypatch):
+    """Make ``planning._partial_sums`` count the sums it adds, one per node
+    it is given, into the returned dict's "sums"."""
     from mgv import planning
 
-    calls = {"sum": 0, "path_sums": 0}
-    path_sums, fold_sum = planning._path_sums, planning.fold_sum
+    calls = {"sums": 0}
+    partial_sums = planning._partial_sums
 
-    def counting_sum(*args):
-        calls["sum"] += 1
-        return fold_sum(*args)
+    def counting(parents, contributions, nodes, head):
+        calls["sums"] += len(nodes)
+        return partial_sums(parents, contributions, nodes, head)
 
-    def counting_path_sums(contributions, paths):
-        calls["path_sums"] += len(paths)
-        return path_sums(contributions, paths)
+    monkeypatch.setattr(planning, "_partial_sums", counting)
+    return calls
+
+
+def test_voc_sums_each_path_once_and_rescores_only_paths_through_the_node(
+        monkeypatch):
+    """A scan adds one sum per node, so each path is summed once; then each
+    value the node may take re-sums only its subtree, where the paths through
+    it end."""
+    from mgv import planning
 
     rng = np.random.default_rng(5)
     states = []
     for seed in range(6):
         parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
         states.append(make_initial_state(parents, priors))
-    monkeypatch.setattr(planning, "fold_sum", counting_sum)
-    monkeypatch.setattr(planning, "_path_sums", counting_path_sums)
+    calls = counting_partial_sums(monkeypatch)
+    folds = {"calls": 0}
+    fold_sum = planning.fold_sum
+
+    def counting_fold_sum(*args):
+        folds["calls"] += 1
+        return fold_sum(*args)
+
+    monkeypatch.setattr(planning, "fold_sum", counting_fold_sum)
     for state in states:
         for _ in range(3):  # the same calls again: no work is cached away
             for node in frontier(state):
-                before = dict(calls)
+                rescored = len(state.priors[node].support) * state.size[node]
+                before = calls["sums"]
                 myopic_voc(state, node, 0.0)
-                expected = (len(state.paths) + len(state.priors[node].support)
-                            * len(state.through[node]))
-                assert calls["path_sums"] - before["path_sums"] == expected
-                # Every float sum is a path sum: no prior mean is computed
-                # again, however many times the node is scored.
-                assert calls["sum"] - before["sum"] == expected
+                assert calls["sums"] - before == state.num_nodes + rescored
+                base = planning._scan(state)
+                before = calls["sums"]
+                myopic_voc(state, node, 0.0, base)
+                assert calls["sums"] - before == rescored
         for node in frontier(state):
             support = state.priors[node].support
             state.values[node] = support[0]
+    # No prior mean is computed again, however many times a node is scored.
+    assert folds["calls"] == 0
 
 
 def test_planner_sums_the_base_paths_once_per_expansion(monkeypatch):
     """Within one expansion every frontier node is scored against the same
-    base, so the planner sums all ``len(paths)`` paths once per frontier
-    scan, not once per node scored, and each node then re-sums only the
-    paths through it."""
+    scan, so the planner adds one sum per node once per frontier scan, not
+    once per node scored, and each node then re-sums only its subtree."""
     from mgv import planning
 
-    calls = {"path_sums": 0, "rescored": 0, "scored": 0}
-    path_sums, voc = planning._path_sums, planning.myopic_voc
-
-    def counting_path_sums(contributions, paths):
-        calls["path_sums"] += len(paths)
-        return path_sums(contributions, paths)
+    voc = planning.myopic_voc
+    scored = {"nodes": 0, "rescored": 0}
 
     def counting_voc(state, node, *args):
-        calls["scored"] += 1
-        calls["rescored"] += len(state.priors[node].support) * len(state.through[node])
+        scored["nodes"] += 1
+        scored["rescored"] += len(state.priors[node].support) * state.size[node]
         return voc(state, node, *args)
 
-    monkeypatch.setattr(planning, "_path_sums", counting_path_sums)
+    calls = counting_partial_sums(monkeypatch)
     monkeypatch.setattr(planning, "myopic_voc", counting_voc)
     rng = np.random.default_rng(11)
     extra_nodes_scored = 0
     for seed in range(12):
         parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
         state = make_initial_state(parents, priors)
-        calls.update(path_sums=0, rescored=0, scored=0)
+        calls.update(sums=0)
+        scored.update(nodes=0, rescored=0)
         result = run_myopic_planner(state, 0.0, rng=np.random.default_rng(seed))
         scans = result.num_expansions + bool(frontier(result.state))
-        # One base sum per scan, the rescored paths, and the final plan_value.
-        assert calls["path_sums"] == ((scans + 1) * len(state.paths)
-                                      + calls["rescored"]), seed
-        extra_nodes_scored += calls["scored"] - scans
+        # One scan per expansion, the rescored subtrees, and the final plan_value.
+        assert calls["sums"] == (scans + 1) * state.num_nodes + scored["rescored"], seed
+        extra_nodes_scored += scored["nodes"] - scans
     assert extra_nodes_scored > 0  # some scans scored several nodes
 
 
 def test_voc_reads_a_shared_base_without_changing_it():
-    from mgv.planning import _contributions, _path_sums
+    from mgv.planning import _scan
 
     rng = np.random.default_rng(12)
     for seed in range(10):
         parents, priors = seeded_tree(rng, reverse=seed % 2 == 1)
         for state in reveal_walk(parents, priors, rng):
-            contributions = _contributions(state)
-            sums = _path_sums(contributions, state.paths)
-            base = (list(contributions), list(sums))
+            base = _scan(state)
+            kept = copy.deepcopy(base)
             for node in frontier(state):
                 assert myopic_voc(state, node, 0.05, base) == myopic_voc(state, node, 0.05)
-            assert base == (contributions, sums)
+            assert base == kept
 
 
-def test_through_table_lists_the_paths_crossing_each_node():
-    for parents in both_labellings(5):
-        state = make_initial_state(list(parents), [coin()] * 5)
-        for node in range(5):
-            assert state.through[node] == tuple(
-                i for i, path in enumerate(state.paths) if node in path)
+class CountingList(list):
+    """A list that counts the items its iterators yield."""
+
+    def __init__(self, items, counter):
+        super().__init__(items)
+        self.counter = counter
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.counter["scanned"] += 1
+            yield item
+
+
+def test_scoring_a_whole_frontier_is_linear_in_the_tree(monkeypatch):
+    """Scoring every frontier node of a star once, against one scan, adds
+    one sum per node and per value each leaf may take, and reads one or two
+    ranked leaves per node: at twice the leaves it costs about twice as much,
+    where re-summing every path per node cost four times as much."""
+    from mgv import planning
+
+    calls = counting_partial_sums(monkeypatch)
+    work = {}
+    rng = np.random.default_rng(3)
+    for leaves in (400, 800):
+        priors = [coin()] + [coin(0.0, float(rng.uniform(1, 10)), float(rng.uniform(0.01, 0.2)))
+                             for _ in range(leaves)]
+        state = make_initial_state([None] + [0] * leaves, priors)
+        counter = {"scanned": 0}
+        calls.update(sums=0)
+        contributions, sums, ranking = planning._scan(state)
+        base = contributions, sums, CountingList(ranking, counter)
+        for node in frontier(state):
+            myopic_voc(state, node, 0.01, base)
+        assert calls["sums"] == (leaves + 1) + 2 * leaves
+        assert counter["scanned"] == leaves + 1  # the best leaf is skipped once, for itself
+        work[leaves] = calls["sums"] + counter["scanned"]
+    assert work[800] <= 2 * work[400] + 2
+
+
+def test_reveal_draw_takes_the_index_and_stream_of_generator_choice():
+    """``_draw`` returns the index ``Generator.choice`` draws for a prior's
+    probabilities and leaves the generator in the same state, over priors of
+    1-6 values: Dirichlet probabilities, some set to zero, and some summing to
+    1 within the prior's 1e-9 tolerance."""
+    from mgv.planning import _draw
+
+    rng = np.random.default_rng(2024)
+    off_by = 0
+    for case in range(600):
+        k = int(rng.integers(1, 7))
+        probs = rng.dirichlet(np.ones(k)).tolist()
+        if case % 3 == 1 and k > 1:
+            for i in rng.choice(k, size=int(rng.integers(1, k)), replace=False):
+                probs[i] = 0.0  # at most k - 1 of them, anywhere
+            total = fold_sum(probs)
+            probs = [p / total for p in probs]
+        if case % 3 == 2:
+            nudge = float(rng.choice([-0.99e-9, 0.99e-9]))
+            probs[int(np.argmax(probs))] += nudge
+            off_by += abs(fold_sum(probs) - 1.0) > 0.5e-9
+        prior = DiscretePrior(tuple(float(s) for s in rng.uniform(-3, 3, k)), tuple(probs))
+        seed = int(rng.integers(2**32))
+        reference, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            expected = reference.choice(len(prior.support), p=np.asarray(prior.probs))
+            assert _draw(prior.probs, ours) == expected
+            assert ours.bit_generator.state == reference.bit_generator.state
+    assert off_by > 100  # the sums off 1 are really there
+
+
+class FixedUniforms:
+    """Stands in for a generator whose next uniforms are given."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+def test_reveal_draw_matches_numpy_at_the_edges_of_each_interval():
+    """A uniform that falls on, or just below, a bound of the cumulative
+    distribution picks the index that ``Generator.choice``'s steps give:
+    running sums divided by the last, searched from the right.  Seeded draws
+    almost never land there."""
+    from mgv.planning import _draw
+
+    for probs in ((0.5, 0.5 + 0.99e-9), (0.2, 0.0, 0.3, 0.5 - 0.99e-9), (0.0, 1.0), (1.0,)):
+        prior = DiscretePrior(tuple(range(len(probs))), probs)
+        cdf = np.cumsum(np.asarray(prior.probs))
+        cdf /= cdf[-1]
+        edges = [u for c in cdf[:-1] for u in (float(c), math.nextafter(float(c), 0.0))]
+        edges += [0.0, math.nextafter(1.0, 0.0)]
+        uniforms = FixedUniforms(edges)
+        for u in edges:
+            assert _draw(prior.probs, uniforms) == cdf.searchsorted(u, side="right"), (probs, u)
+
+
+def test_voc_takes_a_nan_first_path_sum_as_the_worth():
+    """When path 0 sums to NaN, ``max`` over the path sums is that NaN,
+    whatever the other paths hold.  Path 0 is (0, 1, 2), and node 2's mean
+    is -inf.  In the first tree node 1 may show +inf though its mean is set
+    to 0, so a reveal can make path 0 NaN; in the second its mean overflows
+    to +inf though it only shows finite values, so path 0 is NaN until node
+    1 is revealed.  The reference re-sums every path from ``prior.mean()``,
+    as a full re-scoring of the state does."""
+    big = 1.7976931348623157e308
+    for support, probs, mean in (((math.inf, 0.0), (0.5, 0.5), 0.0),
+                                 ((big, big), (0.5, 0.5 + 5e-10), math.inf)):
+        parents = [None, 0, 1, 0, 3, 0]  # paths (0, 1, 2), (0, 3, 4), (0, 5)
+        priors = [coin(), coin(), DiscretePrior((-1.0,), (1.0,)),
+                  coin(0.0, 1.0), coin(0.0, 2.0), coin(-1.0, 3.0)]
+        for prior, fields in ((priors[1], {"support": support, "probs": probs, "_mean": mean}),
+                              (priors[2], {"support": (-math.inf,), "_mean": -math.inf})):
+            for name, value in fields.items():
+                object.__setattr__(prior, name, value)
+        state = make_initial_state(parents, priors)
+
+        def worth(values):
+            contributions = [v if v is not None else prior.mean()
+                             for v, prior in zip(values, priors)]
+            return max(fold_sum(contributions[i] for i in path)
+                       for path in reference_paths(parents))
+
+        for node in frontier(state):
+            expected_after = 0.0
+            for v, p in zip(priors[node].support, priors[node].probs):
+                values = list(state.values)
+                values[node] = v
+                expected_after += p * worth(values)
+            expected = expected_after - worth(state.values) - 0.1
+            assert repr(myopic_voc(state, node, 0.1)) == repr(expected), (mean, node)
+        assert math.isnan(myopic_voc(state, 1, 0.1))
