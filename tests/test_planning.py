@@ -562,6 +562,18 @@ def test_voc_reads_a_shared_base_without_changing_it():
             assert base == kept
 
 
+def test_through_table_lists_the_paths_crossing_each_node():
+    """The paths crossing a node are those ending at the leaves in its
+    subtree's run of slots, so the tables stand in for a through table."""
+    for parents in both_labellings(5):
+        state = make_initial_state(list(parents), [coin()] * 5)
+        paths = reference_paths(parents)
+        for node in range(5):
+            below = set(state.order[state.start[node]:state.start[node] + state.size[node]])
+            assert tuple(k for k, leaf in enumerate(state.leaves) if leaf in below) == tuple(
+                k for k, path in enumerate(paths) if node in path)
+
+
 class CountingList(list):
     """A list that counts the items its iterators yield."""
 
