@@ -18,7 +18,8 @@ from mgv.config import validate_config
 from mgv.errors import ValidationError
 from mgv.floats import fold_sum
 from mgv.planning import DiscretePrior, _partial_sums
-from mgv.runner import _cumulative_regret, _resources_spent, report, run, summary_path_for
+from mgv.runner import (_cumulative_regret, _resources_spent, report, run, run_repeated,
+                        summary_path_for)
 from test_acceptance import MODE_DOCS
 
 # Integer literals in number fields (and in retrieve's ``seed_items``).
@@ -247,6 +248,69 @@ def test_recall_emitted_policy_and_threshold_match_golden_digests(tmp_path):
                                 emit_threshold=str(threshold))
     assert trace_and_summary == GOLDEN["recall_mdp"]
     assert (sha(policy), sha(threshold)) == (GOLDEN_POLICY, GOLDEN_THRESHOLD)
+
+
+# --- repeats ----------------------------------------------------------------------
+
+def written_files(tmp_path, summaries) -> str:
+    """sha256 over the returned summaries, then each file under ``tmp_path``
+    by name: its name and its bytes."""
+    h = hashlib.sha256(json.dumps(summaries, sort_keys=True).encode())
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def repeat_digest(doc, tmp_path, repeat=3) -> str:
+    """The files a ``--repeat`` set writes, emitted recall files included."""
+    config = validate_config({**doc, "out": str(tmp_path / "trace.jsonl")})
+    summaries = run_repeated(config, repeat, emit_policy=str(tmp_path / "policy.json"),
+                             emit_threshold=str(tmp_path / "cutoffs.csv"))
+    return written_files(tmp_path, summaries)
+
+
+REPEAT_DOCS = (MODE_DOCS + INT_DOCS
+               + [FEATURE_BANDIT_DOC, BENCHMARK_BANDIT_DOC, PLAN_TREE_DOC,
+                  ACQUIRE_ITEMS_DOC, FLAVELL_ABANDON_DOC])
+# One digest per document of REPEAT_DOCS, in order, of three repeats: traces,
+# summaries and, for recall, the emitted policy and threshold files.  Pinned
+# while every repeat still built its own objects, so objects that repeats
+# share cannot carry state from one repeat into the next unseen.
+GOLDEN_REPEAT = [
+    "42b3a1a34ffe7985155bd0e6e6cd437c11636796dd6df1da90cb9730598bc891",
+    "dec51a9022d61915a5b16bf310ed7654816a72367c9d913b295e69e1a408d597",
+    "142311088c06be9489adbe396e198e4473252f4412bb2e1af73ac0fa50649de3",
+    "6f2b5642b3d4014aa3a3b8b3020e1bde2652ac77920af765bca2f0adddfce8d6",
+    "89b4e8ec0c8f968e8d37707e79bcdd9288f7b7041e744e1f7b6e5ad9d24b8e26",
+    "1c8ac0212bf47ca80e17f64c6039074b60506c165945a5748dc5ab929158670c",
+    "9c99ea90192994c5413351fdd3686e6f5d19ea707e1faedf64c29d35e3eb6cbc",
+    "05a8433820f16599647af3a8e629636935d27cd102482b22c1d5f2d7450680b3",
+    "cf95eb861a97c6fca0056b676124c5d6aa4a07c04bfedfd9dd97ce8a4e69d8c4",
+    "7d0355a5a3a07439564db67a09b126e2604e091ac8be714d6d76c8257f93fc00",
+    "324f7ffa1fb7488364cbddb7cb01ac7d05d45e4a3d47431e2916e88f8bbd07d3",
+    "15f718833b4940cb408bf1912074cec4348ae35d20fbc1a1c3629f7b6b30731b",
+    "2e0a6c060486e740d33f81b6a3b17d35243f6a3cf76570bc29f1d2a72c48ebc6",
+    "2b61577af2631fc72926bdb44c902649df885166b15f3beacf8bde20b548d289",
+    "70dbb272a0312a34bf737c64969c4602e099a23a1ca4de0b57ce6bb350369d7c",
+    "414a6d505e82d98827ce02af45d35abc6e1f419b333bf3d7d0e87693d939f6f9",
+    "31f030c38a7cfad45c77ade3b09bc2af650737e0145c38ed933cdd29ce2fd2b3",
+]
+
+
+@pytest.mark.parametrize("doc,golden", list(zip(REPEAT_DOCS, GOLDEN_REPEAT)),
+                         ids=[f"{i}:{d['mode']}" for i, d in enumerate(REPEAT_DOCS)])
+def test_repeat_outputs_match_golden_digests(doc, golden, tmp_path):
+    assert repeat_digest(doc, tmp_path) == golden
+
+
+@pytest.mark.parametrize("doc", REPEAT_DOCS,
+                         ids=[f"{i}:{d['mode']}" for i, d in enumerate(REPEAT_DOCS)])
+def test_one_config_run_twice_writes_the_same_bytes(doc, tmp_path):
+    config = validate_config({**doc, "out": str(tmp_path / "trace.jsonl")})
+    emit = {"emit_policy": str(tmp_path / "policy.json"),
+            "emit_threshold": str(tmp_path / "cutoffs.csv")}
+    first = written_files(tmp_path, [run(config, **emit)])
+    assert written_files(tmp_path, [run(config, **emit)]) == first
 
 
 # --- float sums on every Python -----------------------------------------------
