@@ -16,7 +16,7 @@ import os
 import sys
 
 from .config import RunConfig, RunMode, read_document, validate_config, write_text
-from .errors import MgvError, ValidationError
+from .errors import NONEMPTY, MgvError, ValidationError
 from .runner import report, run_repeated
 
 log = logging.getLogger("mgv")
@@ -67,9 +67,11 @@ def _run_mode(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.out is not None:
+        NONEMPTY.check("out", args.out)
     metrics, table = report(args.traces)
     print(table)
-    if args.out:
+    if args.out is not None:
         write_text(args.out, (json.dumps(metrics, sort_keys=True, indent=2,
                                          allow_nan=False) + "\n",))
     else:

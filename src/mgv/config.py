@@ -6,9 +6,9 @@ carrying the field's own range, and a default or "required".  One walker
 applies a table: it rejects unknown fields, keeps JSON booleans out of number
 fields, stores every number as a float, fills defaults and names the
 offending field (``params.priors[3].probs``) in every error.  Rules that
-relate several fields live in the library constructors; ``build`` makes a
-mode's objects from its validated params and reports those rules by field
-too.
+relate several fields live in the library constructors.  ``validate_config``
+builds a mode's objects from its validated params once, reporting those rules
+by field too, and hands them to the run in ``RunConfig.args``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
 from math import inf
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .acquisition import AcquisitionConfig, LearnItem
 from .bandit import GAMMA_PRIOR, BanditState
@@ -35,7 +35,7 @@ from .errors import (AT_LEAST_1, FINITE, NONEMPTY, NONNEG, OPEN_UNIT, POSITIVE, 
 from .flavell import FlavellConfig, GoalSpec
 from .knowledge import CalibrationRecord, KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from .planning import DiscretePrior, make_initial_state
-from .recall import RecallMdpConfig
+from . import recall
 from .retrieval import RetrievalConfig
 
 
@@ -54,6 +54,8 @@ class RunConfig:
     seed: int
     params: dict
     out: str | None = None
+    # The run's objects, built from ``params`` by ``validate_config`` alone.
+    args: Callable[[], tuple] = field(kw_only=True, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"mode": self.mode.value, "seed": self.seed,
@@ -359,13 +361,15 @@ _DOCUMENT = _Table([
     _Field("mode", _OneOf(*(m.value for m in RunMode))),
     _Field("seed", _integer(NONNEG)),
     _Field("params", _OBJECT),
-    _Field("out", _string(), None),
+    _Field("out", _string(NONEMPTY), None),
 ])
 
 
 # -- object construction ---------------------------------------------------------
 # Document field names match the constructors' argument names, so each object
-# takes the params named like its arguments.
+# takes the params named like its arguments.  Each builder makes the objects a
+# run only reads, once, and returns a function that makes fresh the objects a
+# run mutates and returns the solver's arguments that precede its ``rng``.
 
 @cache
 def _arg_names(factory) -> frozenset[str]:
@@ -387,52 +391,67 @@ def _within(path: str):
         raise ValidationError(f"{path}.{exc.field}", exc.message) from exc
 
 
-def _build_flavell(p: dict) -> tuple:
-    store = _make(KnowledgeStore, p)
-    for s in p["strategies"]:
-        store.add(_make(KnowledgeItem, s, category=KnowledgeCategory.STRATEGY,
-                        tags=set(s["tags"])))
+def _build_flavell(p: dict) -> Callable[[], tuple]:
     env = _make(SyntheticTaskEnvironment, p,
                 strategy_quality={s["id"]: s["quality"] for s in p["strategies"]})
     budget = inf if p["resource_budget"] is None else p["resource_budget"]
     goal = _make(GoalSpec, p, resource_budget=budget)
-    return set(p["task_tags"]), goal, env, store, _make(FlavellConfig, p)
+    flavell_config = _make(FlavellConfig, p)
+
+    def args() -> tuple:
+        store = _make(KnowledgeStore, p)
+        for s in p["strategies"]:
+            store.add(_make(KnowledgeItem, s, category=KnowledgeCategory.STRATEGY,
+                            tags=set(s["tags"])))
+        return set(p["task_tags"]), goal, env, store, flavell_config
+    return args
 
 
-def _build_acquire(p: dict) -> tuple:
+def _build_acquire(p: dict) -> Callable[[], tuple]:
     items = [_make(LearnItem, e) for e in p["items"]]
-    return _make(AcquisitionConfig, p, items=items), _make(KnowledgeStore, p)
+    acquisition_config = _make(AcquisitionConfig, p, items=items)
+    return lambda: (acquisition_config, _make(KnowledgeStore, p))
 
 
-def _build_retrieve(p: dict) -> tuple:
-    store = _make(KnowledgeStore, p)
-    for d in p["seed_items"]:
-        records = [_make(CalibrationRecord, r) for r in d["calibration_records"]]
-        store.add(_make(KnowledgeItem, d, category=KnowledgeCategory(d["category"]),
-                        tags=set(d["tags"]), features=tuple(d["features"]),
-                        calibration_records=records), activate=d["in_stm"])
-    return (set(p["query"]), store, _make(CueRetrievalEnvironment, p),
-            _make(RetrievalConfig, p))
+def _build_retrieve(p: dict) -> Callable[[], tuple]:
+    retrieval_config = _make(RetrievalConfig, p)
+
+    def args() -> tuple:
+        store = _make(KnowledgeStore, p)
+        for d in p["seed_items"]:
+            records = [_make(CalibrationRecord, r) for r in d["calibration_records"]]
+            store.add(_make(KnowledgeItem, d, category=KnowledgeCategory(d["category"]),
+                            tags=set(d["tags"]), features=tuple(d["features"]),
+                            calibration_records=records), activate=d["in_stm"])
+        return set(p["query"]), store, _make(CueRetrievalEnvironment, p), retrieval_config
+    return args
 
 
-def _build_bandit(p: dict) -> tuple:
+def _build_bandit(p: dict) -> Callable[[], tuple]:
     env = _make(StationaryBanditEnvironment if p["env"] == "stationary"
                 else FeatureBanditEnvironment, p)
-    state = _make(BanditState, p, num_strategies=env.num_arms,
-                  feature_dim=env.feature_dim, gamma_prior=tuple(p["gamma_prior"]))
-    return env, state, p["episodes"]
+    state = partial(_make, BanditState, p, num_strategies=env.num_arms,
+                    feature_dim=env.feature_dim, gamma_prior=tuple(p["gamma_prior"]))
+    return lambda: (env, state(), p["episodes"])
 
 
-def _build_plan(p: dict) -> tuple:
+def _build_plan(p: dict) -> Callable[[], tuple]:
     priors = []
     for i, d in enumerate(p["priors"]):
         with _within(f"priors[{i}]"):
             priors.append(DiscretePrior(tuple(d["support"]), tuple(d["probs"])))
-    return make_initial_state(p["parents"], priors), p["expansion_cost"]
+    state = make_initial_state(p["parents"], priors)  # the planner expands a copy
+    return lambda: (state, p["expansion_cost"])
 
 
-def _build_recall(p: dict) -> tuple:
-    return (_make(RecallMdpConfig, p),)
+def _solve_recall(mdp: recall.RecallMdpConfig) -> tuple:
+    policy = recall.solve_recall_mdp(mdp)
+    return mdp, policy, recall.stopping_threshold(policy)
+
+
+def _build_recall(p: dict) -> Callable[[], tuple]:
+    # Solved on the first call, not in validation, and kept for every repeat.
+    return cache(partial(_solve_recall, _make(recall.RecallMdpConfig, p)))
 
 
 _MODES = {
@@ -443,16 +462,6 @@ _MODES = {
     RunMode.PLAN: (_PLAN, _build_plan),
     RunMode.RECALL_MDP: (_RECALL, _build_recall),
 }
-
-
-def build(mode: RunMode, params: dict) -> tuple:
-    """Fresh library objects for one run: the arguments of the mode's solver
-    that precede its ``rng``, made from validated params.
-
-    A constructor's cross-field check fails as ``params.<field>``.
-    """
-    with _within("params"):
-        return _MODES[mode][1](params)
 
 
 def _check_records(mode: RunMode, p: dict) -> None:
@@ -479,25 +488,18 @@ def _check_records(mode: RunMode, p: dict) -> None:
                                                 f"records, more than {MAX_RECORDS}")
 
 
-def validate_params(mode: RunMode, params) -> dict:
-    """Check a mode's params block and return it with defaults filled in.
-
-    The records a run would hold are bounded before anything is built.  The
-    mode's objects are built once, so the rules that relate several fields
-    fail here rather than mid-run.
-    """
-    clean = _MODES[mode][0].check(params, "params")
-    _check_records(mode, clean)
-    build(mode, clean)
-    return clean
-
-
 def validate_config(doc) -> RunConfig:
-    """Check a run document and return it with defaults filled in."""
+    """Check a run document and return it with defaults filled in and its
+    mode's objects built, once, into ``args``.  The records a run would hold
+    are bounded before anything is built; a rule relating several fields
+    fails as ``params.<field>``."""
     top = _DOCUMENT.check(doc, "config")
     mode = RunMode(top["mode"])
-    return RunConfig(mode=mode, seed=top["seed"],
-                     params=validate_params(mode, top["params"]), out=top["out"])
+    params = _MODES[mode][0].check(top["params"], "params")
+    _check_records(mode, params)
+    with _within("params"):
+        args = _MODES[mode][1](params)
+    return RunConfig(mode=mode, seed=top["seed"], params=params, out=top["out"], args=args)
 
 
 def read_text(path: str | Path) -> str:

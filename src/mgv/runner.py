@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acquisition, bandit, flavell, planning, recall, retrieval
-from .config import MAX_HORIZON, RunConfig, RunMode, _clean_up, build, read_text, write_text
-from .errors import NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
+from .config import MAX_HORIZON, RunConfig, RunMode, _clean_up, read_text, write_text
+from .errors import NONEMPTY, NONNEG, NonFiniteOutput, ParseError, ValidationError, at_most
 from .experience import ExperienceTuple
 from .floats import fold_sum
 
@@ -97,7 +97,7 @@ def _drift_stats(result: recall.RecallSimResult) -> dict:
 
 
 def _run_flavell(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
-    state, trace = flavell.run_cycle(*build(config.mode, config.params), rng)
+    state, trace = flavell.run_cycle(*config.args(), rng)
     summary = {
         "status": state.status.value,
         "abandon_reason": state.abandon_reason.value if state.abandon_reason else None,
@@ -109,7 +109,7 @@ def _run_flavell(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, d
 
 
 def _run_acquire(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
-    state, trace = acquisition.run_acquisition(*build(config.mode, config.params), rng)
+    state, trace = acquisition.run_acquisition(*config.args(), rng)
     summary = {
         "status": "finished" if state.finished else "unfinished",
         "cycles": state.cycle,
@@ -122,14 +122,14 @@ def _run_acquire(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, d
 
 
 def _run_retrieve(config: RunConfig, rng) -> tuple[list[ExperienceTuple], dict, dict]:
-    result, trace = retrieval.run_retrieval(*build(config.mode, config.params), rng)
+    result, trace = retrieval.run_retrieval(*config.args(), rng)
     summary = {"status": result.decision, **result.to_dict()}
     summary["resources_spent"] = _resources_spent(t.resources for t in trace)
     return trace, summary, {}
 
 
 def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
-    env, state, episodes = build(config.mode, config.params)
+    env, state, episodes = config.args()
     records = bandit.run_bandit_episodes(env, state, episodes, rng)
     pulls = [0] * env.num_arms
     for r in records:
@@ -147,7 +147,7 @@ def _run_bandit(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
 
 
 def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
-    state, expansion_cost = build(config.mode, config.params)
+    state, expansion_cost = config.args()
     result = planning.run_myopic_planner(state, expansion_cost, rng)
     payloads = [{"step": i, "node": node, "revealed_value": value}
                 for i, (node, value) in enumerate(result.expansions)]
@@ -162,9 +162,7 @@ def _run_plan(config: RunConfig, rng) -> tuple[list[dict], dict, dict]:
 
 
 def _run_recall(config: RunConfig, rng) -> tuple[list[str], dict, dict]:
-    (mdp,) = build(config.mode, config.params)
-    policy = recall.solve_recall_mdp(mdp)
-    thresholds = recall.stopping_threshold(policy)
+    mdp, policy, thresholds = config.args()
     # Each episode is kept as its encoded payload: strings are not tracked by
     # the cyclic garbage collector, so thousands of rows trigger no collection.
     rows: list[str] = []
@@ -265,6 +263,9 @@ def run(config: RunConfig, emit_policy: str | None = None,
     infinity in a summary key or trace record raises NonFiniteOutput naming
     it, with or without ``out``, and leaves no trace or summary file.
     """
+    for name, path in (("emit_policy", emit_policy), ("emit_threshold", emit_threshold)):
+        if path is not None:
+            NONEMPTY.check(name, path)
     rng = substream(config.seed, stream_name or config.mode.value)
     run_id = run_id_for(config)
     runner, encode = _RUNNERS[config.mode]
@@ -276,7 +277,7 @@ def run(config: RunConfig, emit_policy: str | None = None,
             canonical_json(summary[key])
         except ValueError:
             raise NonFiniteOutput(f"summary.{key}: holds NaN or Infinity") from None
-    if config.out:
+    if config.out is not None:
         try:
             _write_trace(config.out, run_id, config.mode.value, payloads, encode)
         except BaseException as exc:
@@ -289,7 +290,7 @@ def run(config: RunConfig, emit_policy: str | None = None,
         for _ in _trace_lines(run_id, config.mode.value, payloads, encode):
             pass
     for name, path in (("policy", emit_policy), ("threshold", emit_threshold)):
-        if path and name in artifacts:
+        if path is not None and name in artifacts:
             write_text(path, (artifacts[name](),))
     return summary
 

@@ -316,6 +316,15 @@ MALFORMED = [
     ("solve-recall", "--config",
      {**RECALL, "simulate": {"drifts": [0.1, 0.2], "episodes": 600_000}}, [],
      "params.simulate.episodes"),
+    # An empty output path is an error, not a run that writes nothing.
+    ("flavell", "--config", FLAVELL, ["--out", ""], "config.out"),
+    ("acquire", "--config", {"mode": "acquire", "seed": 1, "params": ACQUIRE, "out": ""},
+     [], "config.out"),
+    ("solve-recall", "--config", RECALL, ["--emit-policy", ""], "emit_policy"),
+    ("solve-recall", "--config", RECALL, ["--emit-threshold", ""], "emit_threshold"),
+    # ``report`` takes its traces after the flags and no seed; the out path
+    # is checked before any trace is read.
+    ("report", None, {}, ["--out", ""], "out"),
 ]
 
 
@@ -324,9 +333,10 @@ MALFORMED = [
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, flag,
                                                   params, argv, field):
     path = write_json(tmp_path / "params.json", params)
-    if "--seed" not in argv:
+    if command != "report" and "--seed" not in argv:
         argv = [*argv, "--seed", "1"]
-    code, out, err = run_cli(capsys, command, flag, path, *argv)
+    given = [path] if flag is None else [flag, path]
+    code, out, err = run_cli(capsys, command, *given, *argv)
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     error = json.loads(line)["error"]

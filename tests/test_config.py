@@ -7,11 +7,12 @@ import pytest
 
 import mgv.config as mgv_config
 from mgv.config import (MAX_CUE_SAMPLES, MAX_HORIZON, MAX_RECORDS, RunConfig,
-                        RunMode, read_document, validate_config, validate_params)
+                        RunMode, read_document, validate_config)
 from mgv.acquisition import compute_norm_of_study
 from mgv.errors import MissingFile, ParseError, ValidationError
 from mgv.knowledge import CalibrationRecord, KnowledgeCategory, KnowledgeItem, KnowledgeStore
 from mgv.planning import DiscretePrior
+from mgv.runner import run
 
 
 def flavell_params(**overrides):
@@ -23,6 +24,11 @@ def flavell_params(**overrides):
     }
     params.update(overrides)
     return params
+
+
+def validated(mode: RunMode, params) -> RunConfig:
+    """``validate_config`` of a document of ``mode`` holding ``params``."""
+    return validate_config({"mode": mode.value, "seed": 0, "params": params})
 
 
 def minimal_doc(**overrides):
@@ -82,33 +88,33 @@ def test_flavell_strategy_entries_checked():
     bad = flavell_params(strategies=[{"id": "a", "quality": 0.5},
                                      {"id": "a", "quality": 0.2}])
     with pytest.raises(ValidationError):
-        validate_params(RunMode.FLAVELL, bad)
+        validated(RunMode.FLAVELL, bad)
     bad = flavell_params(strategies=[{"id": "a", "quality": 0.5, "oops": 1}])
     with pytest.raises(ValidationError) as err:
-        validate_params(RunMode.FLAVELL, bad)
+        validated(RunMode.FLAVELL, bad)
     assert "oops" in str(err.value)
 
 
 def test_acquire_defaults_and_items():
-    params = validate_params(RunMode.ACQUIRE, {
+    params = validated(RunMode.ACQUIRE, {
         "target_performance": 0.8,
         "retention_discount": 0.1,
         "total_resources_per_cycle": 2.0,
         "max_cycles": 5,
         "items": [{"id": 1, "latent_difficulty": 0.4}],
-    })
+    }).params
     assert params["mastery_gain"] == 0.2
     assert params["items"][0]["mastery"] == 0.0
     with pytest.raises(ValidationError):
-        validate_params(RunMode.ACQUIRE, {
+        validated(RunMode.ACQUIRE, {
             "target_performance": 0.8, "retention_discount": 0.1,
             "total_resources_per_cycle": 2.0, "max_cycles": 5,
             "items": [{"id": 1, "latent_difficulty": 0.0}]})
 
 
 def test_retrieve_defaults():
-    params = validate_params(RunMode.RETRIEVE, {
-        "query": ["cue-b", "cue-a"], "match_prob": 0.7})
+    params = validated(RunMode.RETRIEVE, {
+        "query": ["cue-b", "cue-a"], "match_prob": 0.7}).params
     assert params["query"] == ["cue-a", "cue-b"]
     assert params["satisficing_rate"] == 0.1
     assert params["compound_decay"] is False
@@ -116,35 +122,35 @@ def test_retrieve_defaults():
 
 
 def test_bandit_stationary_and_feature_shapes():
-    params = validate_params(RunMode.BANDIT, {
-        "episodes": 10, "utilities": [0.5, 0.2], "times": [1.0, 1.0]})
+    params = validated(RunMode.BANDIT, {
+        "episodes": 10, "utilities": [0.5, 0.2], "times": [1.0, 1.0]}).params
     assert params["env"] == "stationary"
     assert params["gamma_prior"] == [0.0, 1.0]
-    params = validate_params(RunMode.BANDIT, {
+    params = validated(RunMode.BANDIT, {
         "env": "feature", "episodes": 10,
-        "utility_weights": [[1.0, 0.0]], "time_weights": [[0.5, 0.5]]})
+        "utility_weights": [[1.0, 0.0]], "time_weights": [[0.5, 0.5]]}).params
     assert params["env"] == "feature"
     with pytest.raises(ValidationError):
-        validate_params(RunMode.BANDIT, {
+        validated(RunMode.BANDIT, {
             "env": "feature", "episodes": 10,
             "utility_weights": [[1.0, 0.0]], "time_weights": [[0.5]]})
     with pytest.raises(ValidationError):
-        validate_params(RunMode.BANDIT, {
+        validated(RunMode.BANDIT, {
             "episodes": 10, "utilities": [0.5], "times": [0.0]})
 
 
 def test_plan_parents_and_priors():
-    params = validate_params(RunMode.PLAN, {
+    params = validated(RunMode.PLAN, {
         "parents": [None, 0, 0],
         "priors": [{"support": [0.0], "probs": [1.0]}] * 3,
-        "expansion_cost": 0.1})
+        "expansion_cost": 0.1}).params
     assert params["expansion_cost"] == 0.1
     with pytest.raises(ValidationError):
-        validate_params(RunMode.PLAN, {
+        validated(RunMode.PLAN, {
             "parents": [0], "priors": [{"support": [0.0], "probs": [1.0]}],
             "expansion_cost": 0.1})
     with pytest.raises(ValidationError):
-        validate_params(RunMode.PLAN, {
+        validated(RunMode.PLAN, {
             "parents": [None, 0],
             "priors": [{"support": [0.0], "probs": [0.9]}] * 2,
             "expansion_cost": 0.1})
@@ -154,20 +160,20 @@ def test_recall_params_and_simulate_block():
     base = {"drift_prior_mean": 0.1, "drift_prior_variance": 0.5,
             "evidence_variance": 1.0, "recall_threshold": 1.0,
             "recall_utility": 2.0, "search_cost": 0.05, "horizon": 10}
-    params = validate_params(RunMode.RECALL_MDP, base)
+    params = validated(RunMode.RECALL_MDP, base).params
     assert params["z_min"] is None and params["simulate"] is None
-    params = validate_params(RunMode.RECALL_MDP, dict(
-        base, simulate={"drifts": [0.1, 0.3], "episodes": 100}))
+    params = validated(RunMode.RECALL_MDP, dict(
+        base, simulate={"drifts": [0.1, 0.3], "episodes": 100})).params
     assert params["simulate"]["start"] == 0.0
     with pytest.raises(ValidationError):
-        validate_params(RunMode.RECALL_MDP, dict(base, simulate={"drifts": []}))
+        validated(RunMode.RECALL_MDP, dict(base, simulate={"drifts": []}))
 
 
 def test_integer_accepted_where_number_expected():
-    params = validate_params(RunMode.RETRIEVE, {"query": ["q"], "match_prob": 1})
+    params = validated(RunMode.RETRIEVE, {"query": ["q"], "match_prob": 1}).params
     assert params["match_prob"] == 1.0
     with pytest.raises(ValidationError):
-        validate_params(RunMode.RETRIEVE, {"query": ["q"], "match_prob": True})
+        validated(RunMode.RETRIEVE, {"query": ["q"], "match_prob": True})
 
 
 def test_number_fields_store_integers_as_floats():
@@ -195,14 +201,14 @@ def test_number_fields_store_integers_as_floats():
          ["z_min", "z_step"]),
     ]
     for mode, params, fields in checks:
-        clean = validate_params(mode, params)
+        clean = validated(mode, params).params
         for name in fields:
             assert type(clean[name]) is float, (mode, name)
-    item = validate_params(RunMode.RETRIEVE, {
+    item = validated(RunMode.RETRIEVE, {
         "query": ["q"], "match_prob": 0.5,
         "seed_items": [{"id": "a", "category": "task", "features": [1],
                         "calibration_records": [{"fok_magnitude": 1, "confidence": 1,
-                                                 "was_correct": True}]}]})["seed_items"][0]
+                                                 "was_correct": True}]}]}).params["seed_items"][0]
     assert type(item["features"][0]) is float
     assert item["successes"] == 0 and item["in_stm"] is False
     record = item["calibration_records"][0]
@@ -210,10 +216,10 @@ def test_number_fields_store_integers_as_floats():
 
 
 def seeded_store(seed_items: list) -> KnowledgeStore:
-    params = validate_params(RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5,
-                                                "access_prob": 0.25, "encoding_rate": 0.75,
-                                                "seed_items": seed_items})
-    _, store, _, _ = mgv_config.build(RunMode.RETRIEVE, params)
+    config = validated(RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5,
+                                          "access_prob": 0.25, "encoding_rate": 0.75,
+                                          "seed_items": seed_items})
+    _, store, _, _ = config.args()
     return store
 
 
@@ -275,7 +281,7 @@ def test_a_later_seed_item_replaces_an_earlier_one_in_full(first, last):
 ])
 def test_cross_field_rules_name_the_field(mode, params, field):
     with pytest.raises(ValidationError) as err:
-        validate_params(mode, params)
+        validated(mode, params)
     assert err.value.field == field
 
 
@@ -315,10 +321,10 @@ BOUNDED_COUNTS = [
 @pytest.mark.parametrize("mode,params,path,limit", BOUNDED_COUNTS,
                          ids=[f"{c[0].value}-{c[2]}" for c in BOUNDED_COUNTS])
 def test_counts_have_an_upper_bound_naming_the_field(mode, params, path, limit):
-    assert validate_params(mode, with_count(params, path, limit))
+    assert validated(mode, with_count(params, path, limit)).params
     for count in (limit + 1, 10**12, 2**63):
         with pytest.raises(ValidationError) as err:
-            validate_params(mode, with_count(params, path, count))
+            validated(mode, with_count(params, path, count))
         assert err.value.field == f"params.{path}"
         assert err.value.message == f"must be at most {limit}"
 
@@ -345,13 +351,74 @@ RECORD_PRODUCTS = [
 def test_the_records_a_run_holds_are_bounded_in_all(mode, params, path, per, unit):
     """Each count is bounded alone, and its product with the items, arms,
     features or drifts it repeats for is bounded by the same MAX_RECORDS."""
-    assert validate_params(mode, with_count(params, path, MAX_RECORDS // per))
+    assert validated(mode, with_count(params, path, MAX_RECORDS // per)).params
     for count in (MAX_RECORDS // per + 1, MAX_RECORDS):
         with pytest.raises(ValidationError) as err:
-            validate_params(mode, with_count(params, path, count))
+            validated(mode, with_count(params, path, count))
         assert err.value.field == f"params.{path}"
         assert err.value.message == (f"with {per} {unit} makes {count * per} records, "
                                      f"more than {MAX_RECORDS}")
+
+
+# --- each object made once ---------------------------------------------------------
+
+def recording_builds(monkeypatch) -> list[str]:
+    """The names of the objects ``config`` makes from here on, in order."""
+    made = []
+
+    def recorded(real, name=None):
+        def call(*args, **kwargs):
+            made.append(name or args[0].__qualname__)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(mgv_config, "_make", recorded(mgv_config._make))
+    for name in ("DiscretePrior", "make_initial_state"):
+        monkeypatch.setattr(mgv_config, name, recorded(getattr(mgv_config, name), name))
+    return made
+
+
+# (mode, params, the objects validation makes, the objects a run makes): the
+# objects a run only reads are made once, in validation, and a run makes only
+# those it mutates.
+MADE_ONCE = [
+    (RunMode.FLAVELL, flavell_params(strategies=[{"id": "a", "quality": 0.5},
+                                                 {"id": "b", "quality": 0.1}]),
+     ["SyntheticTaskEnvironment", "GoalSpec", "FlavellConfig"],
+     ["KnowledgeStore", "KnowledgeItem", "KnowledgeItem"]),
+    (RunMode.ACQUIRE, {"target_performance": 0.5, "retention_discount": 0.1,
+                       "total_resources_per_cycle": 1.0, "max_cycles": 3,
+                       "items": [{"id": 1, "latent_difficulty": 0.5},
+                                 {"id": 2, "latent_difficulty": 0.2}]},
+     ["LearnItem", "LearnItem", "AcquisitionConfig"], ["KnowledgeStore"]),
+    (RunMode.RETRIEVE, {"query": ["q"], "match_prob": 0.5, "seed_items": [
+        {"id": "a", "category": "task", "calibration_records": [
+            {"fok_magnitude": 1, "confidence": 1, "was_correct": True}]}]},
+     ["RetrievalConfig"],
+     ["KnowledgeStore", "CalibrationRecord", "KnowledgeItem", "CueRetrievalEnvironment"]),
+    (RunMode.BANDIT, {"episodes": 3, "utilities": [0.5, 0.2], "times": [1.0, 1.0]},
+     ["StationaryBanditEnvironment"], ["BanditState"]),
+    (RunMode.BANDIT, {"env": "feature", "episodes": 3, "utility_weights": [[1.0, 0.0]],
+                      "time_weights": [[0.5, 0.5]]},
+     ["FeatureBanditEnvironment"], ["BanditState"]),
+    (RunMode.PLAN, {"parents": [None, 0, 0],
+                    "priors": [{"support": [0.0], "probs": [1.0]}] * 3,
+                    "expansion_cost": 0.1},
+     ["DiscretePrior"] * 3 + ["make_initial_state"], []),
+    (RunMode.RECALL_MDP, RECALL_PARAMS, ["RecallMdpConfig"], []),
+]
+
+
+@pytest.mark.parametrize("mode,params,in_validation,in_run", MADE_ONCE,
+                         ids=[f"{m[0].value}-{m[2][0]}" for m in MADE_ONCE])
+def test_validation_and_a_run_make_each_object_once(monkeypatch, mode, params,
+                                                     in_validation, in_run):
+    made = recording_builds(monkeypatch)
+    config = validated(mode, params)
+    assert made == in_validation
+    made.clear()
+    run(config)
+    assert made == in_run
 
 
 # --- reading documents ------------------------------------------------------
@@ -410,7 +477,8 @@ DEFAULT_DOCS = [
 
 def _made_objects(monkeypatch):
     """(factory, params it took, arguments given beside them, the table that
-    cleaned those params) for every ``_make`` call that builds DEFAULT_DOCS."""
+    cleaned those params) for every ``_make`` call that builds DEFAULT_DOCS:
+    in ``validate_config``, and in the ``args()`` call of a run."""
     calls = []
     real_make = mgv_config._make
 
@@ -421,10 +489,10 @@ def _made_objects(monkeypatch):
     monkeypatch.setattr(mgv_config, "_make", spying)
     for doc in DEFAULT_DOCS:
         mode = RunMode(doc["mode"])
-        clean = validate_params(mode, doc["params"])
-        tables = _tables_by_dict(mgv_config._MODES[mode][0], clean)
         calls.clear()
-        mgv_config.build(mode, clean)
+        config = validated(mode, doc["params"])
+        config.args()
+        tables = _tables_by_dict(mgv_config._MODES[mode][0], config.params)
         for factory, params, given in calls:
             yield factory, params, given, tables[id(params)]
 
@@ -491,8 +559,8 @@ def _checked_constructors(monkeypatch, checks=CONSTRUCTOR_CHECKS):
     """(factory, valid arguments, the table of its params) for each constructor
     in ``checks``, as DEFAULT_DOCS build it."""
     made = list(_made_objects(monkeypatch))
-    acquire, plan = (validate_params(RunMode(d["mode"]), d["params"]) for d in DEFAULT_DOCS
-                     if d["mode"] in ("acquire", "plan"))
+    acquire, plan = (validated(RunMode(d["mode"]), d["params"]).params
+                     for d in DEFAULT_DOCS if d["mode"] in ("acquire", "plan"))
     made += [(compute_norm_of_study, acquire, {}, mgv_config._ACQUIRE),
              (DiscretePrior, plan["priors"][0], {}, mgv_config._PRIOR)]
     found = set()

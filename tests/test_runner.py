@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import gc
 import json
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import mgv.runner
 from mgv import recall
-from mgv.config import RunConfig, RunMode, build, validate_config
+from mgv.config import RunMode, validate_config
 from mgv.errors import MissingFile, NonFiniteOutput, ParseError
 from mgv.experience import ExperienceMode, ExperienceTuple, ExperienceVector, FokCounters
 from mgv.runner import (_write_trace, canonical_json, report, run, run_id_for,
@@ -119,7 +121,7 @@ def test_summary_file_written_next_to_trace(tmp_path):
 
 def test_run_without_out_writes_nothing(tmp_path):
     config = flavell_config(tmp_path)
-    config = RunConfig(config.mode, config.seed, config.params, out=None)
+    config = dataclasses.replace(config, out=None)
     summary = run(config)
     assert summary["cycles"] >= 1
     assert list(tmp_path.iterdir()) == []
@@ -134,8 +136,7 @@ def test_non_finite_trace_record_fails_the_run_and_leaves_no_file(monkeypatch, t
 
     monkeypatch.setitem(mgv.runner._RUNNERS, RunMode.FLAVELL, (overflowing, canonical_json))
     config = flavell_config(tmp_path)
-    config = RunConfig(config.mode, config.seed, config.params,
-                       out=out and str(tmp_path / out))
+    config = dataclasses.replace(config, out=out and str(tmp_path / out))
     with pytest.raises(NonFiniteOutput, match="^trace record 2: "):
         run(config)
     assert list(tmp_path.iterdir()) == []
@@ -254,7 +255,7 @@ def test_recall_trace_matches_simulation_arrays(tmp_path_factory, drifts, episod
                                 "start": start}},
         "out": str(tmp_path / "recall.jsonl")})
     run(config)
-    (mdp,) = build(config.mode, config.params)
+    mdp = config.args()[0]
     policy = recall.solve_recall_mdp(mdp)
     rng = substream(seed, "recall_mdp")
     payloads = []
@@ -539,6 +540,32 @@ def test_repeats_draw_independent_streams(tmp_path):
     first = (tmp_path / "b.0.jsonl").read_text()
     second = (tmp_path / "b.1.jsonl").read_text()
     assert first != second
+
+
+def counting_solves(monkeypatch) -> Counter:
+    """Calls of the recall solver and of its cutoffs from here on, looked up
+    on ``mgv.recall`` as the benchmark's tracer wraps them."""
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("solve_recall_mdp", "stopping_threshold"):
+        monkeypatch.setattr(recall, name, counted(name, getattr(recall, name)))
+    return calls
+
+
+def test_validation_solves_nothing_and_a_repeat_set_solves_once(monkeypatch, tmp_path):
+    calls = counting_solves(monkeypatch)
+    config = recall_config(tmp_path)
+    assert calls == {}
+    run_repeated(config, 5, emit_policy=str(tmp_path / "policy.json"),
+                 emit_threshold=str(tmp_path / "cutoffs.csv"))
+    assert calls == {"solve_recall_mdp": 1, "stopping_threshold": 1}
+    assert len(list(tmp_path.glob("policy.*.json"))) == 5
 
 
 # --- report -----------------------------------------------------------------
